@@ -17,18 +17,6 @@
 
 namespace ompx {
 
-namespace {
-/// cudaMemcpy-style legacy-stream semantics: with launches async by
-/// default, a host-synchronous memory op must first observe every
-/// launch already enqueued on the device. Skipped on executor threads
-/// (a host-fn callback calling back into the host API must not wait on
-/// its own stream).
-void sync_for_host_op(simt::Device& dev) {
-  if (simt::telemetry_detail::t_in_stream_op) return;
-  dev.synchronize();
-}
-}  // namespace
-
 void* malloc_on(simt::Device& dev, std::size_t bytes) {
   dev.check_not_lost("ompx malloc");
   return dev.memory().allocate(bytes);
@@ -50,7 +38,7 @@ void free_on(simt::Device& dev, void* ptr) {
         "ompx_free_async on its stream (a cross-API free would corrupt "
         "the stream-ordered pool)");
   // An in-flight async launch may still be using the block.
-  sync_for_host_op(target);
+  target.sync_for_host_op();
   target.memory().deallocate(ptr);
 }
 
@@ -66,9 +54,9 @@ void memcpy_on(simt::Device& dev, void* dst, const void* src,
   if (src_dev != nullptr) src_dev->check_not_lost("ompx memcpy");
   if (dst_dev == nullptr && src_dev == nullptr)
     dev.check_not_lost("ompx memcpy");
-  if (dst_dev != nullptr) sync_for_host_op(*dst_dev);
-  if (src_dev != nullptr && src_dev != dst_dev) sync_for_host_op(*src_dev);
-  if (dst_dev == nullptr && src_dev == nullptr) sync_for_host_op(dev);
+  if (dst_dev != nullptr) dst_dev->sync_for_host_op();
+  if (src_dev != nullptr && src_dev != dst_dev) src_dev->sync_for_host_op();
+  if (dst_dev == nullptr && src_dev == nullptr) dev.sync_for_host_op();
   if (dst_dev != nullptr && src_dev != nullptr) {
     // Same device: ordinary D2D. Two devices: a peer copy, costed with
     // the peer link (or host staging) and accounted on both devices.
@@ -95,7 +83,7 @@ void memset_on(simt::Device& dev, void* ptr, int value, std::size_t bytes) {
   simt::Device* owner = simt::resolve_device(ptr);
   simt::Device& target = owner != nullptr ? *owner : dev;
   target.check_not_lost("ompx memset");
-  sync_for_host_op(target);
+  target.sync_for_host_op();
   target.memory().set(ptr, value, bytes);
 }
 

@@ -227,13 +227,9 @@ LaunchResult shard_launch(const LaunchSpec& spec,
   simt::Device& primary = *devices.front();
   const simt::LaunchParams base = to_params(spec, primary);
 
-  // Shard along the largest grid axis; a grid too small for the device
+  // Shard along the grid's split axis; a grid too small for the device
   // count just uses fewer shards.
-  const std::uint32_t extents[3] = {base.grid.x, base.grid.y, base.grid.z};
-  int axis = 0;
-  if (extents[1] > extents[axis]) axis = 1;
-  if (extents[2] > extents[axis]) axis = 2;
-  const std::uint32_t total = extents[axis];
+  const std::uint32_t total = simt::split_extent(base.grid);
   const std::uint32_t nshards = static_cast<std::uint32_t>(
       std::min<std::size_t>(devices.size(), total));
 
@@ -252,18 +248,10 @@ LaunchResult shard_launch(const LaunchSpec& spec,
   std::uint32_t begin = 0;
   for (std::uint32_t i = 0; i < nshards; ++i) {
     const std::uint32_t extent = total / nshards + (i < total % nshards);
-    simt::LaunchParams p = base;
-    p.logical_grid = base.grid;
-    p.log = false;  // only the combined record enters a launch log
-    switch (axis) {
-      case 0: p.grid.x = extent; p.grid_offset.x = begin; break;
-      case 1: p.grid.y = extent; p.grid_offset.y = begin; break;
-      default: p.grid.z = extent; p.grid_offset.z = begin; break;
-    }
     simt::Device& dev = *devices[i];
     simt::Stream& st = dev.default_stream();
     simt::LaunchRecord* slot = &shards[i];
-    st.launch(p, body,
+    st.launch(simt::slice_grid(base, begin, extent), body,
               [slot](const simt::LaunchRecord& rec) { *slot = rec; });
     done[i] = dev.create_event();
     st.record(*done[i]);
@@ -278,47 +266,15 @@ LaunchResult shard_launch(const LaunchSpec& spec,
     devices[i]->synchronize();
   }
 
-  // Combine: stats sum over shards; modeled time is the max (the shards
-  // run concurrently on distinct devices); occupancy is blocks-weighted.
-  simt::LaunchRecord rec;
-  rec.name = base.name;
-  rec.grid = base.grid;
-  rec.block = base.block;
-  double occ_weighted = 0.0;
-  for (const simt::LaunchRecord& s : shards) {
-    rec.stats.blocks += s.stats.blocks;
-    rec.stats.threads += s.stats.threads;
-    rec.stats.block_barriers += s.stats.block_barriers;
-    rec.stats.warp_collectives += s.stats.warp_collectives;
-    rec.stats.warp_syncs += s.stats.warp_syncs;
-    rec.stats.atomics += s.stats.atomics;
-    rec.stats.parallel_handshakes += s.stats.parallel_handshakes;
-    rec.stats.workshare_dispatches += s.stats.workshare_dispatches;
-    rec.stats.globalized_bytes += s.stats.globalized_bytes;
-    rec.stats.fibers_created += s.stats.fibers_created;
-    rec.stats.fiber_reuses += s.stats.fiber_reuses;
-    rec.stats.sched_steals += s.stats.sched_steals;
-    rec.stats.sched_lane_loops += s.stats.sched_lane_loops;
-    rec.stats.sched_deflations += s.stats.sched_deflations;
-    rec.time.compute_ms = std::max(rec.time.compute_ms, s.time.compute_ms);
-    rec.time.memory_ms = std::max(rec.time.memory_ms, s.time.memory_ms);
-    rec.time.overhead_ms = std::max(rec.time.overhead_ms, s.time.overhead_ms);
-    rec.time.total_ms = std::max(rec.time.total_ms, s.time.total_ms);
-    occ_weighted += s.time.occupancy * static_cast<double>(s.stats.blocks);
-  }
-  if (rec.stats.blocks != 0)
-    rec.time.occupancy = occ_weighted / static_cast<double>(rec.stats.blocks);
-  rec.stats.runtime_init = shards.front().stats.runtime_init;
-  rec.stats.generic_mode = shards.front().stats.generic_mode;
-  rec.stats.spill_in_shared = shards.front().stats.spill_in_shared;
-  // Shards resolve from the same request; the primary's verdict stands
-  // for the combined record.
-  rec.exec_mode = shards.front().exec_mode;
-  rec.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  primary.append_launch_record(rec);
-  result.record = rec;
+  // The shards ran at once on distinct devices: the whole launch takes
+  // as long as the slowest one.
+  simt::RecordFold combined(base, simt::PartTiming::kConcurrent);
+  for (const simt::LaunchRecord& s : shards) combined.add(s);
+  combined.finish(std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count());
+  primary.append_launch_record(combined.record());
+  result.record = combined.record();
   return result;
 }
 

@@ -47,16 +47,9 @@ klError guarded(F&& f) {
     return record_error(klErrorLaunchFailure, e.what());
   } catch (const std::exception& e) {
     return record_error(klErrorUnknown, e.what());
+  } catch (...) {
+    return record_error(klErrorUnknown, "non-standard exception");
   }
-}
-
-/// cudaMemcpy-style legacy-stream semantics: a host-blocking memory op
-/// must first observe every launch already enqueued on the device's
-/// streams. Skipped on executor threads (a host-fn callback calling
-/// back into the runtime must not wait on its own stream).
-void sync_legacy(simt::Device& dev) {
-  if (simt::telemetry_detail::t_in_stream_op) return;
-  dev.synchronize();
 }
 
 simt::CopyKind to_engine(klMemcpyKind k) {
@@ -163,7 +156,7 @@ klError klFree(void* ptr) {
           "klFree: pointer was allocated with klMallocAsync; use "
           "klFreeAsync on its stream (a cross-API free would corrupt the "
           "stream-ordered pool)");
-    sync_legacy(dev);  // an in-flight launch may still use the block
+    dev.sync_for_host_op();  // an in-flight launch may still use the block
     dev.memory().deallocate(ptr);
   });
 }
@@ -172,7 +165,7 @@ klError klMemcpy(void* dst, const void* src, std::size_t bytes,
                  klMemcpyKind kind) {
   return guarded([&] {
     auto& dev = usable_device("klMemcpy");
-    sync_legacy(dev);
+    dev.sync_for_host_op();
     dev.memory().copy(dst, src, bytes, to_engine(kind));
     if (kind == klMemcpyHostToDevice || kind == klMemcpyDeviceToHost)
       dev.add_transfer(bytes);
@@ -199,8 +192,8 @@ klError klMemcpyPeer(void* dst, int dst_device, const void* src,
   simt::Device* sdev = checked_device(src_device, &err);
   if (sdev == nullptr) return err;
   return guarded([&] {
-    sync_legacy(*ddev);
-    if (sdev != ddev) sync_legacy(*sdev);
+    ddev->sync_for_host_op();
+    if (sdev != ddev) sdev->sync_for_host_op();
     simt::peer_copy(*ddev, dst, *sdev, src, bytes);
   });
 }
@@ -237,7 +230,7 @@ klError klMemcpy2D(void* dst, std::size_t dpitch, const void* src,
                    klMemcpyKind kind) {
   return guarded([&] {
     auto& dev = usable_device("klMemcpy2D");
-    sync_legacy(dev);
+    dev.sync_for_host_op();
     const std::size_t payload =
         dev.memory().copy_2d(dst, dpitch, src, spitch, width, height,
                              to_engine(kind));
@@ -249,7 +242,7 @@ klError klMemcpy2D(void* dst, std::size_t dpitch, const void* src,
 klError klMemset(void* ptr, int value, std::size_t bytes) {
   return guarded([&] {
     auto& dev = usable_device("klMemset");
-    sync_legacy(dev);
+    dev.sync_for_host_op();
     dev.memory().set(ptr, value, bytes);
   });
 }
@@ -396,7 +389,7 @@ klError klMallocConstant(void** ptr, std::size_t bytes) {
 klError klMemcpyToSymbol(void* symbol, const void* src, std::size_t bytes) {
   return guarded([&] {
     auto& dev = usable_device("klMemcpyToSymbol");
-    sync_legacy(dev);  // in-flight kernels read the old symbol value
+    dev.sync_for_host_op();  // in-flight kernels read the old symbol value
     dev.constant_memory().copy(symbol, src, bytes,
                                simt::CopyKind::kHostToDevice);
     dev.add_transfer(bytes);

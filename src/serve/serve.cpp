@@ -4,63 +4,33 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "simt/fault.h"
 #include "simt/stream.h"
 #include "simt/watchdog.h"
 
 namespace serve {
-namespace {
-
-std::uint32_t& dim_axis(simt::Dim3& d, int axis) {
-  return axis == 0 ? d.x : axis == 1 ? d.y : d.z;
-}
-
-/// Chunk-into-request accumulation, the time-sliced sibling of the
-/// shard_launch combine: stats sum; modeled time sums too (chunks run
-/// sequentially on one device, not concurrently across devices);
-/// occupancy is blocks-weighted by the caller.
-void accumulate(simt::LaunchRecord& into, const simt::LaunchRecord& rec) {
-  into.stats.blocks += rec.stats.blocks;
-  into.stats.threads += rec.stats.threads;
-  into.stats.block_barriers += rec.stats.block_barriers;
-  into.stats.warp_collectives += rec.stats.warp_collectives;
-  into.stats.warp_syncs += rec.stats.warp_syncs;
-  into.stats.atomics += rec.stats.atomics;
-  into.stats.parallel_handshakes += rec.stats.parallel_handshakes;
-  into.stats.workshare_dispatches += rec.stats.workshare_dispatches;
-  into.stats.globalized_bytes += rec.stats.globalized_bytes;
-  into.stats.fibers_created += rec.stats.fibers_created;
-  into.stats.fiber_reuses += rec.stats.fiber_reuses;
-  into.stats.sched_steals += rec.stats.sched_steals;
-  into.stats.sched_lane_loops += rec.stats.sched_lane_loops;
-  into.stats.sched_deflations += rec.stats.sched_deflations;
-  into.time.compute_ms += rec.time.compute_ms;
-  into.time.memory_ms += rec.time.memory_ms;
-  into.time.overhead_ms += rec.time.overhead_ms;
-  into.time.total_ms += rec.time.total_ms;
-}
-
-}  // namespace
 
 /// One client launch making its way through the scheduler. The chunking
 /// fields are touched only by the owning device's scheduler thread; the
 /// completion fields are guarded by Server::mu_.
 struct Request {
-  ClientContext* client = nullptr;
+  Request(ClientContext* c, const simt::LaunchParams& p, simt::KernelFn b)
+      : client(c), params(p), body(std::move(b)),
+        combined(p, simt::PartTiming::kSerial) {}
+
+  ClientContext* client;
   simt::LaunchParams params;
   simt::KernelFn body;
   std::uint64_t id = 0;
 
   // Chunk progress (scheduler thread only).
   bool started = false;
-  int axis = 0;
   std::uint32_t total = 0;            ///< extent along the split axis
   std::uint32_t next = 0;             ///< next chunk's begin along the axis
   std::uint32_t blocks_per_unit = 1;  ///< grid blocks per unit of the axis
-  simt::LaunchRecord combined;
-  double occ_weighted = 0.0;
-  double modeled_ms = 0.0;
+  simt::RecordFold combined;          ///< chunks run back to back
   std::chrono::steady_clock::time_point t0;
 
   // Completion (Server::mu_).
@@ -157,10 +127,7 @@ static void check_shape(const simt::LaunchParams& p) {
 std::uint64_t ClientContext::submit(simt::LaunchParams params,
                                     simt::KernelFn body) {
   check_shape(params);
-  auto r = std::make_shared<Request>();
-  r->client = this;
-  r->params = params;
-  r->body = std::move(body);
+  auto r = std::make_shared<Request>(this, params, std::move(body));
   std::lock_guard lock(server_.mu_);
   server_.submit_locked(*this, r);
   return r->id;
@@ -169,10 +136,7 @@ std::uint64_t ClientContext::submit(simt::LaunchParams params,
 simt::LaunchRecord ClientContext::launch(simt::LaunchParams params,
                                          simt::KernelFn body) {
   check_shape(params);
-  auto r = std::make_shared<Request>();
-  r->client = this;
-  r->params = params;
-  r->body = std::move(body);
+  auto r = std::make_shared<Request>(this, params, std::move(body));
   std::unique_lock lock(server_.mu_);
   server_.submit_locked(*this, r);
   server_.cv_done_.wait(lock, [&] { return r->done; });
@@ -182,7 +146,7 @@ simt::LaunchRecord ClientContext::launch(simt::LaunchParams params,
     if (first_error_ == r->error) first_error_ = nullptr;
     std::rethrow_exception(r->error);
   }
-  return r->combined;
+  return r->combined.record();
 }
 
 void ClientContext::synchronize() {
@@ -399,20 +363,10 @@ void Server::run_quantum(DeviceSched& sched,
   ClientContext* client = r->client;
 
   if (!r->started) {
-    const std::uint32_t extents[3] = {r->params.grid.x, r->params.grid.y,
-                                      r->params.grid.z};
-    r->axis = 0;
-    if (extents[1] > extents[r->axis]) r->axis = 1;
-    if (extents[2] > extents[r->axis]) r->axis = 2;
-    r->total = extents[r->axis];
-    const std::uint64_t grid_blocks = static_cast<std::uint64_t>(extents[0]) *
-                                      extents[1] * extents[2];
+    r->total = simt::split_extent(r->params.grid);
     r->blocks_per_unit =
         static_cast<std::uint32_t>(std::max<std::uint64_t>(
-            1, grid_blocks / std::max<std::uint32_t>(1, r->total)));
-    r->combined.name = r->params.name;
-    r->combined.grid = r->params.grid;
-    r->combined.block = r->params.block;
+            1, r->params.grid.count() / std::max<std::uint32_t>(1, r->total)));
     r->t0 = std::chrono::steady_clock::now();
     r->started = true;
   }
@@ -427,18 +381,12 @@ void Server::run_quantum(DeviceSched& sched,
       remaining,
       std::max<std::uint32_t>(1, quantum / r->blocks_per_unit));
 
-  simt::LaunchParams p = r->params;
-  p.log = false;  // only the combined record enters the launch log
-  p.logical_grid = r->params.grid;
-  dim_axis(p.grid, r->axis) = chunk;
-  dim_axis(p.grid_offset, r->axis) = r->next;
-
   simt::LaunchRecord rec;
   std::exception_ptr err;
   bool lost = false;
   try {
     dev.check_not_lost("serve launch");
-    rec = dev.launch_sync(p, r->body);
+    rec = dev.launch_sync(simt::slice_grid(r->params, r->next, chunk), r->body);
   } catch (const simt::DeviceLostError&) {
     err = std::current_exception();
     lost = true;
@@ -448,21 +396,12 @@ void Server::run_quantum(DeviceSched& sched,
 
   bool timed_out = false;
   if (!err) {
-    if (r->combined.stats.blocks == 0) {
-      r->combined.exec_mode = rec.exec_mode;
-      r->combined.stats.runtime_init = rec.stats.runtime_init;
-      r->combined.stats.generic_mode = rec.stats.generic_mode;
-      r->combined.stats.spill_in_shared = rec.stats.spill_in_shared;
-    }
-    accumulate(r->combined, rec);
-    r->occ_weighted +=
-        rec.time.occupancy * static_cast<double>(rec.stats.blocks);
-    r->modeled_ms += rec.time.total_ms;
+    r->combined.add(rec);
     r->next += chunk;
     // The modeled watchdog is a per-launch budget: time-slicing must not
     // let a runaway kernel dodge it by being metered in small chunks.
     const double budget_ms = simt::watchdog_ms();
-    if (budget_ms > 0.0 && r->modeled_ms > budget_ms) {
+    if (budget_ms > 0.0 && r->combined.record().time.total_ms > budget_ms) {
       err = std::make_exception_ptr(simt::TimeoutError(
           "serve: kernel '" + std::string(r->params.name) +
           "' exceeded the watchdog budget across its time slices"));
@@ -497,12 +436,9 @@ void Server::run_quantum(DeviceSched& sched,
         r->error = err;
         if (!client->first_error_) client->first_error_ = err;
       } else {
-        if (r->combined.stats.blocks != 0)
-          r->combined.time.occupancy =
-              r->occ_weighted / static_cast<double>(r->combined.stats.blocks);
-        r->combined.wall_ms = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - r->t0)
-                                  .count();
+        r->combined.finish(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - r->t0)
+                               .count());
         client->stats_.launches++;
       }
       r->done = true;
@@ -511,7 +447,7 @@ void Server::run_quantum(DeviceSched& sched,
     }
   }
 
-  if (!err && r->done) dev.append_launch_record(r->combined);
+  if (!err && r->done) dev.append_launch_record(r->combined.record());
 
   if (lost) {
     // Graceful degradation: one tenant's poisoned chunk must not take

@@ -115,7 +115,7 @@ void BlockState::reset_for_replay() {
     throw std::logic_error(
         "BlockState::reset_for_replay: direct-mode blocks only");
   live_ = nthreads_;
-  counters_ = BlockCounters{};
+  counters_.reset();
   arena_.reset();
   shared_vars_.clear();
   std::fill(shared_alloc_ordinal_.begin(), shared_alloc_ordinal_.end(), 0);

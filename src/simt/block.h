@@ -34,24 +34,6 @@ namespace simt {
 
 class Device;
 
-/// Per-launch counters a block accumulates locally and flushes once.
-/// The runtime-emulation fields are incremented by the omp device
-/// runtime layer when it executes inside a kernel.
-struct BlockCounters {
-  std::uint64_t block_barriers = 0;
-  std::uint64_t warp_collectives = 0;
-  std::uint64_t warp_syncs = 0;
-  std::uint64_t atomics = 0;
-  std::uint64_t parallel_handshakes = 0;
-  std::uint64_t workshare_dispatches = 0;
-  std::uint64_t globalized_bytes = 0;
-  // Host-engine diagnostics (never modeled; see LaunchStats).
-  std::uint64_t fibers_created = 0;
-  std::uint64_t fiber_reuses = 0;
-  std::uint64_t sched_lane_loops = 0;
-  std::uint64_t sched_deflations = 0;
-};
-
 namespace detail {
 /// Thrown by a blocking primitive (barrier / warp op / atomic) when the
 /// executing thread is running inline under LaneExec::kConvergent: the
@@ -117,7 +99,9 @@ class BlockState {
   [[nodiscard]] Device& device() { return device_; }
   [[nodiscard]] const LaunchParams& params() const { return params_; }
   [[nodiscard]] Dim3 block_index() const { return block_idx_; }
-  [[nodiscard]] const BlockCounters& counters() const { return counters_; }
+  /// This block's event counts (blocks/threads and the runtime-mode
+  /// flags stay zero; the launch header carries them).
+  [[nodiscard]] const LaunchStats& counters() const { return counters_; }
   [[nodiscard]] std::size_t shared_high_water() const {
     return arena_.high_water();
   }
@@ -166,7 +150,9 @@ class BlockState {
   /// warp's suspended waiters (ascending lane order) on the ready queue.
   void notify_warp_release(WarpState& warp);
 
-  BlockCounters counters_;  // accessed by WarpState on release
+  // Counted in place by WarpState on release and by the omp device
+  // runtime emulation (handshakes, dispatches, globalized bytes).
+  LaunchStats counters_;
 
  private:
   // kDone doubles as the thread-lifecycle terminal state so the

@@ -286,62 +286,29 @@ LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
   // Stream kernels are spanned by the executor (it knows the stream
   // track and modeled start); only direct host-synchronous launches
   // record here, on the device's sync track.
-  if (profiling_enabled() && !telemetry_detail::t_in_stream_op) {
-    TraceSpan span;
-    span.kind = SpanKind::kKernel;
-    span.name = rec.name;
-    span.dur_ms = rec.time.total_ms;
-    span.wall_ms = rec.wall_ms;
-    span.grid = rec.grid;
-    span.block = rec.block;
-    span.exec_mode = rec.exec_mode;
-    span.stats = rec.stats;
-    span.time = rec.time;
-    Profiler::instance().record(*this, span);
-  }
+  if (profiling_enabled() && !telemetry_detail::t_in_stream_op)
+    Profiler::instance().record(*this, kernel_span(rec));
   return rec;
 }
 
 LaunchStats Device::run_blocks(const LaunchParams& params,
                                const KernelFn& kernel) {
-  LaunchStats stats;
-  stats.blocks = params.grid.count();
-  stats.threads = stats.blocks * params.block.count();
-  stats.runtime_init = params.rt.runtime_init;
-  stats.generic_mode = params.rt.generic_mode;
-  stats.spill_in_shared = params.rt.spill_in_shared;
-
-  BlockCounters total;
-  std::uint64_t steals_total = 0;
+  LaunchStats stats = launch_header(params);
   const std::uint64_t nblocks = params.grid.count();
   const unsigned workers = std::max(
       1u, opts_.workers != 0 ? opts_.workers
                              : std::thread::hardware_concurrency());
   auto run_range = [&](std::uint64_t begin, std::uint64_t end,
-                       BlockCounters& acc) {
+                       LaunchStats& acc) {
     for (std::uint64_t b = begin; b < end; ++b) {
-      Dim3 idx = params.grid.delinearize(b);
-      idx.x += params.grid_offset.x;
-      idx.y += params.grid_offset.y;
-      idx.z += params.grid_offset.z;
-      BlockState block(*this, params, idx, kernel, thread_fiber_pool());
+      BlockState block(*this, params, block_id(params, b), kernel,
+                       thread_fiber_pool());
       block.run();
-      const BlockCounters& c = block.counters();
-      acc.block_barriers += c.block_barriers;
-      acc.warp_collectives += c.warp_collectives;
-      acc.warp_syncs += c.warp_syncs;
-      acc.atomics += c.atomics;
-      acc.parallel_handshakes += c.parallel_handshakes;
-      acc.workshare_dispatches += c.workshare_dispatches;
-      acc.globalized_bytes += c.globalized_bytes;
-      acc.fibers_created += c.fibers_created;
-      acc.fiber_reuses += c.fiber_reuses;
-      acc.sched_lane_loops += c.sched_lane_loops;
-      acc.sched_deflations += c.sched_deflations;
+      acc += block.counters();
     }
   };
   if (workers == 1 || nblocks < 2) {
-    run_range(0, nblocks, total);
+    run_range(0, nblocks, stats);
   } else {
     // Blocks are independent (CUDA semantics: no inter-block ordering),
     // so workers pull chunks from a shared atomic queue instead of a
@@ -357,8 +324,7 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
             ? opts_.steal_chunk_blocks
             : std::max<std::uint64_t>(1, nblocks / (8ull * n));
     std::atomic<std::uint64_t> next{0};
-    std::vector<BlockCounters> accs(n);
-    std::vector<std::uint64_t> steals(n, 0);
+    std::vector<LaunchStats> accs(n);
     std::vector<std::exception_ptr> errs(n);
     std::vector<std::thread> pool;
     pool.reserve(n);
@@ -370,7 +336,7 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
             const std::uint64_t b0 =
                 next.fetch_add(chunk, std::memory_order_relaxed);
             if (b0 >= nblocks) break;
-            if (!first) steals[w]++;
+            if (!first) accs[w].sched_steals++;
             first = false;
             run_range(b0, std::min(nblocks, b0 + chunk), accs[w]);
           }
@@ -383,33 +349,61 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
     for (auto& t : pool) t.join();
     for (unsigned w = 0; w < n; ++w) {
       if (errs[w]) std::rethrow_exception(errs[w]);
-      total.block_barriers += accs[w].block_barriers;
-      total.warp_collectives += accs[w].warp_collectives;
-      total.warp_syncs += accs[w].warp_syncs;
-      total.atomics += accs[w].atomics;
-      total.parallel_handshakes += accs[w].parallel_handshakes;
-      total.workshare_dispatches += accs[w].workshare_dispatches;
-      total.globalized_bytes += accs[w].globalized_bytes;
-      total.fibers_created += accs[w].fibers_created;
-      total.fiber_reuses += accs[w].fiber_reuses;
-      total.sched_lane_loops += accs[w].sched_lane_loops;
-      total.sched_deflations += accs[w].sched_deflations;
-      steals_total += steals[w];
+      stats += accs[w];
     }
   }
-  stats.block_barriers = total.block_barriers;
-  stats.warp_collectives = total.warp_collectives;
-  stats.warp_syncs = total.warp_syncs;
-  stats.atomics = total.atomics;
-  stats.parallel_handshakes = total.parallel_handshakes;
-  stats.workshare_dispatches = total.workshare_dispatches;
-  stats.globalized_bytes = total.globalized_bytes;
-  stats.fibers_created = total.fibers_created;
-  stats.fiber_reuses = total.fiber_reuses;
-  stats.sched_steals = steals_total;
-  stats.sched_lane_loops = total.sched_lane_loops;
-  stats.sched_deflations = total.sched_deflations;
   return stats;
+}
+
+std::uint32_t split_extent(const Dim3& grid) {
+  return std::max({grid.x, grid.y, grid.z});
+}
+
+LaunchParams slice_grid(const LaunchParams& whole, std::uint32_t begin,
+                        std::uint32_t extent) {
+  LaunchParams p = whole;
+  p.logical_grid = whole.grid;
+  p.log = false;
+  const Dim3& g = whole.grid;
+  if (g.x >= g.y && g.x >= g.z) {
+    p.grid.x = extent;
+    p.grid_offset.x = begin;
+  } else if (g.y >= g.z) {
+    p.grid.y = extent;
+    p.grid_offset.y = begin;
+  } else {
+    p.grid.z = extent;
+    p.grid_offset.z = begin;
+  }
+  return p;
+}
+
+RecordFold::RecordFold(const LaunchParams& whole, PartTiming timing)
+    : timing_(timing) {
+  rec_.name = whole.name;
+  rec_.grid = whole.grid;
+  rec_.block = whole.block;
+}
+
+void RecordFold::add(const LaunchRecord& part) {
+  if (rec_.stats.blocks == 0) rec_.exec_mode = part.exec_mode;
+  rec_.stats += part.stats;
+  occ_weighted_ += part.time.occupancy * static_cast<double>(part.stats.blocks);
+  const auto fold = [this](double& into, double ms) {
+    into = timing_ == PartTiming::kSerial ? into + ms : std::max(into, ms);
+  };
+  fold(rec_.time.total_ms, part.time.total_ms);
+  fold(rec_.time.compute_ms, part.time.compute_ms);
+  fold(rec_.time.memory_ms, part.time.memory_ms);
+  fold(rec_.time.shared_ms, part.time.shared_ms);
+  fold(rec_.time.overhead_ms, part.time.overhead_ms);
+}
+
+void RecordFold::finish(double wall_ms) {
+  if (rec_.stats.blocks != 0)
+    rec_.time.occupancy =
+        occ_weighted_ / static_cast<double>(rec_.stats.blocks);
+  rec_.wall_ms = wall_ms;
 }
 
 Stream& Device::default_stream() { return exec_->default_stream(); }
@@ -423,6 +417,11 @@ void Device::synchronize() {
   check_not_lost("device synchronize");
   exec_->synchronize_all();
   exec_->check_async_error();
+}
+
+void Device::sync_for_host_op() {
+  if (telemetry_detail::t_in_stream_op) return;
+  synchronize();
 }
 
 double Device::model_transfer_ms(std::uint64_t bytes) const {

@@ -141,6 +141,34 @@ struct LaunchRecord {
   std::string exec_mode = "fiber";
 };
 
+/// How the parts of one split launch overlap in modeled time. Serve
+/// time slices run one after another on one device, so their times
+/// add; shard_launch shards run at once on separate devices, so the
+/// whole launch takes as long as its slowest shard.
+enum class PartTiming { kSerial, kConcurrent };
+
+/// The one fold of part records (serve time slices, shard_launch
+/// shards) into the record of the whole launch, one part at a time.
+/// Stats sum, exec_mode comes from the first part, each ModeledTime
+/// duration sums or maxes per PartTiming, and occupancy is the
+/// block-weighted mean of the parts'.
+class RecordFold {
+ public:
+  /// `whole` names the combined record and gives it the unsplit grid.
+  RecordFold(const LaunchParams& whole, PartTiming timing);
+
+  void add(const LaunchRecord& part);
+  /// Stamps the whole launch's occupancy and host wall time.
+  void finish(double wall_ms);
+  /// The combined record (occupancy is final only after finish()).
+  [[nodiscard]] const LaunchRecord& record() const { return rec_; }
+
+ private:
+  LaunchRecord rec_;
+  PartTiming timing_;
+  double occ_weighted_ = 0.0;  ///< sum of part occupancy x part blocks
+};
+
 class Stream;
 class Event;
 class StreamExecutor;
@@ -195,6 +223,12 @@ class Device {
   /// Wait for every operation on every stream (cudaDeviceSynchronize),
   /// then rethrow any asynchronous error.
   void synchronize();
+  /// CUDA's legacy-default-stream rule for a host-blocking op (memcpy,
+  /// memset, free): first wait for every launch already enqueued on
+  /// the device. A no-op on stream-executor threads, so a host-fn
+  /// callback that calls back into the runtime does not wait on its
+  /// own stream.
+  void sync_for_host_op();
 
   /// Device-loss poisoning (the simulator's cudaErrorDevicesUnavailable):
   /// once marked lost — by the fault injector's "device_lost" site or a

@@ -180,14 +180,10 @@ void Graph::instantiate_locked() {
             n.params.grid.count() <= kMaxCachedBlocks) {
           auto& cache = cached_blocks_[i];
           cache.reserve(n.params.grid.count());
-          for (std::uint64_t b = 0; b < n.params.grid.count(); ++b) {
-            Dim3 idx = n.params.grid.delinearize(b);
-            idx.x += n.params.grid_offset.x;
-            idx.y += n.params.grid_offset.y;
-            idx.z += n.params.grid_offset.z;
+          for (std::uint64_t b = 0; b < n.params.grid.count(); ++b)
             cache.push_back(std::make_unique<BlockState>(
-                dev_, n.params, idx, n.kernel, replay_fiber_pool()));
-          }
+                dev_, n.params, block_id(n.params, b), n.kernel,
+                replay_fiber_pool()));
         }
         break;
       case StreamOp::Kind::kEventRecord:
@@ -204,23 +200,11 @@ void Graph::instantiate_locked() {
 }
 
 LaunchStats Graph::run_cached(std::size_t i) {
-  const StreamOp& n = nodes_[i];
-  LaunchStats stats;
-  stats.blocks = cached_blocks_[i].size();
-  stats.threads = stats.blocks * n.params.block.count();
-  stats.runtime_init = n.params.rt.runtime_init;
-  stats.generic_mode = n.params.rt.generic_mode;
-  stats.spill_in_shared = n.params.rt.spill_in_shared;
+  LaunchStats stats = launch_header(nodes_[i].params);
   for (auto& block : cached_blocks_[i]) {
     block->reset_for_replay();
     block->run();
-    const BlockCounters& c = block->counters();
-    stats.atomics += c.atomics;
-    stats.parallel_handshakes += c.parallel_handshakes;
-    stats.workshare_dispatches += c.workshare_dispatches;
-    stats.globalized_bytes += c.globalized_bytes;
-    // Direct-mode blocks cannot reach barriers, warp rendezvous, or the
-    // fiber machinery, so the remaining counters are always zero here.
+    stats += block->counters();
   }
   return stats;
 }
@@ -260,7 +244,7 @@ Graph::ReplayExtent Graph::execute_on(Stream& s) {
             dev_.cfg_, n.params.profile, n.params.cost, stats,
             static_cast<std::uint32_t>(n.params.block.count()),
             n.params.dynamic_smem_bytes, dev_.costs_);
-        if (n.on_complete) {
+        if (n.on_complete || prof) {
           LaunchRecord rec;
           rec.name = span_names_[i];
           rec.grid = n.params.grid;
@@ -268,19 +252,11 @@ Graph::ReplayExtent Graph::execute_on(Stream& s) {
           rec.stats = stats;
           rec.time = t;
           rec.exec_mode = exec_modes_[i];
-          n.on_complete(rec);
+          if (prof) span = kernel_span(rec);
+          if (n.on_complete) n.on_complete(rec);
         }
+        span.ts_ms = ts;
         ts += t.total_ms;
-        if (prof) {
-          span.kind = SpanKind::kKernel;
-          span.name = span_names_[i];
-          span.dur_ms = t.total_ms;
-          span.grid = n.params.grid;
-          span.block = n.params.block;
-          span.exec_mode = exec_modes_[i];
-          span.stats = stats;
-          span.time = t;
-        }
         break;
       }
       case StreamOp::Kind::kMemcpy: {

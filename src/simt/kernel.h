@@ -111,4 +111,39 @@ struct LaunchParams {
   bool log = true;
 };
 
+/// Block id of the launch's `b`-th block: row-major within `grid`,
+/// offset into the logical grid by `grid_offset`.
+[[nodiscard]] inline Dim3 block_id(const LaunchParams& p, std::uint64_t b) {
+  Dim3 idx = p.grid.delinearize(b);
+  idx.x += p.grid_offset.x;
+  idx.y += p.grid_offset.y;
+  idx.z += p.grid_offset.z;
+  return idx;
+}
+
+/// The launch-wide part of a launch's stats (blocks, threads, runtime-
+/// mode flags); the blocks' own counters are added to it as they run.
+[[nodiscard]] inline LaunchStats launch_header(const LaunchParams& p) {
+  LaunchStats s;
+  s.blocks = p.grid.count();
+  s.threads = s.blocks * p.block.count();
+  s.runtime_init = p.rt.runtime_init;
+  s.generic_mode = p.rt.generic_mode;
+  s.spill_in_shared = p.rt.spill_in_shared;
+  return s;
+}
+
+/// The one grid slicer, shared by serve time slices and shard_launch
+/// shards. A launch is split along the largest axis of its grid (the
+/// lowest axis on ties); split_extent() is that axis's block count.
+[[nodiscard]] std::uint32_t split_extent(const Dim3& grid);
+
+/// The launch of blocks [begin, begin + extent) along `whole`'s split
+/// axis. Kernels see the whole grid (logical_grid, offset block ids);
+/// the slice is not logged, because the caller logs one combined
+/// record for the whole launch.
+[[nodiscard]] LaunchParams slice_grid(const LaunchParams& whole,
+                                      std::uint32_t begin,
+                                      std::uint32_t extent);
+
 }  // namespace simt

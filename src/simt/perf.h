@@ -97,6 +97,31 @@ struct LaunchStats {
                                        ///< collective and restarted on a fiber
 
   void reset() { *this = LaunchStats{}; }
+
+  /// The one stats merge: blocks into a launch, worker shares into a
+  /// launch, parts of a split launch into the whole. Counters sum; the
+  /// runtime-mode flags are OR'd (every part of a launch carries the
+  /// same flags, and per-block counters carry none).
+  LaunchStats& operator+=(const LaunchStats& o) {
+    blocks += o.blocks;
+    threads += o.threads;
+    block_barriers += o.block_barriers;
+    warp_collectives += o.warp_collectives;
+    warp_syncs += o.warp_syncs;
+    atomics += o.atomics;
+    runtime_init = runtime_init || o.runtime_init;
+    generic_mode = generic_mode || o.generic_mode;
+    parallel_handshakes += o.parallel_handshakes;
+    workshare_dispatches += o.workshare_dispatches;
+    globalized_bytes += o.globalized_bytes;
+    spill_in_shared = spill_in_shared || o.spill_in_shared;
+    fibers_created += o.fibers_created;
+    fiber_reuses += o.fiber_reuses;
+    sched_steals += o.sched_steals;
+    sched_lane_loops += o.sched_lane_loops;
+    sched_deflations += o.sched_deflations;
+    return *this;
+  }
 };
 
 /// Result of the analytic model, all in milliseconds.

@@ -70,6 +70,20 @@ struct EnvActivation {
 
 }  // namespace
 
+TraceSpan kernel_span(const LaunchRecord& rec) {
+  TraceSpan span;
+  span.kind = SpanKind::kKernel;
+  span.name = rec.name;
+  span.dur_ms = rec.time.total_ms;
+  span.wall_ms = rec.wall_ms;
+  span.grid = rec.grid;
+  span.block = rec.block;
+  span.exec_mode = rec.exec_mode;
+  span.stats = rec.stats;
+  span.time = rec.time;
+  return span;
+}
+
 const char* span_kind_name(SpanKind k) {
   switch (k) {
     case SpanKind::kKernel: return "kernel";

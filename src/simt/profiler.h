@@ -34,6 +34,7 @@
 namespace simt {
 
 class Device;
+struct LaunchRecord;
 
 /// What kind of device operation a span describes.
 enum class SpanKind : std::uint8_t {
@@ -74,6 +75,11 @@ struct TraceSpan {
   LaunchStats stats;
   ModeledTime time;
 };
+
+/// The kernel span of a completed launch: name, modeled duration, host
+/// wall time, shape, exec mode, stats and modeled time from `rec`. The
+/// caller places it (track, ts_ms).
+TraceSpan kernel_span(const LaunchRecord& rec);
 
 /// Process-wide aggregation over every span recorded since the last
 /// reset — the counters registry layered APIs expose.

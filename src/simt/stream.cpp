@@ -744,27 +744,17 @@ void StreamExecutor::execute(Stream& s, Op& op) {
   const bool prof = profiling_enabled();
   ScopedStreamOp in_stream_op;
   TraceSpan span;
+  LaunchRecord rec;  // kernels only
   std::chrono::steady_clock::time_point t0;
   if (prof) t0 = std::chrono::steady_clock::now();
 
   switch (op.kind) {
     case Op::Kind::kKernel: {
-      const LaunchRecord rec = dev_.launch_sync(op.params, op.kernel);
-      if (op.on_complete) op.on_complete(rec);
+      rec = dev_.launch_sync(op.params, op.kernel);
+      if (prof) span = kernel_span(rec);
       std::lock_guard lock(mu_);
       span.ts_ms = s.modeled_ready_ms_;
       s.modeled_ready_ms_ += rec.time.total_ms;
-      if (prof) {
-        span.kind = SpanKind::kKernel;
-        span.name = rec.name;
-        span.dur_ms = rec.time.total_ms;
-        span.wall_ms = rec.wall_ms;
-        span.grid = rec.grid;
-        span.block = rec.block;
-        span.exec_mode = rec.exec_mode;
-        span.stats = rec.stats;
-        span.time = rec.time;
-      }
       break;
     }
     case Op::Kind::kMemcpy: {
@@ -887,6 +877,9 @@ void StreamExecutor::execute(Stream& s, Op& op) {
                              .count();
     Profiler::instance().record(dev_, span);  // outside mu_: no lock nesting
   }
+  // Complete the launch only once its span is recorded: a ticket waiter
+  // may stop the profiler and dump the trace as soon as it wakes.
+  if (op.kind == Op::Kind::kKernel && op.on_complete) op.on_complete(rec);
 }
 
 void StreamExecutor::synchronize_all() {

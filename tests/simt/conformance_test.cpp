@@ -346,6 +346,17 @@ TEST(ConformanceCrossApiFree, PeerPointerIsRoutedToItsOwnDevice) {
   (void)ompx_get_last_result();
 }
 
+TEST(ConformanceKernelException, NonStandardThrowReportsUnknownKl) {
+  // A kernel body may throw anything. The stream executor parks the
+  // exception and klDeviceSynchronize rethrows it inside the kl error
+  // translator, which must not let it cross the C boundary.
+  ASSERT_EQ(kl::launch(simt::Dim3(1), simt::Dim3(1), [] { throw 42; }),
+            klSuccess);
+  EXPECT_EQ(klDeviceSynchronize(), klErrorUnknown);
+  EXPECT_EQ(klGetLastError(), klErrorUnknown);
+  EXPECT_EQ(klDeviceSynchronize(), klSuccess);  // the error was consumed
+}
+
 TEST(ConformanceFault, FaultScopeRestoresPreviousSpec) {
   ASSERT_EQ(ompx_fault_active(), 0);
   {

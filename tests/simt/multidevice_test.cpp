@@ -236,42 +236,73 @@ TEST_F(MultiDevice, ShardLaunchMatchesSingleDeviceResults) {
   constexpr std::size_t n = blocks * threads;
   std::vector<std::uint64_t> single(n, 0), sharded(n, 0);
   std::vector<std::uint64_t> grids(n, 0);
+  unsigned long long single_hits = 0, sharded_hits = 0;
 
   ompx::LaunchSpec spec;
   spec.num_teams = {blocks};
   spec.thread_limit = {threads};
   spec.name = "shard_probe";
+  spec.cost.shared_bytes_per_thread = 16;
+  // Barriers, shared-memory traffic and one atomicAdd per block, so
+  // every counter the combined record folds is nonzero.
   auto body_into = [&](std::vector<std::uint64_t>& out,
-                       std::vector<std::uint64_t>* gdim) {
+                       std::vector<std::uint64_t>* gdim,
+                       unsigned long long* hits) {
     auto* o = out.data();
     auto* g = gdim != nullptr ? gdim->data() : nullptr;
-    return [o, g] {
+    return [o, g, hits] {
       const std::uint64_t id = ompx::global_thread_id();
-      o[id] = id * 3 + 1;
+      std::uint64_t* tile = kl::shared_array<std::uint64_t>(threads);
+      const unsigned tx = kl::threadIdx().x;
+      tile[tx] = id * 3 + 1;
+      kl::syncthreads();
+      o[id] = tile[(tx + 1) % threads];
       if (g != nullptr) g[id] = static_cast<std::uint64_t>(ompx::grid_dim());
+      if (tx == 0) kl::atomicAdd(hits, 1ull);
+      kl::syncthreads();
     };
   };
 
-  ompx::LaunchResult ref = ompx::launch(spec, body_into(single, nullptr));
+  ompx::LaunchResult ref =
+      ompx::launch(spec, body_into(single, nullptr, &single_hits));
   ref.wait();
   std::vector<simt::Device*> devs{&sim_a100(), &sim_mi250()};
-  const ompx::LaunchResult sh =
-      ompx::shard_launch(spec, devs, body_into(sharded, &grids));
+  const ompx::LaunchResult sh = ompx::shard_launch(
+      spec, devs, body_into(sharded, &grids, &sharded_hits));
 
   EXPECT_EQ(single, sharded);
+  EXPECT_EQ(single_hits, blocks);
+  EXPECT_EQ(sharded_hits, blocks);
   // Every block saw the full logical grid, regardless of its shard.
   for (std::uint64_t g : grids) ASSERT_EQ(g, blocks);
 
-  // The combined record reports the whole launch on the primary device.
+  // The combined record reports the whole launch on the primary device,
+  // with the stats of one single-device launch (the modeled fields; the
+  // host-engine diagnostics depend on host scheduling).
   EXPECT_TRUE(sh.completed);
-  EXPECT_EQ(sh.record.stats.blocks, ref.record.stats.blocks);
-  EXPECT_EQ(sh.record.stats.threads, ref.record.stats.threads);
+  const simt::LaunchStats& a = sh.record.stats;
+  const simt::LaunchStats& b = ref.record.stats;
+  EXPECT_EQ(a.blocks, b.blocks);
+  EXPECT_EQ(a.threads, b.threads);
+  EXPECT_EQ(a.block_barriers, b.block_barriers);
+  EXPECT_EQ(a.warp_collectives, b.warp_collectives);
+  EXPECT_EQ(a.warp_syncs, b.warp_syncs);
+  EXPECT_EQ(a.atomics, b.atomics);
+  EXPECT_EQ(a.runtime_init, b.runtime_init);
+  EXPECT_EQ(a.generic_mode, b.generic_mode);
+  EXPECT_EQ(a.parallel_handshakes, b.parallel_handshakes);
+  EXPECT_EQ(a.workshare_dispatches, b.workshare_dispatches);
+  EXPECT_EQ(a.globalized_bytes, b.globalized_bytes);
+  EXPECT_EQ(a.spill_in_shared, b.spill_in_shared);
+  EXPECT_EQ(a.block_barriers, 2u * blocks);
+  EXPECT_EQ(a.atomics, blocks);
   EXPECT_EQ(sh.record.grid.x, blocks);
   EXPECT_EQ(sim_a100().last_launch().name, std::string("shard_probe"));
   // Shards run concurrently: the combined modeled time cannot exceed
   // the single-device time (each shard is a strict subset of the work).
   EXPECT_LE(sh.record.time.total_ms, ref.record.time.total_ms * 1.001);
   EXPECT_GT(sh.record.time.total_ms, 0.0);
+  EXPECT_GT(sh.record.time.shared_ms, 0.0);
 }
 
 TEST_F(MultiDevice, ShardOverrideRoutesPlainLaunches) {

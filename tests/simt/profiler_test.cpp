@@ -282,6 +282,26 @@ TEST_F(ProfilerTest, StreamOpsLandOnStreamTracks) {
   dev.destroy_stream(s);
 }
 
+// A launch completes only after its span is recorded, so a ticket
+// waiter that stops the profiler and dumps right away sees the kernel.
+TEST_F(ProfilerTest, StreamKernelSpanIsRecordedBeforeCompletion) {
+  simt::Device dev(simt::make_sim_a100_config());
+  simt::Stream* s = dev.create_stream();
+  simt::Profiler::instance().start();
+  bool span_seen = false;
+  s->launch(params("record_then_complete", 2, 32), [] {},
+            [&](const simt::LaunchRecord& rec) {
+              for (const simt::TraceSpan& sp :
+                   simt::Profiler::instance().spans())
+                if (sp.kind == simt::SpanKind::kKernel && sp.name == rec.name)
+                  span_seen = true;
+            });
+  s->synchronize();
+  simt::Profiler::instance().stop();
+  EXPECT_TRUE(span_seen);
+  dev.destroy_stream(s);
+}
+
 TEST_F(ProfilerTest, EventRecordAndWaitShareAFlowId) {
   simt::Device dev(simt::make_sim_a100_config());
   simt::Stream* a = dev.create_stream();

@@ -38,14 +38,50 @@ simt::LaunchParams grid1d(std::uint32_t blocks, std::uint32_t threads,
 
 // --- basic execution ------------------------------------------------------
 
+/// The LaunchStats fields that feed the model. The host-engine
+/// diagnostics (fibers, steals, lane loops) depend on host scheduling
+/// and fiber-pool state, so two runs of one launch need not agree.
+void expect_same_modeled_stats(const simt::LaunchStats& a,
+                               const simt::LaunchStats& b) {
+  EXPECT_EQ(a.blocks, b.blocks);
+  EXPECT_EQ(a.threads, b.threads);
+  EXPECT_EQ(a.block_barriers, b.block_barriers);
+  EXPECT_EQ(a.warp_collectives, b.warp_collectives);
+  EXPECT_EQ(a.warp_syncs, b.warp_syncs);
+  EXPECT_EQ(a.atomics, b.atomics);
+  EXPECT_EQ(a.runtime_init, b.runtime_init);
+  EXPECT_EQ(a.generic_mode, b.generic_mode);
+  EXPECT_EQ(a.parallel_handshakes, b.parallel_handshakes);
+  EXPECT_EQ(a.workshare_dispatches, b.workshare_dispatches);
+  EXPECT_EQ(a.globalized_bytes, b.globalized_bytes);
+  EXPECT_EQ(a.spill_in_shared, b.spill_in_shared);
+}
+
 TEST(ServeBasic, LaunchRunsFullGridAndCombinesRecord) {
   Server server;
-  ClientContext* c = server.create_client(&simt::sim_a100());
+  server.set_quantum_blocks(4);  // eight chunks of four blocks
+  simt::Device& dev = simt::sim_a100();
+  ClientContext* c = server.create_client(&dev);
+  simt::LaunchParams p = grid1d(32, 64, "serve_basic");
+  p.cost.shared_bytes_per_thread = 16;
   std::atomic<std::uint64_t> count{0};
-  const simt::LaunchRecord rec =
-      c->launch(grid1d(32, 64, "serve_basic"),
-                [&] { count.fetch_add(1, std::memory_order_relaxed); });
+  unsigned long long hits = 0;
+  // Barriers, shared-memory traffic and one atomicAdd per block, so
+  // every counter the combined record folds is nonzero.
+  // The host-side count comes after the first barrier: a convergent
+  // lane loop may replay the prefix before it.
+  const simt::KernelFn body = [&] {
+    unsigned* tile = shared_array<unsigned>(64);
+    const unsigned tx = threadIdx().x;
+    tile[tx] = tx;
+    syncthreads();
+    count.fetch_add(1, std::memory_order_relaxed);
+    if (tx == 0) atomicAdd(&hits, 1ull);
+    syncthreads();
+  };
+  const simt::LaunchRecord rec = c->launch(p, body);
   EXPECT_EQ(count.load(), 32u * 64u);
+  EXPECT_EQ(hits, 32u);
   // The combined record reports the logical launch, not the chunks.
   EXPECT_EQ(rec.grid.x, 32u);
   EXPECT_EQ(rec.block.x, 64u);
@@ -57,8 +93,25 @@ TEST(ServeBasic, LaunchRunsFullGridAndCombinesRecord) {
   EXPECT_EQ(st.launches, 1u);
   EXPECT_EQ(st.launches_failed, 0u);
   EXPECT_EQ(st.blocks_executed, 32u);
-  EXPECT_GE(st.quanta, 1u);
+  EXPECT_EQ(st.quanta, 8u);
   server.destroy_client(c);
+
+  // Its stats equal one plain launch of the whole grid; its modeled
+  // time, shared-memory time included, is the sum of its chunks'.
+  const simt::LaunchRecord plain = dev.launch_sync(p, body);
+  expect_same_modeled_stats(rec.stats, plain.stats);
+  EXPECT_EQ(rec.stats.block_barriers, 2u * 32u);
+  EXPECT_EQ(rec.stats.atomics, 32u);
+  double chunks_ms = 0.0, chunks_shared_ms = 0.0;
+  for (std::uint32_t b = 0; b < 32; b += 4) {
+    const simt::ModeledTime t =
+        dev.launch_sync(simt::slice_grid(p, b, 4), body).time;
+    chunks_ms += t.total_ms;
+    chunks_shared_ms += t.shared_ms;
+  }
+  EXPECT_GT(rec.time.shared_ms, 0.0);
+  EXPECT_DOUBLE_EQ(rec.time.shared_ms, chunks_shared_ms);
+  EXPECT_DOUBLE_EQ(rec.time.total_ms, chunks_ms);
 }
 
 TEST(ServeBasic, ChunkingCoversEveryBlockExactlyOnce) {
