@@ -10,6 +10,7 @@
 
 #include "rewrite/analyze.h"
 #include "serve/serve.h"
+#include "simt/capi.h"
 #include "simt/device.h"
 #include "simt/profiler.h"
 #include "simt/stream.h"
@@ -50,31 +51,23 @@ void memcpy_on(simt::Device& dev, void* dst, const void* src,
   // accounting, memcheck false negatives).
   simt::Device* dst_dev = simt::resolve_device(dst);
   simt::Device* src_dev = simt::resolve_device(src);
-  if (dst_dev != nullptr) dst_dev->check_not_lost("ompx memcpy");
-  if (src_dev != nullptr) src_dev->check_not_lost("ompx memcpy");
-  if (dst_dev == nullptr && src_dev == nullptr)
-    dev.check_not_lost("ompx memcpy");
-  if (dst_dev != nullptr) dst_dev->sync_for_host_op();
-  if (src_dev != nullptr && src_dev != dst_dev) src_dev->sync_for_host_op();
-  if (dst_dev == nullptr && src_dev == nullptr) dev.sync_for_host_op();
   if (dst_dev != nullptr && src_dev != nullptr) {
+    dst_dev->check_not_lost("ompx memcpy");
+    src_dev->check_not_lost("ompx memcpy");
     // Same device: ordinary D2D. Two devices: a peer copy, costed with
     // the peer link (or host staging) and accounted on both devices.
     simt::peer_copy(*dst_dev, dst, *src_dev, src, bytes);
     return;
   }
-  simt::CopyKind kind;
-  simt::Device* owner;
-  if (dst_dev != nullptr) {
-    kind = simt::CopyKind::kHostToDevice;
-    owner = dst_dev;
-  } else if (src_dev != nullptr) {
-    kind = simt::CopyKind::kDeviceToHost;
-    owner = src_dev;
-  } else {
-    kind = simt::CopyKind::kHostToHost;
+  simt::Device* owner = dst_dev != nullptr ? dst_dev : src_dev;
+  simt::CopyKind kind = dst_dev != nullptr ? simt::CopyKind::kHostToDevice
+                                           : simt::CopyKind::kDeviceToHost;
+  if (owner == nullptr) {
     owner = &dev;
+    kind = simt::CopyKind::kHostToHost;
   }
+  owner->check_not_lost("ompx memcpy");
+  owner->sync_for_host_op();
   owner->memory().copy(dst, src, bytes, kind);
   if (kind != simt::CopyKind::kHostToHost) owner->add_transfer(bytes);
 }
@@ -128,100 +121,85 @@ bool Profiler::dump(const std::string& path) {
 
 namespace {
 
-thread_local ompx_result_t t_last_result = OMPX_SUCCESS;
-thread_local std::string t_last_detail;
+using LastResult = simt::capi::LastResult<ompx_result_t>;
+
+/// The ompx code for each simt::capi::Failure.
+constexpr simt::capi::CodeTable<ompx_result_t> kCodes = {
+    OMPX_ERROR_DEVICE_LOST,        // kDeviceLost
+    OMPX_ERROR_TIMEOUT,            // kTimeout
+    OMPX_ERROR_ADMISSION,          // kAdmission
+    OMPX_ERROR_OUT_OF_MEMORY,      // kDeviceOOM
+    OMPX_ERROR_MEMORY_ALLOCATION,  // kHostAlloc
+    OMPX_ERROR_INVALID_DEVICE,     // kInvalidDevice
+    OMPX_ERROR_INVALID_VALUE,      // kInvalidValue
+    OMPX_ERROR_LAUNCH_FAILURE,     // kLaunchFailure
+    OMPX_ERROR_LAUNCH_FAILURE,     // kOtherStd
+    OMPX_ERROR_UNKNOWN,            // kNonStandard
+};
 
 ompx_result_t record_result(ompx_result_t r, const char* what) {
-  t_last_result = r;
-  t_last_detail = (r == OMPX_SUCCESS || what == nullptr) ? "" : what;
-  return r;
+  return LastResult::mine().record(r, what);
 }
 
 /// Runs `fn` with every escaping exception translated into an
-/// ompx_result_t (the kl layer's guarded() pattern): nothing ever
-/// unwinds across the extern "C" boundary.
+/// ompx_result_t: nothing ever unwinds across the extern "C" boundary.
+/// A success overwrites the thread's last result.
 template <typename Fn>
 ompx_result_t guarded(Fn&& fn) {
   try {
     fn();
     return record_result(OMPX_SUCCESS, nullptr);
-  } catch (const simt::DeviceLostError& e) {
-    return record_result(OMPX_ERROR_DEVICE_LOST, e.what());
-  } catch (const simt::TimeoutError& e) {
-    return record_result(OMPX_ERROR_TIMEOUT, e.what());
-  } catch (const simt::AdmissionError& e) {
-    return record_result(OMPX_ERROR_ADMISSION, e.what());
-  } catch (const simt::DeviceOOMError& e) {
-    // Before the generic bad_alloc clause: device-capacity exhaustion is
-    // distinct from a failed host allocation.
-    return record_result(OMPX_ERROR_OUT_OF_MEMORY, e.what());
   } catch (const ompx::result_error& e) {
     // A nested OMPX_REQUIRE (host callback re-entering the API); keep
     // the original code.
     return record_result(e.result(), e.what());
-  } catch (const std::bad_alloc& e) {
-    return record_result(OMPX_ERROR_MEMORY_ALLOCATION, e.what());
-  } catch (const std::invalid_argument& e) {
-    return record_result(OMPX_ERROR_INVALID_VALUE, e.what());
-  } catch (const std::out_of_range& e) {
-    return record_result(OMPX_ERROR_INVALID_VALUE, e.what());
-  } catch (const std::exception& e) {
-    return record_result(OMPX_ERROR_LAUNCH_FAILURE, e.what());
   } catch (...) {
-    return record_result(OMPX_ERROR_UNKNOWN, "non-standard exception");
+    return LastResult::mine().record_current_exception(kCodes);
   }
 }
 
-/// Registry device for a C-API index, or null (with the thread's last
-/// result set to OMPX_ERROR_INVALID_DEVICE).
-simt::Device* checked_device(const char* who, int index) {
-  const auto& reg = simt::device_registry();
-  if (index < 0 || index >= static_cast<int>(reg.size())) {
-    const std::string msg = std::string(who) + ": bad device index " +
-                            std::to_string(index);
-    record_result(OMPX_ERROR_INVALID_DEVICE, msg.c_str());
-    return nullptr;
-  }
-  return reg[static_cast<std::size_t>(index)];
+using simt::capi::registry_device;
+
+/// The live object behind a C-API handle. Null, destroyed and foreign
+/// handles throw std::invalid_argument (OMPX_ERROR_INVALID_VALUE)
+/// instead of being dereferenced.
+simt::Graph& checked_graph(const char* who, ompx_graph_t handle) {
+  return simt::capi::live(static_cast<simt::Graph*>(handle), who, "graph");
 }
 
-/// Live graph for a C-API handle, or null (with the thread's last
-/// result set). Destroyed and foreign handles are caught by the live
-/// registry instead of dereferencing freed memory.
-simt::Graph* checked_graph(const char* who, ompx_graph_t handle) {
-  auto* g = static_cast<simt::Graph*>(handle);
-  if (g == nullptr || !simt::graph_alive(g)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed graph handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return g;
+simt::Stream& checked_stream(const char* who, ompx_stream_t handle) {
+  return simt::capi::live(static_cast<simt::Stream*>(handle), who, "stream");
 }
 
-/// Live stream / event for a C-API handle, or null (with the thread's
-/// last result set). Same contract as checked_graph: destroyed and
-/// foreign handles get OMPX_ERROR_INVALID_VALUE, never a dereference.
-simt::Stream* checked_stream(const char* who, ompx_stream_t handle) {
-  auto* s = static_cast<simt::Stream*>(handle);
-  if (s == nullptr || !simt::stream_alive(s)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed stream handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return s;
+simt::Event& checked_event(const char* who, ompx_event_t handle) {
+  return simt::capi::live(static_cast<simt::Event*>(handle), who, "event");
 }
 
-simt::Event* checked_event(const char* who, ompx_event_t handle) {
-  auto* e = static_cast<simt::Event*>(handle);
-  if (e == nullptr || !simt::event_alive(e)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed event handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return e;
+serve::ClientContext& checked_client(const char* who, ompx_client_t handle) {
+  auto* c = static_cast<serve::ClientContext*>(handle);
+  if (!serve::Server::instance().is_live(c))
+    simt::capi::throw_bad_handle(who, "client");
+  return *c;
+}
+
+/// Launch geometry from the C ABI's optional unsigned[3] arrays (null
+/// means 1x1x1).
+simt::LaunchParams launch_params(const char* name, const unsigned grid[3],
+                                 const unsigned block[3]) {
+  simt::LaunchParams p;
+  p.grid = grid != nullptr ? simt::Dim3{grid[0], grid[1], grid[2]}
+                           : simt::Dim3{1, 1, 1};
+  p.block = block != nullptr ? simt::Dim3{block[0], block[1], block[2]}
+                             : simt::Dim3{1, 1, 1};
+  p.name = name;
+  return p;
+}
+
+/// `fn(arg)` as a kernel body; a null `fn` throws.
+simt::KernelFn c_kernel(const char* who, void (*fn)(void*), void* arg) {
+  if (fn == nullptr)
+    throw std::invalid_argument(std::string(who) + ": null kernel function");
+  return [fn, arg] { fn(arg); };
 }
 
 }  // namespace
@@ -271,15 +249,13 @@ const char* ompx_result_string(ompx_result_t result) {
   return "unrecognized ompx_result_t";
 }
 
-ompx_result_t ompx_get_last_result(void) {
-  const ompx_result_t r = t_last_result;
-  t_last_result = OMPX_SUCCESS;
-  return r;
+ompx_result_t ompx_get_last_result(void) { return LastResult::mine().take(); }
+
+ompx_result_t ompx_peek_last_result(void) { return LastResult::mine().peek(); }
+
+const char* ompx_last_result_detail(void) {
+  return LastResult::mine().detail();
 }
-
-ompx_result_t ompx_peek_last_result(void) { return t_last_result; }
-
-const char* ompx_last_result_detail(void) { return t_last_detail.c_str(); }
 
 void* ompx_malloc(std::size_t bytes) {
   void* p = nullptr;
@@ -312,56 +288,52 @@ int ompx_get_num_devices() {
 int ompx_get_device() { return ompx::default_device_index(); }
 
 ompx_result_t ompx_set_device(int index) {
-  simt::Device* dev = checked_device("ompx_set_device", index);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { ompx::set_default_device(*dev); });
+  return guarded([&] {
+    ompx::set_default_device(registry_device(index, "ompx_set_device"));
+  });
 }
 
 ompx_result_t ompx_memcpy_peer(void* dst, int dst_device, const void* src,
                                int src_device, std::size_t bytes) {
-  simt::Device* ddev = checked_device("ompx_memcpy_peer", dst_device);
-  if (ddev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  simt::Device* sdev = checked_device("ompx_memcpy_peer", src_device);
-  if (sdev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { simt::peer_copy(*ddev, dst, *sdev, src, bytes); });
+  return guarded([&] {
+    simt::Device& ddev = registry_device(dst_device, "ompx_memcpy_peer");
+    simt::Device& sdev = registry_device(src_device, "ompx_memcpy_peer");
+    simt::peer_copy(ddev, dst, sdev, src, bytes);
+  });
 }
 
 ompx_result_t ompx_device_enable_peer_access(int peer_device,
                                              unsigned int flags) {
-  if (flags != 0) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_device_enable_peer_access: flags must be 0");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Device* peer =
-      checked_device("ompx_device_enable_peer_access", peer_device);
-  if (peer == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { ompx::default_device().enable_peer_access(*peer); });
+  return guarded([&] {
+    if (flags != 0)
+      throw std::invalid_argument(
+          "ompx_device_enable_peer_access: flags must be 0");
+    ompx::default_device().enable_peer_access(
+        registry_device(peer_device, "ompx_device_enable_peer_access"));
+  });
 }
 
 ompx_result_t ompx_device_disable_peer_access(int peer_device) {
-  simt::Device* peer =
-      checked_device("ompx_device_disable_peer_access", peer_device);
-  if (peer == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { ompx::default_device().disable_peer_access(*peer); });
+  return guarded([&] {
+    ompx::default_device().disable_peer_access(
+        registry_device(peer_device, "ompx_device_disable_peer_access"));
+  });
 }
 
 ompx_result_t ompx_device_can_access_peer(int* can_access, int device,
                                           int peer_device) {
-  if (can_access == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_device_can_access_peer: null result pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Device* dev = checked_device("ompx_device_can_access_peer", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  simt::Device* peer =
-      checked_device("ompx_device_can_access_peer", peer_device);
-  if (peer == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  // Every simulated device can reach every other one (single process);
-  // a device is not its own peer, as in CUDA.
-  *can_access = dev != peer ? 1 : 0;
-  return record_result(OMPX_SUCCESS, nullptr);
+  return guarded([&] {
+    if (can_access == nullptr)
+      throw std::invalid_argument(
+          "ompx_device_can_access_peer: null result pointer");
+    const simt::Device& dev =
+        registry_device(device, "ompx_device_can_access_peer");
+    const simt::Device& peer =
+        registry_device(peer_device, "ompx_device_can_access_peer");
+    // Every simulated device can reach every other one (single process);
+    // a device is not its own peer, as in CUDA.
+    *can_access = &dev != &peer ? 1 : 0;
+  });
 }
 
 ompx_stream_t ompx_stream_create() {
@@ -372,22 +344,21 @@ ompx_stream_t ompx_stream_create() {
 
 ompx_result_t ompx_stream_destroy(ompx_stream_t stream) {
   if (stream == nullptr) return record_result(OMPX_SUCCESS, nullptr);
-  simt::Stream* s = checked_stream("ompx_stream_destroy", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->device().destroy_stream(s); });
+  return guarded([&] {
+    simt::Stream& s = checked_stream("ompx_stream_destroy", stream);
+    s.device().destroy_stream(&s);
+  });
 }
 
 ompx_result_t ompx_stream_synchronize(ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_stream_synchronize", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->synchronize(); });
+  return guarded(
+      [&] { checked_stream("ompx_stream_synchronize", stream).synchronize(); });
 }
 
 ompx_result_t ompx_memcpy_async(void* dst, const void* src, std::size_t bytes,
                                 ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_memcpy_async", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
+    simt::Stream& s = checked_stream("ompx_memcpy_async", stream);
     // Direction inference is registry-wide, like ompx_memcpy. A true
     // cross-device pair cannot be expressed as a single-stream op;
     // execute it as a synchronous peer copy ordered after the stream's
@@ -396,7 +367,7 @@ ompx_result_t ompx_memcpy_async(void* dst, const void* src, std::size_t bytes,
     simt::Device* dst_dev = simt::resolve_device(dst);
     simt::Device* src_dev = simt::resolve_device(src);
     if (dst_dev != nullptr && src_dev != nullptr && dst_dev != src_dev) {
-      s->synchronize();
+      s.synchronize();
       simt::peer_copy(*dst_dev, dst, *src_dev, src, bytes);
       return;
     }
@@ -409,41 +380,36 @@ ompx_result_t ompx_memcpy_async(void* dst, const void* src, std::size_t bytes,
       kind = simt::CopyKind::kDeviceToHost;
     else
       kind = simt::CopyKind::kHostToHost;
-    s->memcpy_async(dst, src, bytes, kind);
+    s.memcpy_async(dst, src, bytes, kind);
   });
 }
 
 ompx_result_t ompx_memset_async(void* ptr, int value, std::size_t bytes,
                                 ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_memset_async", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->memset_async(ptr, value, bytes); });
+  return guarded([&] {
+    checked_stream("ompx_memset_async", stream).memset_async(ptr, value, bytes);
+  });
 }
 
 void* ompx_malloc_async(std::size_t bytes, ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_malloc_async", stream);
-  if (s == nullptr) return nullptr;
   void* p = nullptr;
-  guarded([&] { p = s->malloc_async(bytes); });
+  guarded([&] {
+    p = checked_stream("ompx_malloc_async", stream).malloc_async(bytes);
+  });
   return p;
 }
 
 ompx_result_t ompx_free_async(void* ptr, ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_free_async", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->free_async(ptr); });
+  return guarded(
+      [&] { checked_stream("ompx_free_async", stream).free_async(ptr); });
 }
 
 ompx_result_t ompx_mempool_get_stats(int device, ompx_mempool_stats_t* stats) {
-  if (stats == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_mempool_get_stats: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Device* dev = checked_device("ompx_mempool_get_stats", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
   return guarded([&] {
-    const simt::MemPoolStats s = dev->mem_pool().stats();
+    if (stats == nullptr)
+      throw std::invalid_argument("ompx_mempool_get_stats: null out pointer");
+    const simt::MemPoolStats s =
+        registry_device(device, "ompx_mempool_get_stats").mem_pool().stats();
     stats->reuse_hits = s.reuse_hits;
     stats->misses = s.misses;
     stats->frees = s.frees;
@@ -456,52 +422,18 @@ ompx_result_t ompx_mempool_get_stats(int device, ompx_mempool_stats_t* stats) {
 }
 
 ompx_result_t ompx_mempool_trim(int device) {
-  simt::Device* dev = checked_device("ompx_mempool_trim", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
   return guarded([&] {
+    simt::Device& dev = registry_device(device, "ompx_mempool_trim");
     // Quiesce first so no pending pooled op races the deallocation.
-    dev->synchronize();
-    dev->mem_pool().trim();
+    dev.synchronize();
+    dev.mem_pool().trim();
   });
 }
 
 /* ------------------------------------------------ serving (MPS-style) */
 
-namespace {
-
-/// Live client for a C-API handle, or null (with the thread's last
-/// result set) — the stream_alive pattern applied to tenants.
-serve::ClientContext* checked_client(const char* who, ompx_client_t client) {
-  auto* c = static_cast<serve::ClientContext*>(client);
-  if (c == nullptr || !serve::Server::instance().is_live(c)) {
-    const std::string msg =
-        std::string(who) + ": invalid or destroyed client handle";
-    record_result(OMPX_ERROR_INVALID_VALUE, msg.c_str());
-    return nullptr;
-  }
-  return c;
-}
-
-simt::LaunchParams client_launch_params(const unsigned grid[3],
-                                        const unsigned block[3]) {
-  simt::LaunchParams p;
-  p.grid = grid != nullptr ? simt::Dim3{grid[0], grid[1], grid[2]}
-                           : simt::Dim3{1, 1, 1};
-  p.block = block != nullptr ? simt::Dim3{block[0], block[1], block[2]}
-                             : simt::Dim3{1, 1, 1};
-  p.name = "ompx_client_launch";
-  return p;
-}
-
-}  // namespace
-
 ompx_client_t ompx_client_create(int device,
                                  const ompx_client_limits_t* limits) {
-  simt::Device* dev = nullptr;
-  if (device >= 0) {
-    dev = checked_device("ompx_client_create", device);
-    if (dev == nullptr) return nullptr;
-  }
   serve::ClientLimits l;
   if (limits != nullptr) {
     l.memory_quota_bytes = limits->memory_quota_bytes;
@@ -510,42 +442,40 @@ ompx_client_t ompx_client_create(int device,
     l.weight = limits->weight;
   }
   void* out = nullptr;
-  guarded([&] { out = serve::Server::instance().create_client(dev, l); });
+  guarded([&] {
+    simt::Device* dev =
+        device >= 0 ? &registry_device(device, "ompx_client_create") : nullptr;
+    out = serve::Server::instance().create_client(dev, l);
+  });
   return out;
 }
 
 ompx_result_t ompx_client_destroy(ompx_client_t client) {
-  serve::ClientContext* c = checked_client("ompx_client_destroy", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { serve::Server::instance().destroy_client(c); });
+  return guarded([&] {
+    serve::Server::instance().destroy_client(
+        &checked_client("ompx_client_destroy", client));
+  });
 }
 
 void* ompx_client_malloc(ompx_client_t client, std::size_t bytes) {
-  serve::ClientContext* c = checked_client("ompx_client_malloc", client);
-  if (c == nullptr) return nullptr;
   void* p = nullptr;
-  guarded([&] { p = c->malloc(bytes); });
+  guarded(
+      [&] { p = checked_client("ompx_client_malloc", client).malloc(bytes); });
   return p;
 }
 
 ompx_result_t ompx_client_free(ompx_client_t client, void* ptr) {
-  serve::ClientContext* c = checked_client("ompx_client_free", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { c->free(ptr); });
+  return guarded([&] { checked_client("ompx_client_free", client).free(ptr); });
 }
 
 ompx_result_t ompx_client_launch_kernel(ompx_client_t client,
                                         void (*fn)(void*), void* arg,
                                         const unsigned grid[3],
                                         const unsigned block[3]) {
-  serve::ClientContext* c = checked_client("ompx_client_launch_kernel",
-                                           client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
-    if (fn == nullptr)
-      throw std::invalid_argument(
-          "ompx_client_launch_kernel: null kernel function");
-    c->launch(client_launch_params(grid, block), [fn, arg] { fn(arg); });
+    checked_client("ompx_client_launch_kernel", client)
+        .launch(launch_params("ompx_client_launch", grid, block),
+                c_kernel("ompx_client_launch_kernel", fn, arg));
   });
 }
 
@@ -553,34 +483,25 @@ ompx_result_t ompx_client_launch_async(ompx_client_t client,
                                        void (*fn)(void*), void* arg,
                                        const unsigned grid[3],
                                        const unsigned block[3]) {
-  serve::ClientContext* c = checked_client("ompx_client_launch_async",
-                                           client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
-    if (fn == nullptr)
-      throw std::invalid_argument(
-          "ompx_client_launch_async: null kernel function");
-    c->submit(client_launch_params(grid, block), [fn, arg] { fn(arg); });
+    checked_client("ompx_client_launch_async", client)
+        .submit(launch_params("ompx_client_launch", grid, block),
+                c_kernel("ompx_client_launch_async", fn, arg));
   });
 }
 
 ompx_result_t ompx_client_synchronize(ompx_client_t client) {
-  serve::ClientContext* c = checked_client("ompx_client_synchronize", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { c->synchronize(); });
+  return guarded(
+      [&] { checked_client("ompx_client_synchronize", client).synchronize(); });
 }
 
 ompx_result_t ompx_client_get_stats(ompx_client_t client,
                                     ompx_client_stats_t* stats) {
-  serve::ClientContext* c = checked_client("ompx_client_get_stats", client);
-  if (c == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  if (stats == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_client_get_stats: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
   return guarded([&] {
-    const serve::ClientStats s = c->stats();
+    if (stats == nullptr)
+      throw std::invalid_argument("ompx_client_get_stats: null out pointer");
+    const serve::ClientStats s =
+        checked_client("ompx_client_get_stats", client).stats();
     stats->launches = s.launches;
     stats->launches_failed = s.launches_failed;
     stats->blocks_executed = s.blocks_executed;
@@ -608,30 +529,28 @@ unsigned ompx_serve_quantum(void) {
 }
 
 ompx_result_t ompx_stream_begin_capture(ompx_stream_t stream) {
-  simt::Stream* s = checked_stream("ompx_stream_begin_capture", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->begin_capture(); });
+  return guarded([&] {
+    checked_stream("ompx_stream_begin_capture", stream).begin_capture();
+  });
 }
 
 ompx_result_t ompx_stream_end_capture(ompx_stream_t stream,
                                       ompx_graph_t* graph) {
-  simt::Stream* s = checked_stream("ompx_stream_end_capture", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
+    simt::Stream& s = checked_stream("ompx_stream_end_capture", stream);
     if (graph == nullptr) {
       // End the capture anyway (discarding it) so the stream is usable,
       // then report the bad out-param.
-      if (s->capturing()) s->end_capture();
+      if (s.capturing()) s.end_capture();
       throw std::invalid_argument(
           "ompx_stream_end_capture: null graph out pointer");
     }
-    *graph = s->end_capture().release();
+    *graph = s.end_capture().release();
   });
 }
 
 int ompx_stream_is_capturing(ompx_stream_t stream) {
-  if (stream == nullptr || !simt::stream_alive(static_cast<simt::Stream*>(stream)))
-    return 0;
+  if (!simt::stream_alive(static_cast<simt::Stream*>(stream))) return 0;
   int out = 0;
   guarded([&] {
     out = static_cast<simt::Stream*>(stream)->capturing() ? 1 : 0;
@@ -640,17 +559,15 @@ int ompx_stream_is_capturing(ompx_stream_t stream) {
 }
 
 ompx_result_t ompx_graph_instantiate(ompx_graph_t graph) {
-  simt::Graph* g = checked_graph("ompx_graph_instantiate", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { g->instantiate(); });
+  return guarded(
+      [&] { checked_graph("ompx_graph_instantiate", graph).instantiate(); });
 }
 
 ompx_result_t ompx_graph_launch(ompx_graph_t graph, ompx_stream_t stream) {
-  simt::Graph* g = checked_graph("ompx_graph_launch", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  simt::Stream* s = checked_stream("ompx_graph_launch", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->launch_graph(*g); });
+  return guarded([&] {
+    simt::Graph& g = checked_graph("ompx_graph_launch", graph);
+    checked_stream("ompx_graph_launch", stream).launch_graph(g);
+  });
 }
 
 ompx_result_t ompx_graph_destroy(ompx_graph_t graph) {
@@ -661,28 +578,21 @@ ompx_result_t ompx_graph_destroy(ompx_graph_t graph) {
 }
 
 ompx_result_t ompx_graph_node_count(ompx_graph_t graph, std::size_t* count) {
-  if (count == nullptr) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_graph_node_count: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Graph* g = checked_graph("ompx_graph_node_count", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { *count = g->node_count(); });
+  return guarded([&] {
+    if (count == nullptr)
+      throw std::invalid_argument("ompx_graph_node_count: null out pointer");
+    *count = checked_graph("ompx_graph_node_count", graph).node_count();
+  });
 }
 
 ompx_result_t ompx_graph_get_nodes(ompx_graph_t graph,
                                    ompx_graph_node_info_t* nodes,
                                    std::size_t capacity, std::size_t* written) {
-  if (written == nullptr || (nodes == nullptr && capacity != 0)) {
-    record_result(OMPX_ERROR_INVALID_VALUE,
-                  "ompx_graph_get_nodes: null out pointer");
-    return OMPX_ERROR_INVALID_VALUE;
-  }
-  simt::Graph* g = checked_graph("ompx_graph_get_nodes", graph);
-  if (g == nullptr) return OMPX_ERROR_INVALID_VALUE;
   return guarded([&] {
-    const std::vector<simt::Graph::NodeInfo> infos = g->nodes();
+    if (written == nullptr || (nodes == nullptr && capacity != 0))
+      throw std::invalid_argument("ompx_graph_get_nodes: null out pointer");
+    const std::vector<simt::Graph::NodeInfo> infos =
+        checked_graph("ompx_graph_get_nodes", graph).nodes();
     const std::size_t n = std::min(capacity, infos.size());
     for (std::size_t i = 0; i < n; ++i) {
       nodes[i] = ompx_graph_node_info_t{};
@@ -701,24 +611,11 @@ ompx_result_t ompx_launch_kernel(void (*fn)(void*), void* arg,
                                  const unsigned block[3],
                                  ompx_stream_t stream) {
   return guarded([&] {
-    if (fn == nullptr)
-      throw std::invalid_argument("ompx_launch_kernel: null kernel function");
-    simt::LaunchParams p;
-    p.grid = grid != nullptr ? simt::Dim3{grid[0], grid[1], grid[2]}
-                             : simt::Dim3{1, 1, 1};
-    p.block = block != nullptr ? simt::Dim3{block[0], block[1], block[2]}
-                               : simt::Dim3{1, 1, 1};
-    p.name = "ompx_launch_kernel";
-    simt::Stream* s;
-    if (stream != nullptr) {
-      s = static_cast<simt::Stream*>(stream);
-      if (!simt::stream_alive(s))
-        throw std::invalid_argument(
-            "ompx_launch_kernel: invalid or destroyed stream handle");
-    } else {
-      s = &ompx::default_device().default_stream();
-    }
-    s->launch(p, [fn, arg] { fn(arg); });
+    simt::KernelFn body = c_kernel("ompx_launch_kernel", fn, arg);
+    simt::Stream& s = stream != nullptr
+                          ? checked_stream("ompx_launch_kernel", stream)
+                          : ompx::default_device().default_stream();
+    s.launch(launch_params("ompx_launch_kernel", grid, block), std::move(body));
   });
 }
 
@@ -730,42 +627,40 @@ ompx_event_t ompx_event_create() {
 
 ompx_result_t ompx_event_destroy(ompx_event_t event) {
   if (event == nullptr) return record_result(OMPX_SUCCESS, nullptr);
-  simt::Event* e = checked_event("ompx_event_destroy", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { e->device().destroy_event(e); });
+  return guarded([&] {
+    simt::Event& e = checked_event("ompx_event_destroy", event);
+    e.device().destroy_event(&e);
+  });
 }
 
 ompx_result_t ompx_event_record(ompx_event_t event, ompx_stream_t stream) {
-  simt::Event* e = checked_event("ompx_event_record", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  simt::Stream* s = checked_stream("ompx_event_record", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->record(*e); });
+  return guarded([&] {
+    simt::Event& e = checked_event("ompx_event_record", event);
+    checked_stream("ompx_event_record", stream).record(e);
+  });
 }
 
 ompx_result_t ompx_event_synchronize(ompx_event_t event) {
-  simt::Event* e = checked_event("ompx_event_synchronize", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { e->synchronize(); });
+  return guarded(
+      [&] { checked_event("ompx_event_synchronize", event).synchronize(); });
 }
 
 ompx_result_t ompx_stream_wait_event(ompx_stream_t stream,
                                      ompx_event_t event) {
-  simt::Stream* s = checked_stream("ompx_stream_wait_event", stream);
-  if (s == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  simt::Event* e = checked_event("ompx_stream_wait_event", event);
-  if (e == nullptr) return OMPX_ERROR_INVALID_VALUE;
-  return guarded([&] { s->wait(*e); });
+  return guarded([&] {
+    simt::Stream& s = checked_stream("ompx_stream_wait_event", stream);
+    s.wait(checked_event("ompx_stream_wait_event", event));
+  });
 }
 
 float ompx_event_elapsed_ms(ompx_event_t start, ompx_event_t stop) {
-  simt::Event* e0 = checked_event("ompx_event_elapsed_ms", start);
-  if (e0 == nullptr) return -1.0f;
-  simt::Event* e1 = checked_event("ompx_event_elapsed_ms", stop);
-  if (e1 == nullptr) return -1.0f;
   float out = -1.0f;
   guarded([&] {
-    out = static_cast<float>(e1->modeled_ms() - e0->modeled_ms());
+    simt::Event& e0 = checked_event("ompx_event_elapsed_ms", start);
+    simt::Event& e1 = checked_event("ompx_event_elapsed_ms", stop);
+    if (!e0.query() || !e1.query())
+      throw std::invalid_argument("ompx_event_elapsed_ms: event not recorded");
+    out = static_cast<float>(e1.modeled_ms() - e0.modeled_ms());
   });
   return out;
 }
@@ -874,9 +769,7 @@ unsigned long long ompx_fault_injected_count(void) {
 }
 
 ompx_result_t ompx_device_reset(int device) {
-  simt::Device* dev = checked_device("ompx_device_reset", device);
-  if (dev == nullptr) return OMPX_ERROR_INVALID_DEVICE;
-  return guarded([&] { dev->reset(); });
+  return guarded([&] { registry_device(device, "ompx_device_reset").reset(); });
 }
 
 ompx_result_t ompx_set_watchdog_ms(double ms) {

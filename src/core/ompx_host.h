@@ -37,10 +37,12 @@
 extern "C" {
 
 /// Status codes for the C entry points (cudaError_t analogue). Each
-/// host thread keeps its own last-result slot: ompx_get_last_result()
-/// reads and clears it (cudaGetLastError), ompx_peek_last_result()
+/// host thread keeps its own last-result slot, which holds the result
+/// of the thread's most recent ompx_* call: a successful call resets it
+/// to OMPX_SUCCESS (unlike kl, whose last error stays until read).
+/// ompx_get_last_result() reads and clears it, ompx_peek_last_result()
 /// reads without clearing, and ompx_last_result_detail() returns a
-/// human-readable message for the most recent failure.
+/// human-readable message for the failure it holds.
 typedef enum ompx_result_t {
   OMPX_SUCCESS = 0,
   OMPX_ERROR_INVALID_VALUE = 1,
@@ -90,7 +92,8 @@ ompx_result_t ompx_set_device(int index);
 /// With peer access enabled in either direction the copy is modeled at
 /// the peer-link bandwidth of the slower endpoint; otherwise it stages
 /// through the host (two host-link legs). Time and bytes are accounted
-/// on both devices.
+/// on both devices. Blocking, like ompx_memcpy: in-flight work on both
+/// devices finishes first.
 ompx_result_t ompx_memcpy_peer(void* dst, int dst_device, const void* src,
                                int src_device, std::size_t bytes);
 /// cudaDeviceEnablePeerAccess: lets the *current* device reach
@@ -269,7 +272,8 @@ ompx_result_t ompx_event_synchronize(ompx_event_t event);
 /// Stream-orders `stream` after `event` (cudaStreamWaitEvent).
 ompx_result_t ompx_stream_wait_event(ompx_stream_t stream, ompx_event_t event);
 /// Modeled milliseconds between two recorded events; -1.0f (with the
-/// thread's last result set) on null handles.
+/// thread's last result set to OMPX_ERROR_INVALID_VALUE) on null or
+/// destroyed handles and on events that were never recorded.
 float ompx_event_elapsed_ms(ompx_event_t start, ompx_event_t stop);
 
 /// Launch telemetry (uniform across layers; see simt/profiler.h).

@@ -5,52 +5,52 @@
 
 #include "rewrite/analyze.h"
 #include "serve/serve.h"
+#include "simt/capi.h"
 
 namespace kl {
 
 namespace {
 
 thread_local int t_device_index = 0;
-thread_local klError t_last_error = klSuccess;
-thread_local std::string t_last_detail;
 
-klError record_error(klError e, const std::string& detail) {
-  t_last_error = e;
-  t_last_detail = detail;
-  return e;
+using LastResult = simt::capi::LastResult<klError>;
+
+/// The kl code for each simt::capi::Failure. Unlike ompx, device-capacity
+/// exhaustion keeps reporting klErrorMemoryAllocation (the code CUDA apps
+/// test for), and a std::exception that is neither a logic_error nor a
+/// runtime_error is klErrorUnknown.
+constexpr simt::capi::CodeTable<klError> kCodes = {
+    klErrorDeviceLost,        // kDeviceLost
+    klErrorTimeout,           // kTimeout
+    klErrorAdmission,         // kAdmission
+    klErrorMemoryAllocation,  // kDeviceOOM
+    klErrorMemoryAllocation,  // kHostAlloc
+    klErrorInvalidDevice,     // kInvalidDevice
+    klErrorInvalidValue,      // kInvalidValue
+    klErrorLaunchFailure,     // kLaunchFailure
+    klErrorUnknown,           // kOtherStd
+    klErrorUnknown,           // kNonStandard
+};
+
+klError record_error(klError e, const char* detail) {
+  return LastResult::mine().record(e, detail);
 }
 
 /// Converts engine exceptions into runtime error codes at the ABI
-/// boundary, the way the CUDA runtime does.
+/// boundary, the way the CUDA runtime does. A success leaves the
+/// thread's last error in place (sticky until read).
 template <typename F>
 klError guarded(F&& f) {
   try {
     f();
     return klSuccess;
-  } catch (const simt::DeviceLostError& e) {
-    return record_error(klErrorDeviceLost, e.what());
-  } catch (const simt::TimeoutError& e) {
-    return record_error(klErrorTimeout, e.what());
-  } catch (const simt::AdmissionError& e) {
-    return record_error(klErrorAdmission, e.what());
-  } catch (const std::bad_alloc& e) {
-    // Includes simt::DeviceOOMError: device-capacity exhaustion keeps
-    // reporting klErrorMemoryAllocation, like cudaErrorMemoryAllocation.
-    return record_error(klErrorMemoryAllocation, e.what());
-  } catch (const std::invalid_argument& e) {
-    return record_error(klErrorInvalidValue, e.what());
-  } catch (const std::out_of_range& e) {
-    return record_error(klErrorInvalidValue, e.what());
-  } catch (const std::logic_error& e) {
-    return record_error(klErrorLaunchFailure, e.what());
-  } catch (const std::runtime_error& e) {
-    return record_error(klErrorLaunchFailure, e.what());
-  } catch (const std::exception& e) {
-    return record_error(klErrorUnknown, e.what());
   } catch (...) {
-    return record_error(klErrorUnknown, "non-standard exception");
+    return LastResult::mine().record_current_exception(kCodes);
   }
 }
+
+using simt::capi::live;
+using simt::capi::registry_device;
 
 simt::CopyKind to_engine(klMemcpyKind k) {
   switch (k) {
@@ -80,23 +80,17 @@ const char* klGetErrorString(klError e) {
   return "klError(?)";
 }
 
-klError klGetLastError() {
-  const klError e = t_last_error;
-  t_last_error = klSuccess;
-  return e;
-}
+klError klGetLastError() { return LastResult::mine().take(); }
 
-klError klPeekAtLastError() { return t_last_error; }
+klError klPeekAtLastError() { return LastResult::mine().peek(); }
 
-const char* klGetLastErrorDetail() { return t_last_detail.c_str(); }
+const char* klGetLastErrorDetail() { return LastResult::mine().detail(); }
 
 klError klSetDevice(int index) {
-  const auto& reg = simt::device_registry();
-  if (index < 0 || index >= static_cast<int>(reg.size()))
-    return record_error(klErrorInvalidDevice,
-                        "device index " + std::to_string(index));
-  t_device_index = index;
-  return klSuccess;
+  return guarded([&] {
+    registry_device(index, "klSetDevice");
+    t_device_index = index;
+  });
 }
 
 klError klGetDevice(int* index) {
@@ -126,18 +120,13 @@ simt::Device& usable_device(const char* who) {
   return dev;
 }
 
-/// Handle validation against the live registries: a destroyed or
-/// foreign handle is a clean klErrorInvalidValue, never a dereference.
-/// Null is legal where the API gives it default-stream / no-op meaning,
-/// so null passes here and each entry point keeps its own null policy.
-bool bad_stream(klStream_t s) {
-  return s != nullptr && !simt::stream_alive(s);
+/// The stream a kl call runs on: null means the current device's default
+/// stream; any other handle must be live (a destroyed or foreign one is
+/// klErrorInvalidValue, never a dereference).
+simt::Stream& stream_or_default(const char* who, klStream_t s) {
+  return s != nullptr ? live(s, who, "stream")
+                      : current_device().default_stream();
 }
-bool bad_event(klEvent_t ev) {
-  return ev != nullptr && !simt::event_alive(ev);
-}
-constexpr const char* kBadStream = "invalid or destroyed stream handle";
-constexpr const char* kBadEvent = "invalid or destroyed event handle";
 
 }  // namespace
 
@@ -172,57 +161,39 @@ klError klMemcpy(void* dst, const void* src, std::size_t bytes,
   });
 }
 
-namespace {
-simt::Device* checked_device(int index, klError* err) {
-  const auto& reg = simt::device_registry();
-  if (index < 0 || index >= static_cast<int>(reg.size())) {
-    *err = record_error(klErrorInvalidDevice,
-                        "device index " + std::to_string(index));
-    return nullptr;
-  }
-  return reg[static_cast<std::size_t>(index)];
-}
-}  // namespace
-
 klError klMemcpyPeer(void* dst, int dst_device, const void* src,
                      int src_device, std::size_t bytes) {
-  klError err = klSuccess;
-  simt::Device* ddev = checked_device(dst_device, &err);
-  if (ddev == nullptr) return err;
-  simt::Device* sdev = checked_device(src_device, &err);
-  if (sdev == nullptr) return err;
   return guarded([&] {
-    ddev->sync_for_host_op();
-    if (sdev != ddev) sdev->sync_for_host_op();
-    simt::peer_copy(*ddev, dst, *sdev, src, bytes);
+    simt::Device& ddev = registry_device(dst_device, "klMemcpyPeer");
+    simt::Device& sdev = registry_device(src_device, "klMemcpyPeer");
+    simt::peer_copy(ddev, dst, sdev, src, bytes);
   });
 }
 
 klError klDeviceEnablePeerAccess(int peer_device, unsigned int flags) {
   if (flags != 0) return record_error(klErrorInvalidValue, "flags must be 0");
-  klError err = klSuccess;
-  simt::Device* peer = checked_device(peer_device, &err);
-  if (peer == nullptr) return err;
-  return guarded([&] { current_device().enable_peer_access(*peer); });
+  return guarded([&] {
+    current_device().enable_peer_access(
+        registry_device(peer_device, "klDeviceEnablePeerAccess"));
+  });
 }
 
 klError klDeviceDisablePeerAccess(int peer_device) {
-  klError err = klSuccess;
-  simt::Device* peer = checked_device(peer_device, &err);
-  if (peer == nullptr) return err;
-  return guarded([&] { current_device().disable_peer_access(*peer); });
+  return guarded([&] {
+    current_device().disable_peer_access(
+        registry_device(peer_device, "klDeviceDisablePeerAccess"));
+  });
 }
 
 klError klDeviceCanAccessPeer(int* can_access, int device, int peer_device) {
   if (can_access == nullptr)
     return record_error(klErrorInvalidValue, "null result pointer");
-  klError err = klSuccess;
-  simt::Device* dev = checked_device(device, &err);
-  if (dev == nullptr) return err;
-  simt::Device* peer = checked_device(peer_device, &err);
-  if (peer == nullptr) return err;
-  *can_access = dev != peer ? 1 : 0;
-  return klSuccess;
+  return guarded([&] {
+    const simt::Device& dev = registry_device(device, "klDeviceCanAccessPeer");
+    const simt::Device& peer =
+        registry_device(peer_device, "klDeviceCanAccessPeer");
+    *can_access = &dev != &peer ? 1 : 0;
+  });
 }
 
 klError klMemcpy2D(void* dst, std::size_t dpitch, const void* src,
@@ -255,56 +226,45 @@ klError klStreamCreate(klStream_t* stream) {
 
 klError klStreamDestroy(klStream_t stream) {
   if (stream == nullptr) return klSuccess;
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] { stream->device().destroy_stream(stream); });
+  return guarded([&] {
+    live(stream, "klStreamDestroy", "stream").device().destroy_stream(stream);
+  });
 }
 
 klError klStreamSynchronize(klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] {
-    (stream != nullptr ? *stream : current_device().default_stream())
-        .synchronize();
-  });
+  return guarded(
+      [&] { stream_or_default("klStreamSynchronize", stream).synchronize(); });
 }
 
 klError klMemcpyAsync(void* dst, const void* src, std::size_t bytes,
                       klMemcpyKind kind, klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.memcpy_async(dst, src, bytes, to_engine(kind));
+    stream_or_default("klMemcpyAsync", stream)
+        .memcpy_async(dst, src, bytes, to_engine(kind));
   });
 }
 
 klError klMemsetAsync(void* ptr, int value, std::size_t bytes,
                       klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.memset_async(ptr, value, bytes);
+    stream_or_default("klMemsetAsync", stream).memset_async(ptr, value, bytes);
   });
 }
 
 klError klMallocAsync(void** ptr, std::size_t bytes, klStream_t stream) {
   if (ptr == nullptr) return record_error(klErrorInvalidValue, "null ptr");
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   *ptr = nullptr;
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    *ptr = s.malloc_async(bytes);
+    *ptr = stream_or_default("klMallocAsync", stream).malloc_async(bytes);
   });
 }
 
 klError klClientCreate(klClient_t* client, int device) {
   if (client == nullptr) return record_error(klErrorInvalidValue, "null out");
   *client = nullptr;
-  const auto& reg = simt::device_registry();
-  if (device >= static_cast<int>(reg.size()))
-    return record_error(klErrorInvalidDevice,
-                        "device index " + std::to_string(device));
   return guarded([&] {
     simt::Device* dev =
-        device >= 0 ? reg[static_cast<std::size_t>(device)] : nullptr;
+        device >= 0 ? &registry_device(device, "klClientCreate") : nullptr;
     *client = serve::Server::instance().create_client(dev);
   });
 }
@@ -317,11 +277,8 @@ klError klClientDestroy(klClient_t client) {
 }
 
 klError klFreeAsync(void* ptr, klStream_t stream) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.free_async(ptr);
-  });
+  return guarded(
+      [&] { stream_or_default("klFreeAsync", stream).free_async(ptr); });
 }
 
 klError klStreamBeginCapture(klStream_t stream) {
@@ -329,47 +286,36 @@ klError klStreamBeginCapture(klStream_t stream) {
     return record_error(klErrorInvalidValue,
                         "klStreamBeginCapture: the default stream cannot be "
                         "captured; pass a created stream");
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  return guarded([&] { stream->begin_capture(); });
+  return guarded([&] {
+    live(stream, "klStreamBeginCapture", "stream").begin_capture();
+  });
 }
 
 klError klStreamEndCapture(klStream_t stream, klGraph_t* graph) {
   if (stream == nullptr)
     return record_error(klErrorInvalidValue, "null stream");
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
-  if (graph == nullptr) {
-    // End the capture anyway (discarding it) so the stream is usable.
-    guarded([&] {
-      if (stream->capturing()) stream->end_capture();
-    });
-    return record_error(klErrorInvalidValue, "null graph out pointer");
-  }
-  return guarded([&] { *graph = stream->end_capture().release(); });
+  return guarded([&] {
+    simt::Stream& s = live(stream, "klStreamEndCapture", "stream");
+    if (graph == nullptr) {
+      // End the capture anyway (discarding it) so the stream is usable.
+      if (s.capturing()) s.end_capture();
+      throw std::invalid_argument("null graph out pointer");
+    }
+    *graph = s.end_capture().release();
+  });
 }
-
-namespace {
-klError check_graph(klGraph_t graph) {
-  if (graph == nullptr || !simt::graph_alive(graph))
-    return record_error(klErrorInvalidValue,
-                        "invalid or destroyed graph handle");
-  return klSuccess;
-}
-}  // namespace
 
 klError klGraphInstantiate(klGraph_t graph) {
-  const klError e = check_graph(graph);
-  if (e != klSuccess) return e;
-  return guarded([&] { graph->instantiate(); });
+  return guarded(
+      [&] { live(graph, "klGraphInstantiate", "graph").instantiate(); });
 }
 
 klError klGraphLaunch(klGraph_t graph, klStream_t stream) {
-  const klError e = check_graph(graph);
-  if (e != klSuccess) return e;
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s =
-        stream != nullptr ? *stream : graph->device().default_stream();
-    s.launch_graph(*graph);
+    simt::Graph& g = live(graph, "klGraphLaunch", "graph");
+    auto& s = stream != nullptr ? live(stream, "klGraphLaunch", "stream")
+                                : g.device().default_stream();
+    s.launch_graph(g);
   });
 }
 
@@ -410,31 +356,32 @@ klError klEventCreate(klEvent_t* ev) {
 
 klError klEventDestroy(klEvent_t ev) {
   if (ev == nullptr) return klSuccess;
-  if (bad_event(ev)) return record_error(klErrorInvalidValue, kBadEvent);
-  return guarded([&] { ev->device().destroy_event(ev); });
+  return guarded(
+      [&] { live(ev, "klEventDestroy", "event").device().destroy_event(ev); });
 }
 
 klError klEventRecord(klEvent_t ev, klStream_t stream) {
   if (ev == nullptr) return record_error(klErrorInvalidValue, "null event");
-  if (bad_event(ev)) return record_error(klErrorInvalidValue, kBadEvent);
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.record(*ev);
+    simt::Event& e = live(ev, "klEventRecord", "event");
+    stream_or_default("klEventRecord", stream).record(e);
   });
 }
 
 klError klEventSynchronize(klEvent_t ev) {
   if (ev == nullptr) return record_error(klErrorInvalidValue, "null event");
-  if (bad_event(ev)) return record_error(klErrorInvalidValue, kBadEvent);
-  return guarded([&] { ev->synchronize(); });
+  return guarded(
+      [&] { live(ev, "klEventSynchronize", "event").synchronize(); });
 }
 
 klError klEventElapsedTime(float* ms, klEvent_t start, klEvent_t stop) {
   if (ms == nullptr || start == nullptr || stop == nullptr)
     return record_error(klErrorInvalidValue, "null argument");
-  if (bad_event(start) || bad_event(stop))
-    return record_error(klErrorInvalidValue, kBadEvent);
+  const klError e = guarded([&] {
+    live(start, "klEventElapsedTime", "event");
+    live(stop, "klEventElapsedTime", "event");
+  });
+  if (e != klSuccess) return e;
   if (!start->query() || !stop->query())
     return record_error(klErrorNotReady, "event not recorded");
   *ms = static_cast<float>(stop->modeled_ms() - start->modeled_ms());
@@ -517,10 +464,8 @@ klError klRegisterExecHints(const char* source, int* registered) {
 namespace detail {
 klError launch_erased(const simt::LaunchParams& p, klStream_t stream,
                       simt::KernelFn fn) {
-  if (bad_stream(stream)) return record_error(klErrorInvalidValue, kBadStream);
   return guarded([&] {
-    auto& s = stream != nullptr ? *stream : current_device().default_stream();
-    s.launch(p, std::move(fn));
+    stream_or_default("kl::launch", stream).launch(p, std::move(fn));
   });
 }
 }  // namespace detail

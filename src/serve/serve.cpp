@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "simt/capi.h"
 #include "simt/fault.h"
 #include "simt/stream.h"
 #include "simt/watchdog.h"
@@ -384,17 +385,18 @@ void Server::run_quantum(DeviceSched& sched,
   simt::LaunchRecord rec;
   std::exception_ptr err;
   bool lost = false;
+  bool timed_out = false;  // single-chunk watchdog overruns included
   try {
     dev.check_not_lost("serve launch");
     rec = dev.launch_sync(simt::slice_grid(r->params, r->next, chunk), r->body);
-  } catch (const simt::DeviceLostError&) {
-    err = std::current_exception();
-    lost = true;
   } catch (...) {
     err = std::current_exception();
+    const char* what = nullptr;
+    const auto failure = simt::capi::classify_current_exception(&what);
+    lost = failure == simt::capi::Failure::kDeviceLost;
+    timed_out = failure == simt::capi::Failure::kTimeout;
   }
 
-  bool timed_out = false;
   if (!err) {
     r->combined.add(rec);
     r->next += chunk;
@@ -406,14 +408,6 @@ void Server::run_quantum(DeviceSched& sched,
           "serve: kernel '" + std::string(r->params.name) +
           "' exceeded the watchdog budget across its time slices"));
       timed_out = true;
-    }
-  } else if (!lost) {
-    // Single-chunk watchdog overruns arrive as TimeoutError too.
-    try {
-      std::rethrow_exception(err);
-    } catch (const simt::TimeoutError&) {
-      timed_out = true;
-    } catch (...) {
     }
   }
 

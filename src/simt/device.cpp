@@ -586,6 +586,8 @@ int resolve_device_index(const void* ptr) {
 
 double peer_copy(Device& dst_dev, void* dst, Device& src_dev, const void* src,
                  std::size_t bytes) {
+  dst_dev.sync_for_host_op();
+  if (&src_dev != &dst_dev) src_dev.sync_for_host_op();
   if (&dst_dev == &src_dev) {
     // Same device: an ordinary D2D copy at memory bandwidth.
     dst_dev.memory().copy(dst, src, bytes, CopyKind::kDeviceToDevice);

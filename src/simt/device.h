@@ -330,7 +330,9 @@ Device* resolve_device(const void* ptr);
 int resolve_device_index(const void* ptr);
 
 /// Copies `bytes` from `src` (an allocation of `src_dev`) to `dst` (an
-/// allocation of `dst_dev`) — cudaMemcpyPeer. Both ranges are bounds-
+/// allocation of `dst_dev`) — cudaMemcpyPeer. A blocking host op: both
+/// devices' in-flight work finishes first (Device::sync_for_host_op), so
+/// the copy reads what earlier async launches wrote. Both ranges are bounds-
 /// validated against their own device's registry. Returns the modeled
 /// milliseconds: the peer link when either endpoint has peer access
 /// enabled toward the other, else a device-to-host-to-device staging

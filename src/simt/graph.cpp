@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "simt/block.h"
+#include "simt/capi.h"
 #include "simt/device.h"
 #include "simt/fault.h"
 #include "simt/perf.h"
@@ -32,12 +33,6 @@ FiberPool& replay_fiber_pool() {
   static FiberPool pool(stacks);
   return pool;
 }
-
-// Live-graph registry: the C ABI checks handles against this instead of
-// dereferencing whatever pointer it was handed (use-after-destroy
-// becomes a result code, not UB).
-std::mutex g_graphs_mu;
-std::vector<const Graph*> g_graphs;
 
 std::atomic<std::uint64_t> g_graph_uid{1};
 
@@ -81,16 +76,11 @@ std::uint64_t chain_flow_id(std::uint64_t graph_uid, std::uint64_t k) {
 
 Graph::Graph(Device& dev)
     : dev_(dev), uid_(g_graph_uid.fetch_add(1, std::memory_order_relaxed)) {
-  std::lock_guard lock(g_graphs_mu);
-  g_graphs.push_back(this);
+  capi::LiveSet<Graph>::instance().insert(this);
 }
 
 Graph::~Graph() {
-  {
-    std::lock_guard lock(g_graphs_mu);
-    g_graphs.erase(std::remove(g_graphs.begin(), g_graphs.end(), this),
-                   g_graphs.end());
-  }
+  capi::LiveSet<Graph>::instance().erase(this);
   // Graph-owned memory (captured malloc_async) keeps its address across
   // replays and is returned to the device heap only now.
   for (void* p : owned_allocs_) {
@@ -380,9 +370,7 @@ Graph::ReplayExtent Graph::execute_on(Stream& s) {
 }
 
 bool graph_alive(const Graph* g) {
-  if (g == nullptr) return false;
-  std::lock_guard lock(g_graphs_mu);
-  return std::find(g_graphs.begin(), g_graphs.end(), g) != g_graphs.end();
+  return capi::LiveSet<Graph>::instance().contains(g);
 }
 
 void destroy_graph(Graph* g) {

@@ -7,8 +7,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_set>
 
+#include "simt/capi.h"
 #include "simt/device.h"
 #include "simt/fault.h"
 #include "simt/graph.h"
@@ -65,56 +65,23 @@ unsigned stream_worker_count(unsigned requested) {
 /// device time (suballocation from a resident pool, not an OS call).
 constexpr double kAllocModelMs = 0.0005;
 
-/// Live-handle registries (same idiom as graph.cpp's): every Stream /
-/// Event registers at construction and unregisters at destruction, so
-/// the C ABIs can reject use-after-destroy handles instead of
-/// dereferencing freed memory.
-std::mutex g_handles_mu;
-std::unordered_set<const void*>& live_streams() {
-  static auto* s = new std::unordered_set<const void*>;  // leaked on purpose
-  return *s;
-}
-std::unordered_set<const void*>& live_events() {
-  static auto* s = new std::unordered_set<const void*>;  // leaked on purpose
-  return *s;
-}
-
-void register_stream_handle(const Stream* s) {
-  std::lock_guard lock(g_handles_mu);
-  live_streams().insert(s);
-}
-void unregister_stream_handle(const Stream* s) {
-  std::lock_guard lock(g_handles_mu);
-  live_streams().erase(s);
-}
-void register_event_handle(const Event* ev) {
-  std::lock_guard lock(g_handles_mu);
-  live_events().insert(ev);
-}
-void unregister_event_handle(const Event* ev) {
-  std::lock_guard lock(g_handles_mu);
-  live_events().erase(ev);
-}
-
 }  // namespace
 
 bool stream_alive(const Stream* s) {
-  if (s == nullptr) return false;
-  std::lock_guard lock(g_handles_mu);
-  return live_streams().count(s) != 0;
+  return capi::LiveSet<Stream>::instance().contains(s);
 }
 
 bool event_alive(const Event* ev) {
-  if (ev == nullptr) return false;
-  std::lock_guard lock(g_handles_mu);
-  return live_events().count(ev) != 0;
+  return capi::LiveSet<Event>::instance().contains(ev);
 }
 
 // ---------------------------------------------------------------- Event
 
-Event::Event(StreamExecutor& ex) : ex_(ex) { register_event_handle(this); }
+Event::Event(StreamExecutor& ex) : ex_(ex) {
+  capi::LiveSet<Event>::instance().insert(this);
+}
 
-Event::~Event() { unregister_event_handle(this); }
+Event::~Event() { capi::LiveSet<Event>::instance().erase(this); }
 
 Device& Event::device() const { return ex_.dev_; }
 
@@ -142,10 +109,10 @@ double Event::modeled_ms() const {
 
 Stream::Stream(Device& dev, StreamExecutor& ex, std::uint64_t id)
     : dev_(dev), ex_(ex), id_(id) {
-  register_stream_handle(this);
+  capi::LiveSet<Stream>::instance().insert(this);
 }
 
-Stream::~Stream() { unregister_stream_handle(this); }
+Stream::~Stream() { capi::LiveSet<Stream>::instance().erase(this); }
 
 void Stream::launch(const LaunchParams& params, KernelFn kernel) {
   launch(params, std::move(kernel), nullptr);
@@ -465,7 +432,7 @@ void StreamExecutor::destroy_stream(Stream* s) {
           // this stream; park the object instead of freeing it. It dies
           // with the executor, after the bounded zombie wait. The handle
           // still reads as destroyed to the C ABIs from here on.
-          unregister_stream_handle(s);
+          capi::LiveSet<Stream>::instance().erase(s);
           abandoned_streams_.push_back(std::move(*it));
         }
         streams_.erase(it);
