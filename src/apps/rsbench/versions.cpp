@@ -91,13 +91,11 @@ struct DeviceData {
 constexpr int kBlock = 128;
 
 /// XOR-accumulate a lookup's hash contribution (order independent).
+/// One atomicXor, not a CAS retry loop: the engine counts every atomic
+/// it executes, so retries would make the modeled time follow how host
+/// threads interleave.
 void xor_into(std::uint64_t* hash, std::uint64_t contrib) {
-  std::uint64_t seen = *hash;
-  while (true) {
-    const std::uint64_t prev = simt::atomic_cas(hash, seen, seen ^ contrib);
-    if (prev == seen) break;
-    seen = prev;
-  }
+  simt::atomic_xor(hash, contrib);
 }
 
 std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {

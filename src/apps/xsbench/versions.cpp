@@ -129,14 +129,9 @@ std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {
            const std::uint64_t contrib =
                mix64(static_cast<std::uint64_t>(i) ^
                      (static_cast<std::uint64_t>(arg) + 1));
-           // XOR hash via CAS loop (order-independent, race-free).
-           std::uint64_t seen = *d_hash;
-           while (true) {
-             const std::uint64_t prev =
-                 atomicCAS(d_hash, seen, seen ^ contrib);
-             if (prev == seen) break;
-             seen = prev;
-           }
+           // XOR hash (order-independent): one atomic per lookup, so
+           // the counted atomics do not depend on host interleaving.
+           atomicXor(d_hash, contrib);
          }),
       "xsbench_event launch");
   check(klDeviceSynchronize(), "klDeviceSynchronize");
@@ -184,12 +179,7 @@ std::uint64_t run_ompx(const SimulationData& d, simt::Device& dev) {
                                num_nucs, mats, concs, gp, mx, nm);
     const std::uint64_t contrib = mix64(static_cast<std::uint64_t>(i) ^
                                         (static_cast<std::uint64_t>(arg) + 1));
-    std::uint64_t seen = *hash;
-    while (true) {
-      const std::uint64_t prev = simt::atomic_cas(hash, seen, seen ^ contrib);
-      if (prev == seen) break;
-      seen = prev;
-    }
+    simt::atomic_xor(hash, contrib);
   }).wait();
   const std::uint64_t h = *hash;
   for (void* p : {static_cast<void*>(energy), static_cast<void*>(xs),
@@ -245,13 +235,7 @@ std::uint64_t run_omp(const SimulationData& d, simt::Device& dev) {
       const std::uint64_t contrib =
           mix64(static_cast<std::uint64_t>(i) ^
                 (static_cast<std::uint64_t>(arg) + 1));
-      std::uint64_t seen = *hash;
-      while (true) {
-        const std::uint64_t prev =
-            simt::atomic_cas(hash, seen, seen ^ contrib);
-        if (prev == seen) break;
-        seen = prev;
-      }
+      simt::atomic_xor(hash, contrib);
     };
   });
   return h;

@@ -232,7 +232,7 @@ ompx_result_t ompx_stream_end_capture(ompx_stream_t stream,
                                       ompx_graph_t* graph);
 /// 1 while `stream` is capturing, 0 otherwise (including null/invalid).
 int ompx_stream_is_capturing(ompx_stream_t stream);
-/// Validates and bakes the graph (lane-exec resolution, span names) so
+/// Validates and bakes the graph (lane-exec resolution, cached blocks) so
 /// replays skip per-launch setup. Optional: the first launch
 /// instantiates on demand.
 ompx_result_t ompx_graph_instantiate(ompx_graph_t graph);
@@ -246,7 +246,7 @@ ompx_result_t ompx_graph_destroy(ompx_graph_t graph);
 /// entries and report how many were written.
 typedef struct ompx_graph_node_info_t {
   char kind[16];            /* "kernel", "memcpy", "alloc", ... */
-  char name[64];            /* kernel name; empty otherwise */
+  char name[64];            /* kernel name, else the op's trace label */
   unsigned long long bytes; /* memcpy/memset/alloc payload */
 } ompx_graph_node_info_t;
 ompx_result_t ompx_graph_node_count(ompx_graph_t graph, std::size_t* count);
@@ -367,8 +367,9 @@ ompx_result_t ompx_device_reset(int device);
 
 /// Kernel watchdog budget in milliseconds (OMPX_WATCHDOG_MS at process
 /// start). <= 0 disables. Applies to both the *modeled* duration of a
-/// launch and the *wall-clock* duration of any stream op; an overrun
-/// fails with OMPX_ERROR_TIMEOUT and kills only the offending stream.
+/// launch and the *wall-clock* duration of any stream op (never below
+/// 100 ms); an overrun fails with OMPX_ERROR_TIMEOUT and kills only the
+/// offending stream.
 ompx_result_t ompx_set_watchdog_ms(double ms);
 double ompx_get_watchdog_ms(void);
 

@@ -194,9 +194,10 @@ LaunchResult launch(const LaunchSpec& spec, simt::KernelFn body) {
 
   if (launch_mode() == LaunchMode::kAsync) {
     // Stream-ordered launch: enqueue on the device's default stream and
-    // hand back a ticket. The stream executor runs the same launch_sync
-    // path off-thread, so the record the ticket delivers is the one the
-    // synchronous mode would have produced.
+    // hand back a ticket. The stream executor runs the same resolve ->
+    // run -> record path as launch_sync off-thread, so the record the
+    // ticket delivers is the one the synchronous mode would have
+    // produced.
     auto ticket = std::make_shared<LaunchResult::Ticket>();
     dev.default_stream().launch(
         p, std::move(body), [ticket](const simt::LaunchRecord& rec) {

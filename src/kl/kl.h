@@ -176,7 +176,7 @@ klError klFaultInject(const char* spec);
 
 /// Kernel watchdog budget in milliseconds (<= 0 disables; also set by
 /// OMPX_WATCHDOG_MS). Overruns — modeled launch duration or wall-clock
-/// stream-op duration — fail with klErrorTimeout.
+/// stream-op duration (never below 100 ms) — fail with klErrorTimeout.
 klError klSetWatchdogMs(double ms);
 
 /// Launch telemetry (cudaProfilerStart/Stop-shaped front of the uniform
@@ -383,6 +383,8 @@ template <typename T>
 T atomicMin(T* addr, T v) { return simt::atomic_min(addr, v); }
 template <typename T>
 T atomicExch(T* addr, T v) { return simt::atomic_exchange(addr, v); }
+template <typename T>
+T atomicXor(T* addr, T v) { return simt::atomic_xor(addr, v); }
 template <typename T>
 T atomicCAS(T* addr, T expected, T desired) {
   return simt::atomic_cas(addr, expected, desired);

@@ -65,7 +65,8 @@ const std::unordered_set<std::string>& atomic_tokens() {
   static const std::unordered_set<std::string> s = {
       "atomicAdd", "atomicSub", "atomicMax", "atomicMin", "atomicExch",
       "atomicCAS", "atomicAnd", "atomicOr", "atomicXor", "atomic_add",
-      "atomic_sub", "atomic_max", "atomic_min", "atomic_exch", "atomic_cas",
+      "atomic_sub", "atomic_max", "atomic_min", "atomic_exch", "atomic_xor",
+      "atomic_cas",
       "atomic_ref",
   };
   return s;

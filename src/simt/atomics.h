@@ -74,6 +74,13 @@ T atomic_exchange(T* addr, T value) {
   return std::atomic_ref<T>(*addr).exchange(value, std::memory_order_relaxed);
 }
 
+/// atomicXor: returns the old value.
+template <typename T>
+T atomic_xor(T* addr, T value) {
+  detail::count_atomic();
+  return std::atomic_ref<T>(*addr).fetch_xor(value, std::memory_order_relaxed);
+}
+
 /// atomicCAS: returns the old value.
 template <typename T>
 T atomic_cas(T* addr, T expected, T desired) {

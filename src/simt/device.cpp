@@ -243,46 +243,68 @@ void Device::validate(const LaunchParams& p) const {
         std::to_string(cfg_.smem_per_block_max));
 }
 
-LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
-                                 const KernelFn& kernel) {
-  validate(caller_params);
-  const auto t0 = std::chrono::steady_clock::now();
-
+void Device::resolve_launch(LaunchParams& params) const {
+  validate(params);
   // Stamp the resolved lane-execution mode once per launch; every block
   // of this launch (and the record/trace span) sees the same decision.
-  LaunchParams params = caller_params;
-  params.lane_exec = resolve_lane_exec(caller_params);
+  params.lane_exec = resolve_lane_exec(params);
   if (params.lane_exec == LaneExec::kConvergent &&
       exec_hint(params.name).atomics_ok)
     params.inline_atomics = true;
+}
 
-  const LaunchStats stats = run_blocks(params, kernel);
-
-  LaunchRecord rec;
-  rec.name = params.name;
-  rec.grid = params.grid;
-  rec.block = params.block;
-  rec.exec_mode = exec_mode_name(params.mode, params.lane_exec);
-  rec.stats = stats;
-  rec.time = model_time(cfg_, params.profile, params.cost, stats,
-                        static_cast<std::uint32_t>(params.block.count()),
-                        params.dynamic_smem_bytes, costs_);
+double Device::run_resolved(const LaunchParams& params, const KernelFn& kernel,
+                            const BlockCache* cached, LaunchRecord* rec) {
+  std::chrono::steady_clock::time_point t0;
+  if (rec != nullptr) t0 = std::chrono::steady_clock::now();
+  LaunchStats stats;
+  if (cached != nullptr && !cached->empty() && !san_enabled(kSanAll)) {
+    // Graph replay of a small direct grid: reset and rerun the blocks
+    // built at instantiate. Instrumented runs take run_blocks instead,
+    // whose fresh blocks carry fresh sanitizer shadow state.
+    stats = launch_header(params);
+    for (const auto& block : *cached) {
+      block->reset_for_replay();
+      block->run();
+      stats += block->counters();
+    }
+  } else {
+    stats = run_blocks(params, kernel);
+  }
+  const ModeledTime time =
+      model_time(cfg_, params.profile, params.cost, stats,
+                 static_cast<std::uint32_t>(params.block.count()),
+                 params.dynamic_smem_bytes, costs_);
   // Modeled-time watchdog (the simulator's cudaErrorLaunchTimeout): a
   // launch whose modeled duration exceeds the budget fails instead of
   // being logged, so a runaway kernel surfaces as OMPX_ERROR_TIMEOUT.
   const double budget_ms = watchdog_ms();
-  if (budget_ms > 0.0 && rec.time.total_ms > budget_ms)
-    throw TimeoutError("kernel '" + rec.name +
+  if (budget_ms > 0.0 && time.total_ms > budget_ms)
+    throw TimeoutError("kernel '" + std::string(params.name) +
                        "' exceeded the watchdog budget: modeled " +
-                       std::to_string(rec.time.total_ms) + " ms > " +
+                       std::to_string(time.total_ms) + " ms > " +
                        std::to_string(budget_ms) + " ms");
-  rec.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  if (params.log) {
-    std::lock_guard lock(log_mu_);
-    log_.push_back(rec);
+  if (rec != nullptr) {
+    rec->name = params.name;
+    rec->grid = params.grid;
+    rec->block = params.block;
+    rec->exec_mode = exec_mode_name(params.mode, params.lane_exec);
+    rec->stats = stats;
+    rec->time = time;
+    rec->wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    if (params.log) append_launch_record(*rec);
   }
+  return time.total_ms;
+}
+
+LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
+                                 const KernelFn& kernel) {
+  LaunchParams params = caller_params;
+  resolve_launch(params);
+  LaunchRecord rec;
+  run_resolved(params, kernel, nullptr, &rec);
   // Stream kernels are spanned by the executor (it knows the stream
   // track and modeled start); only direct host-synchronous launches
   // record here, on the device's sync track.
@@ -426,6 +448,10 @@ void Device::sync_for_host_op() {
 
 double Device::model_transfer_ms(std::uint64_t bytes) const {
   return simt::model_transfer_ms(cfg_, bytes, costs_);
+}
+
+double Device::model_device_copy_ms(std::uint64_t bytes) const {
+  return static_cast<double>(bytes) / (cfg_.mem_bw_gbps * 1e6);
 }
 
 void Device::enable_peer_access(const Device& peer) {
@@ -591,7 +617,7 @@ double peer_copy(Device& dst_dev, void* dst, Device& src_dev, const void* src,
   if (&dst_dev == &src_dev) {
     // Same device: an ordinary D2D copy at memory bandwidth.
     dst_dev.memory().copy(dst, src, bytes, CopyKind::kDeviceToDevice);
-    return static_cast<double>(bytes) / (dst_dev.config().mem_bw_gbps * 1e6);
+    return dst_dev.model_device_copy_ms(bytes);
   }
   dst_dev.check_not_lost("peer copy destination");
   src_dev.check_not_lost("peer copy source");

@@ -200,7 +200,8 @@ class Device {
 
   /// Executes a kernel synchronously on the calling thread (every block,
   /// every thread, functionally) and returns measured stats + modeled
-  /// time. Streams use this internally; tests may call it directly.
+  /// time: resolve_launch, then run_resolved — the path stream kernels
+  /// take too, on an executor worker.
   LaunchRecord launch_sync(const LaunchParams& params, const KernelFn& kernel);
 
   /// Throws std::invalid_argument for an unlaunchable configuration.
@@ -253,6 +254,9 @@ class Device {
   /// Modeled host<->device transfer time for `bytes` (used by the data
   /// mapping layers; also accumulated when stream memcpys execute).
   [[nodiscard]] double model_transfer_ms(std::uint64_t bytes) const;
+  /// Modeled time of a device-local copy or fill of `bytes` at global-
+  /// memory bandwidth (D2D memcpy, memset, same-device peer copy).
+  [[nodiscard]] double model_device_copy_ms(std::uint64_t bytes) const;
 
   /// Peer access (cudaDeviceEnablePeerAccess semantics): directional
   /// "this device may read/write `peer`'s memory over the peer link".
@@ -288,10 +292,22 @@ class Device {
   /// Resolves a launch's LaneExec request (per-launch > engine options
   /// > OMPX_EXEC policy + hint registry) to kFiber or kConvergent.
   [[nodiscard]] LaneExec resolve_lane_exec(const LaunchParams& params) const;
-  /// The block-execution core of launch_sync (grid fan-out over the
-  /// work-stealing launch pool, folded counters). Shared with graph
-  /// replay, which skips the per-launch setup around it — callers own
-  /// validation, lane-exec resolution, timing, logging, telemetry.
+  /// Per-launch setup, in place: validates `params`, then stamps the
+  /// resolved lane-execution mode and inline atomics. Live launches pay
+  /// it on every launch; graph kernel nodes once, at instantiate.
+  void resolve_launch(LaunchParams& params) const;
+  /// The one run -> model -> watchdog -> record path for a resolved
+  /// launch (launch_sync, stream kernels, graph replay). Runs the
+  /// blocks — the prebuilt `cached` ones when given and non-empty, else
+  /// through run_blocks — models the launch, and throws TimeoutError
+  /// when the modeled time exceeds the watchdog budget. Only when `rec`
+  /// is given (something reads the record) does it time the launch on
+  /// the host, fill `*rec`, and append it to the launch log if
+  /// params.log. Returns the modeled duration.
+  double run_resolved(const LaunchParams& params, const KernelFn& kernel,
+                      const BlockCache* cached, LaunchRecord* rec);
+  /// The block-execution core (grid fan-out over the work-stealing
+  /// launch pool, folded counters).
   [[nodiscard]] LaunchStats run_blocks(const LaunchParams& params,
                                        const KernelFn& kernel);
 

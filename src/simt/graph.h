@@ -4,14 +4,18 @@
 // launches, async copies/memsets, stream-ordered allocs/frees, host
 // callbacks, event records/waits — captured between
 // Stream::begin_capture() and Stream::end_capture(). instantiate()
-// bakes the per-op setup that a normal launch pays every time
-// (configuration validation, lane-exec resolution, span-name assembly);
-// replay (Stream::launch_graph) then re-issues the whole sequence as a
-// single stream op whose kernel nodes go straight to the block runner
-// (Device::run_blocks), skipping per-launch validation, exec-policy
-// lookup, record-string assembly, and launch-log pushes. That is what
-// makes replay of a launch-bound iteration (Adam, Stencil-1D) several
-// times cheaper than re-submitting the launches individually.
+// bakes the per-launch setup that a live launch pays every time
+// (configuration validation and lane-exec resolution, via
+// Device::resolve_launch) and pre-builds the blocks of small direct
+// grids; replay (Stream::launch_graph) then re-issues the whole
+// sequence as a single stream op that runs each node through the
+// executor's one op step (StreamExecutor::run_op) — the same modeled
+// cost, span, watchdog and completion code a live op gets — minus the
+// per-launch setup: no validation, no exec-policy lookup, no
+// launch-log push, and a record assembled only when something reads
+// it. That is what makes replay of a launch-bound iteration (Adam,
+// Stencil-1D) several times cheaper than re-submitting the launches
+// individually.
 //
 // Semantics (deliberately CUDA-faithful):
 //  - malloc_async during capture allocates immediately; the graph owns
@@ -40,8 +44,6 @@
 
 namespace simt {
 
-class BlockState;
-
 class Graph {
  public:
   ~Graph();
@@ -55,16 +57,16 @@ class Graph {
   /// is built on this).
   struct NodeInfo {
     std::string kind;        ///< "kernel", "memcpy", "alloc", ...
-    std::string name;        ///< kernel name / copy label / ""
+    std::string name;        ///< kernel name / op label (op_label)
     std::uint64_t bytes = 0; ///< payload for memory nodes
   };
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::vector<NodeInfo> nodes() const;
 
   /// Bakes per-node setup: validates every kernel configuration,
-  /// resolves and pins each kernel's lane-execution mode, pre-assembles
-  /// span names, and checks that captured event references are still
-  /// alive. Idempotent; replay calls it automatically if the caller
+  /// resolves and pins each kernel's lane-execution mode, pre-builds
+  /// the blocks of small direct grids, and checks that captured event
+  /// references are still alive. Idempotent; replay calls it automatically if the caller
   /// has not. Throws std::invalid_argument on a node that can no
   /// longer execute (e.g. a destroyed event).
   void instantiate();
@@ -83,36 +85,26 @@ class Graph {
   void own_allocation(void* p);
   [[nodiscard]] bool owns_allocation(const void* p) const;
 
-  /// What the executor needs to span the replay it just ran.
-  struct ReplayExtent {
-    double start_ms = 0.0;
-    double end_ms = 0.0;
-    std::uint64_t chain_flow_id = 0;  ///< incoming arrow from the
-                                      ///< previous replay (0 = first)
-  };
-  /// Executes every node on an executor worker, advancing `s`'s modeled
-  /// timeline once at the end. Serialized per graph.
-  ReplayExtent execute_on(Stream& s);
+  /// Runs every node through the executor's op step on an executor
+  /// worker, then closes the replay with its chain-fence span.
+  /// Serialized per graph. Returns the flow id of the arrow arriving
+  /// from the previous replay's fence (0 for the first replay).
+  std::uint64_t execute_on(Stream& s);
 
   void instantiate_locked();
-
-  /// Replays node `i` over its cached BlockStates (reset + run, one
-  /// block at a time). Only called for nodes instantiate() cached.
-  [[nodiscard]] LaunchStats run_cached(std::size_t i);
 
   Device& dev_;
   std::uint64_t uid_;
   std::vector<StreamOp> nodes_;
-  std::vector<std::string> span_names_;  // per node, baked at instantiate
-  std::vector<std::string> exec_modes_;  // kernel nodes' resolved mode
   // Direct-mode kernel nodes with small grids keep their BlockStates
   // across replays: block construction (warp states, thread contexts,
   // ordinal vectors) is the dominant per-launch cost of a launch-bound
-  // graph, and a reset is ~free. Indexed like nodes_; an empty inner
-  // vector means the node replays through Device::run_blocks. The
-  // cached BlockStates hold references into nodes_ (params/kernel),
-  // which is stable after capture ends.
-  std::vector<std::vector<std::unique_ptr<BlockState>>> cached_blocks_;
+  // graph, and a reset is ~free. Indexed like nodes_, each kernel node
+  // points at its entry (StreamOp::replay_blocks); an empty entry means
+  // the node replays through Device::run_blocks. The cached BlockStates
+  // hold references into nodes_ (params/kernel), which is stable after
+  // capture ends.
+  std::vector<BlockCache> cached_blocks_;
   std::vector<void*> owned_allocs_;
   mutable std::mutex run_mu_;  // serializes replays and instantiation
   bool instantiated_ = false;

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "simt/dim.h"
 #include "simt/perf.h"
@@ -44,6 +46,10 @@ ThreadCtx& this_thread();
 bool in_kernel();
 
 using KernelFn = std::function<void()>;
+
+/// The BlockStates a graph kernel node builds once, at instantiate, and
+/// resets on every replay instead of reconstructing them.
+using BlockCache = std::vector<std::unique_ptr<BlockState>>;
 
 /// Execution mode for a launch.
 ///
@@ -84,7 +90,7 @@ struct LaunchParams {
   ExecMode mode = ExecMode::kCooperative;
   /// Lane execution strategy for cooperative launches (see LaneExec).
   /// kDefault resolves through the engine options / hint registry /
-  /// OMPX_EXEC policy at launch time; Device::launch_sync stamps the
+  /// OMPX_EXEC policy at launch time; Device::resolve_launch stamps the
   /// resolved value before blocks run.
   LaneExec lane_exec = LaneExec::kDefault;
   /// Stamped alongside lane_exec from the hint registry's atomics_ok:

@@ -20,8 +20,9 @@ namespace simt {
 namespace {
 
 /// Marks the executor thread as inside a stream op so the inner
-/// launch_sync / add_transfer does not double-record: the executor
-/// records the span itself, with the stream track and modeled start.
+/// add_transfer (or a launch_sync a host fn makes) does not record on
+/// the sync track: the op step records the span itself, with the
+/// stream track and modeled start.
 struct ScopedStreamOp {
   bool prev;
   ScopedStreamOp() : prev(telemetry_detail::t_in_stream_op) {
@@ -29,16 +30,6 @@ struct ScopedStreamOp {
   }
   ~ScopedStreamOp() { telemetry_detail::t_in_stream_op = prev; }
 };
-
-const char* copy_kind_label(CopyKind k) {
-  switch (k) {
-    case CopyKind::kHostToDevice: return "memcpy H2D";
-    case CopyKind::kDeviceToHost: return "memcpy D2H";
-    case CopyKind::kDeviceToDevice: return "memcpy D2D";
-    case CopyKind::kHostToHost: return "memcpy H2H";
-  }
-  return "memcpy";
-}
 
 /// Flow-arrow id linking an event's record slice to the waits that
 /// observed that recording (generation 0 = never recorded, no arrow).
@@ -66,6 +57,29 @@ unsigned stream_worker_count(unsigned requested) {
 constexpr double kAllocModelMs = 0.0005;
 
 }  // namespace
+
+const char* op_label(const StreamOp& op) {
+  switch (op.kind) {
+    case StreamOp::Kind::kKernel: return op.params.name;
+    case StreamOp::Kind::kMemcpy:
+      switch (op.copy_kind) {
+        case CopyKind::kHostToDevice: return "memcpy H2D";
+        case CopyKind::kDeviceToHost: return "memcpy D2H";
+        case CopyKind::kDeviceToDevice: return "memcpy D2D";
+        case CopyKind::kHostToHost: return "memcpy H2H";
+      }
+      return "memcpy";
+    case StreamOp::Kind::kMemset: return "memset";
+    case StreamOp::Kind::kHostFn: return "host-fn";
+    case StreamOp::Kind::kEventRecord: return "event record";
+    case StreamOp::Kind::kEventWait: return "event wait";
+    case StreamOp::Kind::kAlloc:
+      return op.pool_hit ? "malloc_async (pooled)" : "malloc_async";
+    case StreamOp::Kind::kFree: return "free_async";
+    case StreamOp::Kind::kGraph: return "graph replay";
+  }
+  return "?";
+}
 
 bool stream_alive(const Stream* s) {
   return capi::LiveSet<Stream>::instance().contains(s);
@@ -344,8 +358,7 @@ bool Stream::query() const {
 }
 
 double Stream::modeled_ready_ms() const {
-  std::lock_guard lock(ex_.mu_);
-  return modeled_ready_ms_;
+  return modeled_ready_ms_.load(std::memory_order_relaxed);
 }
 
 // -------------------------------------------------------- StreamExecutor
@@ -422,7 +435,7 @@ void StreamExecutor::destroy_stream(Stream* s) {
     // heads.
     cv_complete_.wait(lock, [&] { return s->completed_ >= s->submitted_; });
     destroyed_streams_max_ms_ =
-        std::max(destroyed_streams_max_ms_, s->modeled_ready_ms_);
+        std::max(destroyed_streams_max_ms_, s->modeled_ready_ms());
     id = s->id_;
     queues_.erase(s->id_);
     for (auto it = streams_.begin(); it != streams_.end(); ++it) {
@@ -535,7 +548,7 @@ void StreamExecutor::start_monitor_locked() {
 void StreamExecutor::monitor_loop() {
   std::unique_lock lock(mu_);
   while (!shutdown_) {
-    const double budget = watchdog_ms();
+    const double budget = wall_watchdog_ms();
     // Poll at a quarter of the budget (clamped to 1..50 ms) so a timeout
     // is reported well within ~2x the budget; with the watchdog turned
     // off, idle at 50 ms waiting for it to be turned back on.
@@ -544,8 +557,8 @@ void StreamExecutor::monitor_loop() {
     cv_monitor_.wait_for(
         lock, std::chrono::duration<double, std::milli>(poll_ms));
     if (shutdown_) return;
-    if (watchdog_ms() <= 0.0) continue;
-    const double live_budget = watchdog_ms();
+    const double live_budget = wall_watchdog_ms();
+    if (live_budget <= 0.0) continue;
     const auto now = std::chrono::steady_clock::now();
     for (unsigned slot = 0; slot < slots_.size(); ++slot) {
       if (!slots_[slot].busy) continue;
@@ -615,9 +628,15 @@ void StreamExecutor::worker_loop(unsigned slot, std::uint64_t my_epoch) {
         // declare a dependency deadlock (a wait submitted before its
         // record forming a cycle, or a wait on an event that is never
         // recorded) instead of hanging forever.
+        // Only a full grace period counts: any wakeup re-checks from
+        // the top, because submit() notifies after releasing the lock,
+        // so a wakeup can belong to a submission this worker already
+        // saw (and may even have run to completion) before waiting.
         const std::uint64_t subs_before = total_submitted_;
         const std::uint64_t comps_before = total_completed_;
-        cv_submit_.wait_for(lock, std::chrono::milliseconds(250));
+        if (cv_submit_.wait_for(lock, std::chrono::milliseconds(250)) ==
+            std::cv_status::no_timeout)
+          continue;
         if (total_submitted_ != subs_before ||
             total_completed_ != comps_before || executing_ != 0 || shutdown_)
           continue;
@@ -659,15 +678,6 @@ void StreamExecutor::worker_loop(unsigned slot, std::uint64_t my_epoch) {
         if (slots_[slot].epoch == my_epoch && async_error_ == nullptr)
           async_error_ = std::current_exception();
       }
-      // A failed kernel never reached its completion callback; release
-      // any ticket waiter with an empty record (the error itself
-      // surfaces at the next synchronize).
-      if (op.kind == Op::Kind::kKernel && op.on_complete) {
-        try {
-          op.on_complete(LaunchRecord{});
-        } catch (...) {
-        }
-      }
     }
     lock.lock();
     if (slots_[slot].epoch != my_epoch) {
@@ -707,142 +717,117 @@ void StreamExecutor::execute(Stream& s, Op& op) {
     const double ms = FaultInjector::instance().stall_ms();
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
   }
+  ScopedStreamOp in_stream_op;
+  run_op(s, op);
+}
+
+void StreamExecutor::run_op(Stream& s, Op& op) {
   // Tracing-off cost on this path: this one relaxed load.
   const bool prof = profiling_enabled();
-  ScopedStreamOp in_stream_op;
-  TraceSpan span;
-  LaunchRecord rec;  // kernels only
   std::chrono::steady_clock::time_point t0;
   if (prof) t0 = std::chrono::steady_clock::now();
+  // Happens-before for host readers comes from the executor mutex
+  // (completion bookkeeping) or a ticket's completion, so relaxed
+  // suffices; only this worker writes the value meanwhile.
+  const double start = s.modeled_ready_ms_.load(std::memory_order_relaxed);
+  double end = start;
+  TraceSpan span;
+  LaunchRecord rec;  // kernels only, filled only when something reads it
 
   switch (op.kind) {
     case Op::Kind::kKernel: {
-      rec = dev_.launch_sync(op.params, op.kernel);
+      try {
+        // Live launches pay the per-launch setup here; graph nodes paid
+        // it once, at instantiate.
+        if (op.replay_blocks == nullptr) dev_.resolve_launch(op.params);
+        const bool needs_record = prof || op.on_complete || op.params.log;
+        end += dev_.run_resolved(op.params, op.kernel, op.replay_blocks,
+                                 needs_record ? &rec : nullptr);
+      } catch (...) {
+        // A failed kernel never gets its record; release any ticket
+        // waiter with an empty one (the error surfaces at the next
+        // synchronize).
+        if (op.on_complete) {
+          try {
+            op.on_complete(LaunchRecord{});
+          } catch (...) {
+          }
+        }
+        throw;
+      }
       if (prof) span = kernel_span(rec);
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += rec.time.total_ms;
       break;
     }
     case Op::Kind::kMemcpy: {
       dev_.memory().copy(op.dst, op.src, op.bytes, op.copy_kind);
-      const double ms = op.copy_kind == CopyKind::kDeviceToDevice
-                            ? static_cast<double>(op.bytes) /
-                                  (dev_.config().mem_bw_gbps * 1e6)
-                            : dev_.model_transfer_ms(op.bytes);
+      span.dur_ms = op.copy_kind == CopyKind::kDeviceToDevice
+                        ? dev_.model_device_copy_ms(op.bytes)
+                        : dev_.model_transfer_ms(op.bytes);
       if (op.copy_kind != CopyKind::kDeviceToDevice &&
           op.copy_kind != CopyKind::kHostToHost)
         dev_.add_transfer(op.bytes);
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += ms;
-      if (prof) {
-        span.kind = SpanKind::kMemcpy;
-        span.name = copy_kind_label(op.copy_kind);
-        span.dur_ms = ms;
-        span.bytes = op.bytes;
-      }
+      end += span.dur_ms;
       break;
     }
-    case Op::Kind::kMemset: {
+    case Op::Kind::kMemset:
       dev_.memory().set(op.dst, op.value, op.bytes);
-      const double ms =
-          static_cast<double>(op.bytes) / (dev_.config().mem_bw_gbps * 1e6);
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += ms;
-      if (prof) {
-        span.kind = SpanKind::kMemset;
-        span.name = "memset";
-        span.dur_ms = ms;
-        span.bytes = op.bytes;
-      }
+      span.dur_ms = dev_.model_device_copy_ms(op.bytes);
+      end += span.dur_ms;
       break;
-    }
     case Op::Kind::kAlloc:
-    case Op::Kind::kFree: {
-      // The memory work happened at enqueue time (pool acquire/release);
-      // executing the op charges the modeled sliver and leaves a span.
-      std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ += kAllocModelMs;
-      if (prof) {
-        span.kind = op.kind == Op::Kind::kAlloc ? SpanKind::kAlloc
-                                                : SpanKind::kFree;
-        span.name = op.kind == Op::Kind::kFree ? "free_async"
-                    : op.pool_hit              ? "malloc_async (pooled)"
-                                               : "malloc_async";
-        span.dur_ms = kAllocModelMs;
-        span.bytes = op.bytes;
-      }
+    case Op::Kind::kFree:
+      // The memory work happened at enqueue time (pool acquire/release,
+      // or capture for graph nodes, which keep their address); the op
+      // only charges the modeled sliver.
+      span.dur_ms = kAllocModelMs;
+      end += kAllocModelMs;
       break;
-    }
-    case Op::Kind::kHostFn: {
-      op.fn();
-      if (prof) {
-        std::lock_guard lock(mu_);
-        span.kind = SpanKind::kHostFn;
-        span.name = "host-fn";
-        span.ts_ms = s.modeled_ready_ms_;  // instantaneous on the model
-      }
+    case Op::Kind::kHostFn:
+      op.fn();  // instantaneous on the model
       break;
-    }
     case Op::Kind::kEventRecord: {
       std::lock_guard lock(mu_);
       op.event->recorded_ = true;
       op.event->pending_ = false;
       op.event->generation_++;
-      op.event->modeled_ms_ = s.modeled_ready_ms_;
-      if (prof) {
-        span.kind = SpanKind::kEventRecord;
-        span.name = "event record";
-        span.ts_ms = s.modeled_ready_ms_;
-        span.flow_id =
-            event_flow_id(op.event->uid_, op.event->generation_);
-        span.flow_out = true;
-      }
+      op.event->modeled_ms_ = start;
+      span.flow_id = event_flow_id(op.event->uid_, op.event->generation_);
+      span.flow_out = true;
       cv_complete_.notify_all();
       break;
     }
     case Op::Kind::kEventWait: {
+      // Live, the scheduler held this op back until the event recorded;
+      // in a replay the captured order already encodes one legal
+      // interleaving, so the wait only maxes the modeled timeline.
       std::lock_guard lock(mu_);
-      span.ts_ms = s.modeled_ready_ms_;
-      s.modeled_ready_ms_ =
-          std::max(s.modeled_ready_ms_, op.event->modeled_ms_);
-      if (prof) {
-        span.kind = SpanKind::kEventWait;
-        span.name = "event wait";
-        // The stall the wait imposed on this stream's timeline.
-        span.dur_ms = s.modeled_ready_ms_ - span.ts_ms;
-        span.flow_id =
-            event_flow_id(op.event->uid_, op.event->generation_);
-      }
+      end = std::max(start, op.event->modeled_ms_);
+      span.dur_ms = end - start;  // the stall the wait imposed
+      span.flow_id = event_flow_id(op.event->uid_, op.event->generation_);
       break;
     }
-    case Op::Kind::kGraph: {
-      const Graph::ReplayExtent ext = op.graph->execute_on(s);
-      if (prof) {
-        span.kind = SpanKind::kGraph;
-        span.name = "graph replay";
-        span.ts_ms = ext.start_ms;
-        span.dur_ms = ext.end_ms - ext.start_ms;
-        // Destination of the previous replay's fence arrow: chained
-        // replays are visually linked across stream tracks.
-        span.flow_id = ext.chain_flow_id;
-        span.flow_out = false;
-      }
+    case Op::Kind::kGraph:
+      // Destination of the previous replay's fence arrow: chained
+      // replays are visually linked across stream tracks.
+      span.flow_id = op.graph->execute_on(s);
+      end = s.modeled_ready_ms_.load(std::memory_order_relaxed);
+      span.dur_ms = end - start;
       break;
-    }
   }
+  s.modeled_ready_ms_.store(end, std::memory_order_relaxed);
 
   if (prof) {
+    if (op.kind != Op::Kind::kKernel) {
+      span.kind = op.kind;
+      span.name = op_label(op);
+      span.bytes = op.bytes;
+      span.wall_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    }
+    span.ts_ms = start;
     span.track = s.id_ + 1;  // track 0 is the host-sync track
-    span.wall_ms = span.kind == SpanKind::kKernel
-                       ? span.wall_ms
-                       : std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    Profiler::instance().record(dev_, span);  // outside mu_: no lock nesting
+    Profiler::instance().record(dev_, std::move(span));  // outside mu_
   }
   // Complete the launch only once its span is recorded: a ticket waiter
   // may stop the profiler and dump the trace as soon as it wakes.
@@ -863,7 +848,7 @@ void StreamExecutor::synchronize_all() {
 double StreamExecutor::modeled_now_ms() const {
   std::lock_guard lock(mu_);
   double now = destroyed_streams_max_ms_;
-  for (const auto& sp : streams_) now = std::max(now, sp->modeled_ready_ms_);
+  for (const auto& sp : streams_) now = std::max(now, sp->modeled_ready_ms());
   return now;
 }
 

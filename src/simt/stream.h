@@ -19,6 +19,7 @@
 //    submitted ops into a simt::Graph for cheap replay (simt/graph.h).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -32,6 +33,7 @@
 
 #include "simt/kernel.h"
 #include "simt/memory.h"
+#include "simt/profiler.h"
 
 namespace simt {
 
@@ -59,7 +61,6 @@ class Event {
   friend class StreamExecutor;
   friend class Stream;
   friend class Device;
-  friend class Graph;
   explicit Event(StreamExecutor& ex);
 
   StreamExecutor& ex_;
@@ -74,15 +75,18 @@ class Event {
 /// executor's per-stream rings; during graph capture they are recorded
 /// into a simt::Graph instead and replayed from there.
 struct StreamOp {
-  enum class Kind : std::uint8_t {
-    kKernel, kMemcpy, kMemset, kHostFn, kEventRecord, kEventWait,
-    kAlloc, kFree, kGraph
-  };
+  /// Ops and their trace spans share one kind list.
+  using Kind = SpanKind;
   Kind kind = Kind::kKernel;
   // kernel
   LaunchParams params;
   KernelFn kernel;
   std::function<void(const LaunchRecord&)> on_complete;
+  /// Set on graph kernel nodes by Graph::instantiate, which resolved
+  /// `params` once and may have prebuilt the node's blocks (the cache
+  /// is then non-empty). Null on live ops, which the op step resolves
+  /// per launch.
+  const BlockCache* replay_blocks = nullptr;
   // memcpy / memset / alloc / free (alloc & free carry the block in
   // `dst` and its size in `bytes`; the memory work happened at enqueue
   // time — executing the op only advances the modeled timeline)
@@ -99,6 +103,11 @@ struct StreamOp {
   // graph replay
   Graph* graph = nullptr;
 };
+
+/// The name `op`'s trace span and graph node carry: the kernel's name,
+/// else a fixed label per kind ("memcpy H2D", "malloc_async (pooled)",
+/// "event wait", ...).
+[[nodiscard]] const char* op_label(const StreamOp& op);
 
 /// An ordered queue of device operations. Create via
 /// Device::create_stream(); Device::default_stream() always exists.
@@ -180,7 +189,9 @@ class Stream {
   Device& dev_;
   StreamExecutor& ex_;
   std::uint64_t id_;
-  double modeled_ready_ms_ = 0.0;   // guarded by executor mutex
+  /// Written only by the worker running this stream's op (one in flight
+  /// per stream); atomic so host readers need no executor lock.
+  std::atomic<double> modeled_ready_ms_{0.0};
   std::uint64_t submitted_ = 0;     // ops enqueued (executor mutex)
   std::uint64_t completed_ = 0;     // ops executed (executor mutex)
   bool inflight_ = false;           // a worker is executing this stream's
@@ -267,10 +278,17 @@ class StreamExecutor {
   /// already in flight, or nullptr.
   Stream* pick_ready_locked();
   [[nodiscard]] bool head_blocked_locked(const Stream& s) const;
-  void execute(Stream& s, Op& op);  // runs without the lock where possible
+  /// Live caller of run_op: the injected-stall site, then the step.
+  void execute(Stream& s, Op& op);
+  /// The one op step, shared by live execution and graph replay: runs
+  /// `op` on `s`'s modeled timeline (start at the stream's ready time,
+  /// advance it by the op's modeled cost), records the op's span, then
+  /// completes a kernel's on_complete — after the span, and with an
+  /// empty record if the kernel failed (the error is then rethrown).
+  void run_op(Stream& s, Op& op);
   /// Under lock: any queued (or in-flight) op referencing `ev`?
   [[nodiscard]] bool event_referenced_locked(const Event* ev) const;
-  /// Watchdog monitor: polls busy slots against simt::watchdog_ms().
+  /// Watchdog monitor: polls busy slots against simt::wall_watchdog_ms().
   void monitor_loop();
   void start_monitor_locked();
   /// Under lock: fails `slot`'s stream with TimeoutError, drains its

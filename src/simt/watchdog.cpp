@@ -1,5 +1,6 @@
 #include "simt/watchdog.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -24,6 +25,11 @@ void set_watchdog_ms(double ms) {
 
 double watchdog_ms() {
   return g_watchdog_ms.load(std::memory_order_relaxed);
+}
+
+double wall_watchdog_ms() {
+  const double budget = watchdog_ms();
+  return budget > 0.0 ? std::max(budget, kMinWallWatchdogMs) : 0.0;
 }
 
 }  // namespace simt

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -338,6 +339,154 @@ TEST_F(Async, GraphReplayMatchesRecapturedExecution) {
 
   ompx::free_on(dev, buf);
   dev.destroy_stream(s);
+}
+
+// Live vs replayed timeline. One mixed sequence — memset; H2D, D2D and
+// D2H copies; a direct and a cooperative kernel; malloc_async and
+// free_async; a host fn; an event recorded on stream A and waited on by
+// stream B — runs once submitted live and once, on fresh streams,
+// captured (A's part and B's part as one graph each) and replayed. Both
+// runs execute every op through the executor's one op step, so the
+// modeled timeline and every per-op span must agree exactly.
+struct MixedRun {
+  double ready_delta_a = 0.0;
+  double ready_delta_b = 0.0;
+  std::vector<simt::TraceSpan> spans;  ///< A's op spans, then B's
+  std::vector<int> out;                ///< what B copied back to the host
+};
+
+MixedRun run_mixed_sequence(simt::Device& dev, bool replay) {
+  constexpr std::size_t kInts = 256;
+  constexpr std::size_t kBytes = kInts * sizeof(int);
+  std::vector<int> in(kInts, 3);
+  MixedRun run;
+  run.out.assign(kInts, 0);
+  auto* d = static_cast<int*>(dev.memory().allocate(kBytes));
+  auto* d2 = static_cast<int*>(dev.memory().allocate(kBytes));
+  simt::Stream* a = dev.create_stream();
+  simt::Stream* b = dev.create_stream();
+  simt::Event* ev = dev.create_event();
+  int host_calls = 0;
+
+  simt::LaunchParams direct;
+  direct.grid = {2};
+  direct.block = {128};
+  direct.mode = simt::ExecMode::kDirect;
+  direct.name = "mixed_direct";
+  simt::LaunchParams coop;
+  coop.grid = {1};
+  coop.block = {64};
+  coop.name = "mixed_coop";
+  const auto part_a = [&] {
+    a->memset_async(d, 0, kBytes);
+    a->memcpy_async(d, in.data(), kBytes, simt::CopyKind::kHostToDevice);
+    a->launch(direct, [d] {
+      auto& t = simt::this_thread();
+      d[t.block_idx.x * 128 + t.flat_tid] += 1;
+    });
+    a->launch(coop, [d] {
+      auto& t = simt::this_thread();
+      const int v = d[t.flat_tid] + d[63 - t.flat_tid];
+      t.block->sync_threads(t);
+      d[t.flat_tid] = v;
+    });
+    a->memcpy_async(d2, d, kBytes, simt::CopyKind::kDeviceToDevice);
+    a->free_async(a->malloc_async(512));
+    a->host_fn([&host_calls] { ++host_calls; });
+    a->record(*ev);
+  };
+  const auto part_b = [&] {
+    b->wait(*ev);
+    b->memcpy_async(run.out.data(), d2, kBytes,
+                    simt::CopyKind::kDeviceToHost);
+  };
+
+  simt::Profiler::instance().reset();
+  std::unique_ptr<simt::Graph> ga, gb;
+  if (replay) {
+    a->begin_capture();
+    part_a();
+    ga = a->end_capture();
+    b->begin_capture();
+    part_b();
+    gb = b->end_capture();
+  }
+  const double a0 = a->modeled_ready_ms();
+  const double b0 = b->modeled_ready_ms();
+  simt::Profiler::instance().start();
+  if (replay) {
+    // A replayed wait does not block, so B's replay waits for A's here.
+    a->launch_graph(*ga);
+    a->synchronize();
+    b->launch_graph(*gb);
+  } else {
+    part_a();
+    part_b();
+  }
+  dev.synchronize();
+  simt::Profiler::instance().stop();
+  run.ready_delta_a = a->modeled_ready_ms() - a0;
+  run.ready_delta_b = b->modeled_ready_ms() - b0;
+  EXPECT_EQ(host_calls, 1);
+
+  // Per-op spans only: the replay's umbrella and fence spans have no
+  // live twin.
+  const std::vector<simt::TraceSpan> spans = simt::Profiler::instance().spans();
+  for (const simt::Stream* s : {a, b})
+    for (const simt::TraceSpan& sp : spans)
+      if (sp.track == s->id() + 1 && sp.kind != simt::SpanKind::kGraph)
+        run.spans.push_back(sp);
+  simt::Profiler::instance().reset();
+
+  ga.reset();
+  gb.reset();
+  dev.destroy_event(ev);
+  dev.destroy_stream(a);
+  dev.destroy_stream(b);
+  dev.memory().deallocate(d);
+  dev.memory().deallocate(d2);
+  return run;
+}
+
+TEST_F(Async, LiveAndReplayedTimelinesMatch) {
+  simt::Profiler::instance().stop();
+  simt::Device dev(simt::make_sim_a100_config());
+  const MixedRun live = run_mixed_sequence(dev, false);
+  const MixedRun replayed = run_mixed_sequence(dev, true);
+
+  std::vector<int> want(256, 4);
+  for (int i = 0; i < 64; ++i) want[i] = 8;
+  EXPECT_EQ(live.out, want);
+  EXPECT_EQ(replayed.out, want);
+
+  EXPECT_EQ(live.ready_delta_a, replayed.ready_delta_a);  // bit-equal
+  EXPECT_EQ(live.ready_delta_b, replayed.ready_delta_b);
+  ASSERT_EQ(live.spans.size(), 11u);
+  ASSERT_EQ(replayed.spans.size(), live.spans.size());
+  for (std::size_t i = 0; i < live.spans.size(); ++i) {
+    const simt::TraceSpan& l = live.spans[i];
+    const simt::TraceSpan& r = replayed.spans[i];
+    SCOPED_TRACE("span " + std::to_string(i) + " (" + l.name + ")");
+    EXPECT_EQ(r.kind, l.kind);
+    EXPECT_EQ(r.name, l.name);
+    EXPECT_EQ(r.ts_ms, l.ts_ms);
+    EXPECT_EQ(r.dur_ms, l.dur_ms);
+    EXPECT_EQ(r.bytes, l.bytes);
+    EXPECT_EQ(r.flow_out, l.flow_out);
+    EXPECT_GT(l.wall_ms, 0.0);
+    EXPECT_GT(r.wall_ms, 0.0);
+  }
+  // The flow link: in each run, B's wait consumes the arrow A's record
+  // emitted.
+  for (const MixedRun* run : {&live, &replayed}) {
+    std::uint64_t record_flow = 0, wait_flow = 0;
+    for (const simt::TraceSpan& sp : run->spans) {
+      if (sp.kind == simt::SpanKind::kEventRecord) record_flow = sp.flow_id;
+      if (sp.kind == simt::SpanKind::kEventWait) wait_flow = sp.flow_id;
+    }
+    EXPECT_NE(record_flow, 0u);
+    EXPECT_EQ(wait_flow, record_flow);
+  }
 }
 
 TEST_F(Async, GraphNodeEnumerationTwoCallIdiom) {

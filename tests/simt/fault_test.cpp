@@ -258,4 +258,34 @@ TEST(FaultWatchdog, ModeledOverrunReportsTimeout) {
   (void)klGetLastError();
 }
 
+// The modeled budget binds replayed kernels too: a captured kernel
+// modeled at ~2.3e6 ms fails its replay against a 1000 ms budget
+// exactly as the live launch would. (The budget is large on purpose:
+// the same value arms the wall-clock monitor, and a budget above its
+// 100 ms floor keeps the test clear of it.)
+TEST(FaultWatchdog, ReplayedModeledOverrunReportsTimeout) {
+  using namespace kl;
+  ASSERT_EQ(klSetDevice(0), klSuccess);
+  klStream_t s = nullptr;
+  ASSERT_EQ(klStreamCreate(&s), klSuccess);
+  KernelAttrs attrs;
+  attrs.name = "watchdog_replayed_overrun";
+  attrs.cost.flops_per_thread = 1e12;
+  ASSERT_EQ(klStreamBeginCapture(s), klSuccess);
+  ASSERT_EQ(launch({1}, {32}, 0, s, attrs, [] {}), klSuccess);
+  klGraph_t g = nullptr;
+  ASSERT_EQ(klStreamEndCapture(s, &g), klSuccess);
+  ASSERT_EQ(klSetWatchdogMs(1000.0), klSuccess);
+  const klError launch_err = klGraphLaunch(g, s);
+  const klError sync_err = klStreamSynchronize(s);
+  ASSERT_EQ(klSetWatchdogMs(0.0), klSuccess);
+  EXPECT_EQ(launch_err, klSuccess);
+  EXPECT_EQ(sync_err, klErrorTimeout);
+  // Per replay, not stream poison: the stream keeps working.
+  EXPECT_EQ(klStreamSynchronize(s), klSuccess);
+  EXPECT_EQ(klGraphDestroy(g), klSuccess);
+  EXPECT_EQ(klStreamDestroy(s), klSuccess);
+  (void)klGetLastError();
+}
+
 }  // namespace

@@ -283,23 +283,42 @@ TEST_F(ProfilerTest, StreamOpsLandOnStreamTracks) {
 }
 
 // A launch completes only after its span is recorded, so a ticket
-// waiter that stops the profiler and dumps right away sees the kernel.
+// waiter that stops the profiler and dumps right away sees the kernel —
+// whether the launch runs live or as a node of a graph replay.
 TEST_F(ProfilerTest, StreamKernelSpanIsRecordedBeforeCompletion) {
-  simt::Device dev(simt::make_sim_a100_config());
-  simt::Stream* s = dev.create_stream();
-  simt::Profiler::instance().start();
-  bool span_seen = false;
-  s->launch(params("record_then_complete", 2, 32), [] {},
-            [&](const simt::LaunchRecord& rec) {
-              for (const simt::TraceSpan& sp :
-                   simt::Profiler::instance().spans())
-                if (sp.kind == simt::SpanKind::kKernel && sp.name == rec.name)
-                  span_seen = true;
-            });
-  s->synchronize();
-  simt::Profiler::instance().stop();
-  EXPECT_TRUE(span_seen);
-  dev.destroy_stream(s);
+  for (const bool replay : {false, true}) {
+    SCOPED_TRACE(replay ? "graph replay" : "live launch");
+    simt::Profiler::instance().reset();
+    simt::Device dev(simt::make_sim_a100_config());
+    simt::Stream* s = dev.create_stream();
+    bool span_seen = false;
+    const auto launch = [&] {
+      s->launch(params("record_then_complete", 2, 32), [] {},
+                [&](const simt::LaunchRecord& rec) {
+                  for (const simt::TraceSpan& sp :
+                       simt::Profiler::instance().spans())
+                    if (sp.kind == simt::SpanKind::kKernel &&
+                        sp.name == rec.name)
+                      span_seen = true;
+                });
+    };
+    std::unique_ptr<simt::Graph> graph;
+    if (replay) {
+      s->begin_capture();
+      launch();
+      graph = s->end_capture();
+    }
+    simt::Profiler::instance().start();
+    if (replay)
+      s->launch_graph(*graph);
+    else
+      launch();
+    s->synchronize();
+    simt::Profiler::instance().stop();
+    EXPECT_TRUE(span_seen);
+    graph.reset();
+    dev.destroy_stream(s);
+  }
 }
 
 TEST_F(ProfilerTest, EventRecordAndWaitShareAFlowId) {
