@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <semaphore>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -25,10 +27,8 @@ namespace {
 
 // Fiber stacks are recycled per OS thread (FiberStackPool is not
 // thread-safe by design — a block and its fibers live on one thread).
-std::atomic<std::size_t> g_fiber_stack_bytes{FiberStackPool::kDefaultStackSize};
-
 FiberStackPool& thread_stack_pool() {
-  thread_local FiberStackPool pool(g_fiber_stack_bytes.load());
+  thread_local FiberStackPool pool(FiberStackPool::kDefaultStackSize);
   return pool;
 }
 
@@ -40,6 +40,158 @@ FiberPool& thread_fiber_pool() {
   thread_local FiberPool pool(thread_stack_pool());
   return pool;
 }
+
+// --- persistent block-worker pool ----------------------------------------
+
+/// One launch's blocks, shared by its participants: each pulls chunks
+/// off `next`, then folds in its counters and error (a helper under the
+/// pool lock, the launcher after every helper has left).
+struct BlockJob {
+  Device& dev;
+  const LaunchParams& params;
+  const KernelFn& kernel;
+  std::uint64_t nblocks;
+  std::uint64_t chunk;
+  LaunchStats stats;  ///< the launch header, then every participant's share
+  std::exception_ptr error{};
+  std::uint64_t id = 0;   ///< unique per post
+  unsigned open = 0;      ///< helpers that may still join
+  unsigned reserved = 0;  ///< of those, helpers woken for it, still waking
+  unsigned running = 0;   ///< helpers that joined and have not folded
+  std::condition_variable drained{};
+  std::atomic<std::uint64_t> next{0};
+
+  /// Runs chunks until none are left. A throwing block drains the queue
+  /// (fail fast); the exception is returned, not thrown.
+  std::exception_ptr run(LaunchStats& acc) {
+    try {
+      for (bool first = true;; first = false) {
+        const std::uint64_t b0 =
+            next.fetch_add(chunk, std::memory_order_relaxed);
+        if (b0 >= nblocks) return nullptr;
+        if (!first) acc.sched_steals++;
+        for (std::uint64_t b = b0; b < std::min(nblocks, b0 + chunk); ++b) {
+          BlockState block(dev, params, block_id(params, b), kernel,
+                           thread_fiber_pool());
+          block.run();
+          acc += block.counters();
+        }
+      }
+    } catch (...) {
+      next.store(nblocks, std::memory_order_relaxed);
+      return std::current_exception();
+    }
+  }
+
+  void fold(const LaunchStats& acc, std::exception_ptr err) {
+    stats += acc;
+    if (err && !error) error = std::move(err);
+  }
+};
+
+/// The process-wide pool every multi-block launch fans out over. The
+/// launching thread posts its job and runs chunks too; once they run
+/// out it closes the job and waits only for helpers that already
+/// joined, which run nothing but this job's blocks, so concurrent and
+/// nested launches cannot deadlock. Helpers are spawned on demand, up
+/// to the largest `workers - 1` asked for, and never exit, so their
+/// thread_local fiber caches stay warm; the idle helpers that ran
+/// blocks most recently are woken first.
+class BlockPool {
+ public:
+  static BlockPool& instance() {
+    static BlockPool* pool = new BlockPool;  // leaked, like the devices
+    return *pool;                            // whose launches use it
+  }
+
+  /// Runs `job` on the calling thread and up to `helpers` pool threads.
+  void run(BlockJob& job, unsigned helpers) {
+    if (helpers > 0) post(job, helpers);
+    LaunchStats acc;
+    std::exception_ptr err = job.run(acc);
+    if (helpers > 0) {
+      std::unique_lock lock(mu_);
+      if (job.open > 0) std::erase(jobs_, &job);
+      job.drained.wait(lock, [&] { return job.running == 0; });
+    }
+    job.fold(acc, std::move(err));  // every helper has folded and left
+    if (job.error) std::rethrow_exception(job.error);
+  }
+
+ private:
+  struct Helper {
+    std::binary_semaphore wake{0};  ///< released when taken off idle_
+    std::uint64_t job = 0;          ///< id of the job it was woken for
+    std::thread thread;
+  };
+
+  void post(BlockJob& job, unsigned helpers) {
+    std::lock_guard lock(mu_);
+    job.id = ++last_id_;
+    job.open = helpers;
+    const auto reserve = [&](Helper* h) {
+      h->job = job.id;
+      ++job.reserved;
+    };
+    while (all_.size() < helpers) {  // before publishing: spawn may throw
+      Helper* h = all_.emplace_back(std::make_unique<Helper>()).get();
+      reserve(h);
+      h->thread = std::thread([this, h] { helper_loop(*h); });
+    }
+    jobs_.push_back(&job);
+    for (; job.reserved < helpers && !idle_.empty(); idle_.pop_back()) {
+      reserve(idle_.back());
+      idle_.back()->wake.release();
+    }
+  }
+
+  void helper_loop(Helper& h) {
+    std::unique_lock lock(mu_);
+    bool ran = false;
+    for (;;) {
+      // Join the job it was woken for, else any job with a slot that no
+      // woken helper is on its way to: a late wakeup never takes the
+      // place of a warm helper a later launch woke.
+      BlockJob* job = nullptr;
+      for (BlockJob* j : jobs_) {
+        if (j->id == h.job) {
+          --j->reserved;
+          job = j;
+          break;
+        }
+        if (job == nullptr && j->open > j->reserved) job = j;
+      }
+      h.job = 0;
+      if (job == nullptr) {
+        // A helper that just ran blocks goes on top, so the next launch
+        // wakes the warmest caches first.
+        idle_.insert(ran ? idle_.end() : idle_.begin(), &h);
+        ran = false;
+        lock.unlock();
+        h.wake.acquire();
+        lock.lock();
+        continue;
+      }
+      if (--job->open == 0) std::erase(jobs_, job);
+      ++job->running;
+      lock.unlock();
+      LaunchStats acc;
+      std::exception_ptr err = job->run(acc);
+      lock.lock();
+      ran = true;
+      job->fold(acc, std::move(err));
+      // Under the lock: the job lives on its launcher's stack and may
+      // be gone as soon as the launcher sees running == 0.
+      if (--job->running == 0) job->drained.notify_one();
+    }
+  }
+
+  std::mutex mu_;  // guards the members below and posted jobs' counts
+  std::uint64_t last_id_ = 0;
+  std::vector<std::unique_ptr<Helper>> all_;
+  std::vector<Helper*> idle_;    ///< back = ran blocks most recently
+  std::vector<BlockJob*> jobs_;  ///< open jobs, oldest first
+};
 
 // --- lane-execution policy + per-kernel hint registry --------------------
 
@@ -105,46 +257,12 @@ const char* exec_mode_name(ExecMode mode, LaneExec lane_exec) {
   return lane_exec == LaneExec::kConvergent ? "convergent" : "fiber";
 }
 
-LaneExec Device::resolve_lane_exec(const LaunchParams& params) const {
-  // The lane loop is an optimization of the ready-queue cooperative
-  // scheduler only: direct mode already runs plain calls, and the
-  // legacy sweep allocates fibers eagerly by design.
-  if (params.mode != ExecMode::kCooperative ||
-      opts_.scheduler != BlockScheduler::kReadyQueue)
-    return LaneExec::kFiber;
-  // Precedence: per-launch request > device options > OMPX_EXEC policy.
-  LaneExec want = params.lane_exec;
-  if (want == LaneExec::kDefault) want = opts_.lane_exec;
-  if (want == LaneExec::kDefault) {
-    switch (exec_policy()) {
-      case ExecPolicy::kFiber: return LaneExec::kFiber;
-      case ExecPolicy::kConvergent: want = LaneExec::kConvergent; break;
-      case ExecPolicy::kAuto:
-        // Conservative default: only kernels hinted convergent take the
-        // lane loop; everything unhinted keeps the proven fiber path.
-        want = exec_hint(params.name).convergent ? LaneExec::kConvergent
-                                                 : LaneExec::kFiber;
-        break;
-    }
-  }
-  if (want == LaneExec::kConvergent && exec_hint(params.name).needs_fibers) {
-    // Known (declared or learned) to hit a collective: the convergent
-    // probe would deflate and replay its prefix — skip straight to
-    // fibers. Same results either way; this is the parity fast path.
-    return LaneExec::kFiber;
-  }
-  return want;
-}
-
 Device::Device(DeviceConfig cfg, EngineOptions opts)
     : cfg_(std::move(cfg)), opts_(opts),
       mem_(std::make_unique<DeviceMemory>(cfg_.global_mem_bytes)),
       cmem_(std::make_unique<DeviceMemory>(cfg_.const_mem_bytes)),
       pool_(std::make_unique<StreamMemPool>(*mem_)),
-      exec_(std::make_unique<StreamExecutor>(*this)) {
-  if (opts_.fiber_stack_bytes != 0)
-    g_fiber_stack_bytes.store(opts_.fiber_stack_bytes);
-}
+      exec_(std::make_unique<StreamExecutor>(*this)) {}
 
 Device::~Device() {
   // Stop the stream workers first (an abandoned capture's graph-owned
@@ -247,10 +365,37 @@ void Device::resolve_launch(LaunchParams& params) const {
   validate(params);
   // Stamp the resolved lane-execution mode once per launch; every block
   // of this launch (and the record/trace span) sees the same decision.
-  params.lane_exec = resolve_lane_exec(params);
-  if (params.lane_exec == LaneExec::kConvergent &&
-      exec_hint(params.name).atomics_ok)
-    params.inline_atomics = true;
+  LaneExec want = params.lane_exec;
+  params.lane_exec = LaneExec::kFiber;
+  // The lane loop is an optimization of the ready-queue cooperative
+  // scheduler only: direct mode already runs plain calls, and the
+  // legacy sweep allocates fibers eagerly by design.
+  if (params.mode != ExecMode::kCooperative ||
+      opts_.scheduler != BlockScheduler::kReadyQueue)
+    return;
+  // Precedence: per-launch request > device options > OMPX_EXEC policy.
+  if (want == LaneExec::kDefault) want = opts_.lane_exec;
+  bool hinted_only = false;
+  if (want == LaneExec::kDefault) {
+    switch (exec_policy()) {
+      case ExecPolicy::kFiber: return;
+      case ExecPolicy::kConvergent: want = LaneExec::kConvergent; break;
+      case ExecPolicy::kAuto:
+        // Conservative default: only kernels hinted convergent take the
+        // lane loop; everything unhinted keeps the proven fiber path.
+        want = LaneExec::kConvergent;
+        hinted_only = true;
+        break;
+    }
+  }
+  if (want != LaneExec::kConvergent) return;
+  const ExecHint hint = exec_hint(params.name);  // the launch's one lookup
+  // A kernel known (declared or learned) to hit a collective would
+  // deflate and replay its prefix — skip straight to fibers. Same
+  // results either way; this is the parity fast path.
+  if ((hinted_only && !hint.convergent) || hint.needs_fibers) return;
+  params.lane_exec = LaneExec::kConvergent;
+  if (hint.atomics_ok) params.inline_atomics = true;
 }
 
 double Device::run_resolved(const LaunchParams& params, const KernelFn& kernel,
@@ -315,66 +460,25 @@ LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
 
 LaunchStats Device::run_blocks(const LaunchParams& params,
                                const KernelFn& kernel) {
-  LaunchStats stats = launch_header(params);
   const std::uint64_t nblocks = params.grid.count();
   const unsigned workers = std::max(
       1u, opts_.workers != 0 ? opts_.workers
                              : std::thread::hardware_concurrency());
-  auto run_range = [&](std::uint64_t begin, std::uint64_t end,
-                       LaunchStats& acc) {
-    for (std::uint64_t b = begin; b < end; ++b) {
-      BlockState block(*this, params, block_id(params, b), kernel,
-                       thread_fiber_pool());
-      block.run();
-      acc += block.counters();
-    }
-  };
-  if (workers == 1 || nblocks < 2) {
-    run_range(0, nblocks, stats);
-  } else {
-    // Blocks are independent (CUDA semantics: no inter-block ordering),
-    // so workers pull chunks from a shared atomic queue instead of a
-    // static partition: an irregular block (XSBench/RSBench lookups)
-    // delays only its own chunk while idle workers keep stealing the
-    // rest. Results are identical for any worker count or chunk size;
-    // per-worker counter accumulators are merged at join so stats stay
-    // exact. Exceptions drain the queue (fail fast) and propagate.
-    const unsigned n = static_cast<unsigned>(
-        std::min<std::uint64_t>(workers, nblocks));
-    const std::uint64_t chunk =
-        opts_.steal_chunk_blocks != 0
-            ? opts_.steal_chunk_blocks
-            : std::max<std::uint64_t>(1, nblocks / (8ull * n));
-    std::atomic<std::uint64_t> next{0};
-    std::vector<LaunchStats> accs(n);
-    std::vector<std::exception_ptr> errs(n);
-    std::vector<std::thread> pool;
-    pool.reserve(n);
-    for (unsigned w = 0; w < n; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          bool first = true;
-          for (;;) {
-            const std::uint64_t b0 =
-                next.fetch_add(chunk, std::memory_order_relaxed);
-            if (b0 >= nblocks) break;
-            if (!first) accs[w].sched_steals++;
-            first = false;
-            run_range(b0, std::min(nblocks, b0 + chunk), accs[w]);
-          }
-        } catch (...) {
-          errs[w] = std::current_exception();
-          next.store(nblocks, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-    for (unsigned w = 0; w < n; ++w) {
-      if (errs[w]) std::rethrow_exception(errs[w]);
-      stats += accs[w];
-    }
-  }
-  return stats;
+  // Blocks are independent (CUDA semantics: no inter-block ordering),
+  // so participants pull chunks from a shared atomic queue instead of a
+  // static partition: an irregular block (XSBench/RSBench lookups)
+  // delays only its own chunk while the others keep stealing the rest.
+  // Results are identical for any worker count or chunk size.
+  const unsigned n =
+      static_cast<unsigned>(std::min<std::uint64_t>(workers, nblocks));
+  const std::uint64_t chunk =
+      n == 1 ? nblocks
+      : opts_.steal_chunk_blocks != 0
+          ? opts_.steal_chunk_blocks
+          : std::max<std::uint64_t>(1, nblocks / (8ull * n));
+  BlockJob job{*this, params, kernel, nblocks, chunk, launch_header(params)};
+  BlockPool::instance().run(job, n - 1);
+  return job.stats;
 }
 
 std::uint32_t split_extent(const Dim3& grid) {
@@ -494,19 +598,19 @@ LaunchRecord Device::last_launch() const {
 void Device::append_launch_record(const LaunchRecord& rec) {
   std::lock_guard lock(log_mu_);
   log_.push_back(rec);
+  kernel_ms_total_ += rec.time.total_ms;
 }
 
 void Device::clear_launch_log() {
   std::lock_guard lock(log_mu_);
   log_.clear();
+  kernel_ms_total_ = 0.0;
   transfer_ms_total_ = 0.0;
 }
 
 double Device::modeled_kernel_ms_total() const {
   std::lock_guard lock(log_mu_);
-  double sum = 0.0;
-  for (const auto& r : log_) sum += r.time.total_ms;
-  return sum;
+  return kernel_ms_total_;
 }
 
 double Device::modeled_now_ms() const { return exec_->modeled_now_ms(); }

@@ -105,12 +105,13 @@ const char* exec_mode_name(ExecMode mode, LaneExec lane_exec);
 
 /// Engine-wide execution options (host-side knobs, not device model).
 struct EngineOptions {
-  /// OS worker threads used to execute blocks. Defaults to the host's
-  /// hardware concurrency (>= 1). Simulation results are identical for
-  /// any value; only host wall time changes.
+  /// OS threads that run one launch's blocks: the launching thread
+  /// plus up to `workers - 1` helpers from the process-wide persistent
+  /// block-worker pool, which grows to the largest `workers - 1` any
+  /// device asks for. Defaults to the host's hardware concurrency
+  /// (>= 1); 1 runs every block on the launching thread. Simulation
+  /// results are identical for any value; only host wall time changes.
   unsigned workers = 0;
-  /// Fiber stack size per simulated GPU thread (0 = pool default).
-  std::size_t fiber_stack_bytes = 0;
   /// Cooperative block scheduler (results identical either way).
   BlockScheduler scheduler = BlockScheduler::kReadyQueue;
   /// Blocks grabbed per atomic fetch of the work-stealing launch queue
@@ -289,11 +290,10 @@ class Device {
   friend class Graph;
 
   void validate(const LaunchParams& params) const;
-  /// Resolves a launch's LaneExec request (per-launch > engine options
-  /// > OMPX_EXEC policy + hint registry) to kFiber or kConvergent.
-  [[nodiscard]] LaneExec resolve_lane_exec(const LaunchParams& params) const;
-  /// Per-launch setup, in place: validates `params`, then stamps the
-  /// resolved lane-execution mode and inline atomics. Live launches pay
+  /// Per-launch setup, in place: validates `params`, then resolves its
+  /// LaneExec request (per-launch > engine options > OMPX_EXEC policy +
+  /// hint registry) to kFiber or kConvergent and stamps it and inline
+  /// atomics, with at most one hint-registry lookup. Live launches pay
   /// it on every launch; graph kernel nodes once, at instantiate.
   void resolve_launch(LaunchParams& params) const;
   /// The one run -> model -> watchdog -> record path for a resolved
@@ -306,8 +306,9 @@ class Device {
   /// params.log. Returns the modeled duration.
   double run_resolved(const LaunchParams& params, const KernelFn& kernel,
                       const BlockCache* cached, LaunchRecord* rec);
-  /// The block-execution core (grid fan-out over the work-stealing
-  /// launch pool, folded counters).
+  /// The block-execution core: the grid's blocks, in work-stealing
+  /// chunks, on the calling thread and the persistent block-worker
+  /// pool, with every participant's counters folded in.
   [[nodiscard]] LaunchStats run_blocks(const LaunchParams& params,
                                        const KernelFn& kernel);
 
@@ -321,6 +322,7 @@ class Device {
 
   mutable std::mutex log_mu_;
   std::vector<LaunchRecord> log_;
+  double kernel_ms_total_ = 0.0;  ///< running sum over log_, in log order
   double transfer_ms_total_ = 0.0;
 
   mutable std::mutex peers_mu_;

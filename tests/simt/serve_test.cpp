@@ -57,6 +57,36 @@ void expect_same_modeled_stats(const simt::LaunchStats& a,
   EXPECT_EQ(a.spill_in_shared, b.spill_in_shared);
 }
 
+TEST(ServeBasic, ModeledKernelTotalIsTheLogSum) {
+  // The running total must equal a re-sum of the log in log order, bit
+  // for bit, whichever path appended each record.
+  simt::Device& dev = simt::sim_a100();
+  dev.synchronize();
+  dev.clear_launch_log();
+  Server server;
+  server.set_quantum_blocks(8);  // serve launches append combined records
+  ClientContext* c = server.create_client(&dev);
+  const simt::KernelFn body = [] {
+    auto& t = simt::this_thread();
+    t.block->sync_threads(t);
+  };
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    (void)dev.launch_sync(grid1d(3 + i, 64, "total_sync"), body);
+    dev.default_stream().launch(grid1d(2 + i, 32, "total_stream"), body);
+    (void)c->launch(grid1d(20 + i, 64, "total_serve"), body);
+  }
+  dev.synchronize();
+  const std::vector<simt::LaunchRecord> log = dev.launch_log();
+  ASSERT_EQ(log.size(), 18u);
+  double resum = 0.0;
+  for (const simt::LaunchRecord& r : log) resum += r.time.total_ms;
+  EXPECT_GT(resum, 0.0);
+  EXPECT_EQ(dev.modeled_kernel_ms_total(), resum);
+  dev.clear_launch_log();
+  EXPECT_EQ(dev.modeled_kernel_ms_total(), 0.0);
+  server.destroy_client(c);
+}
+
 TEST(ServeBasic, LaunchRunsFullGridAndCombinesRecord) {
   Server server;
   server.set_quantum_blocks(4);  // eight chunks of four blocks

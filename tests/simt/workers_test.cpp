@@ -1,9 +1,19 @@
 // Multi-worker block execution: results and statistics are identical
-// for any worker count (blocks are independent, CUDA semantics).
+// for any worker count (blocks are independent, CUDA semantics), and
+// the persistent block-worker pool behind it stays bounded, shares
+// itself between concurrent launchers, survives throwing blocks, and
+// keeps its threads' fiber caches warm across launches.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "simt/atomics.h"
@@ -81,5 +91,166 @@ TEST_P(WorkerSweep, ExceptionsPropagateFromAnyWorker) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerSweep,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+// --- the persistent block-worker pool -------------------------------------
+
+std::size_t process_threads() {
+  namespace fs = std::filesystem;
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator{}));
+}
+
+/// Spins until `done()` holds, for at most ten seconds (a broken pool
+/// then fails the test's assertions instead of hanging it).
+template <typename Pred>
+void spin_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
+TEST(BlockPool, ProcessThreadCountStaysBounded) {
+  // Launches on a 2-worker and a 6-worker device share one pool of at
+  // most 6 - 1 helpers; nothing is spawned per launch.
+  Device two = make_dev(2);
+  Device six = make_dev(6);
+  const std::size_t before = process_threads();
+  std::atomic<std::size_t> peak{before};
+  LaunchParams lp;
+  lp.grid = {12};
+  lp.block = {32};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "pool_thread_count";
+  const KernelFn sample = [&] {
+    if (this_thread().flat_tid != 0) return;
+    const std::size_t now = process_threads();
+    std::size_t seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  };
+  for (int i = 0; i < 500; ++i)
+    (void)(i % 2 == 0 ? two : six).launch_sync(lp, sample);
+  EXPECT_LE(peak.load(), before + 5);
+  EXPECT_LE(process_threads(), before + 5);
+}
+
+TEST(BlockPool, ConcurrentLaunchersGetExactOutputsAndStats) {
+  Device dev = make_dev(4);
+  constexpr std::uint32_t kBlocks = 37, kThreads = 64;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> hosts;
+  for (std::uint64_t h = 0; h < 4; ++h) {
+    hosts.emplace_back([&, h] {
+      std::vector<std::uint64_t> out(kBlocks * kThreads);
+      for (int it = 0; it < 25; ++it) {
+        std::fill(out.begin(), out.end(), 0);
+        LaunchParams lp;
+        lp.grid = {kBlocks};
+        lp.block = {kThreads};
+        lp.name = "pool_concurrent";
+        const LaunchRecord rec =
+            dev.launch_sync(lp, [p = out.data(), h] {
+              auto& t = this_thread();
+              const std::uint64_t flat =
+                  t.grid_dim.linear(t.block_idx) * t.block_dim.count() +
+                  t.flat_tid;
+              t.block->sync_threads(t);
+              p[flat] = flat * 4 + h;
+            });
+        for (std::uint64_t i = 0; i < out.size(); ++i)
+          if (out[i] != i * 4 + h) mismatches.fetch_add(1);
+        if (rec.stats.blocks != kBlocks ||
+            rec.stats.threads != kBlocks * kThreads ||
+            rec.stats.block_barriers != kBlocks)
+          mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : hosts) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(BlockPool, HelperExceptionPropagatesEveryTime) {
+  Device dev = make_dev(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  LaunchParams lp;
+  lp.grid = {16};
+  lp.block = {1};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "pool_helper_throw";
+  for (int i = 0; i < 100; ++i) {
+    // Blocks on the launching thread wait until a helper has thrown,
+    // so every launch fails on a pool thread.
+    std::atomic<bool> thrown{false};
+    EXPECT_THROW(dev.launch_sync(lp,
+                                 [&] {
+                                   if (std::this_thread::get_id() != caller) {
+                                     thrown.store(true);
+                                     throw std::runtime_error("helper");
+                                   }
+                                   spin_until([&] { return thrown.load(); });
+                                 }),
+                 std::runtime_error)
+        << "launch " << i;
+  }
+  std::atomic<int> n{0};
+  lp.grid = {64};
+  dev.launch_sync(lp, [&] { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 64);
+}
+
+TEST(BlockPool, OneWorkerRunsEveryBlockOnTheCaller) {
+  Device dev = make_dev(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  LaunchParams lp;
+  lp.grid = {32};
+  lp.block = {8};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "pool_one_worker";
+  const LaunchRecord rec = dev.launch_sync(lp, [&] {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+  EXPECT_EQ(rec.stats.blocks, 32u);
+}
+
+TEST(BlockPool, SecondFiberLaunchCreatesNoFibers) {
+  Device dev = make_dev(4);
+  LaunchParams lp;
+  lp.grid = {16};
+  lp.block = {256};
+  lp.lane_exec = LaneExec::kFiber;
+  lp.name = "pool_warm_fibers";
+  std::mutex mu;
+  std::set<std::thread::id> ran;
+  bool rendezvous = true;
+  const auto distinct = [&] {
+    std::lock_guard lock(mu);
+    return ran.size();
+  };
+  const KernelFn kernel = [&] {
+    auto& t = this_thread();
+    if (rendezvous && t.flat_tid == 0) {
+      // Hold the first launch until all four OS threads (the caller and
+      // three helpers) run a block, so each has filled its fiber cache.
+      {
+        std::lock_guard lock(mu);
+        ran.insert(std::this_thread::get_id());
+      }
+      spin_until([&] { return distinct() >= 4; });
+    }
+    t.block->sync_threads(t);
+  };
+  const LaunchRecord first = dev.launch_sync(lp, kernel);
+  ASSERT_EQ(distinct(), 4u);
+  EXPECT_GT(first.stats.fibers_created, 0u);
+  rendezvous = false;
+  const LaunchRecord second = dev.launch_sync(lp, kernel);
+  EXPECT_EQ(second.stats.fibers_created, 0u);
+  EXPECT_EQ(second.stats.block_barriers, 16u);
+}
+
 
 }  // namespace
