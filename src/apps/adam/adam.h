@@ -20,6 +20,8 @@ struct Options {
   float beta1 = 0.9f;
   float beta2 = 0.999f;
   float eps = 1e-8f;
+
+  bool operator==(const Options&) const = default;
 };
 
 struct SimulationData {

@@ -16,6 +16,8 @@ struct Options {
   int n_data = 4096;     ///< scattered data points
   int n_query = 4096;    ///< interpolated points
   int tile = 256;        ///< shared-memory tile = block size
+
+  bool operator==(const Options&) const = default;
 };
 
 struct SimulationData {

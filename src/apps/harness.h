@@ -9,7 +9,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simt/simt.h"
@@ -59,6 +61,24 @@ RunResult run_cell(const AppDesc& app, Version v, simt::Device& dev);
 
 /// Utility: sum of modeled kernel time currently in the device log.
 double modeled_kernel_ms(simt::Device& dev);
+
+/// An app's host reference value for `opt`: `compute()` runs on the
+/// first call with an equal `opt` (the full Options value is the key)
+/// and its result is reused for the rest of the process. Every cell
+/// still checks its own device result against it; the memo only spares
+/// recomputing the same host reference cell after cell. The lock is
+/// held across compute() so each reference is computed exactly once.
+template <typename Options, typename Compute>
+std::uint64_t memo_reference(const Options& opt, Compute&& compute) {
+  static std::mutex mu;
+  static std::vector<std::pair<Options, std::uint64_t>> memo;
+  std::lock_guard lock(mu);
+  for (const auto& [key, ref] : memo)
+    if (key == opt) return ref;
+  const std::uint64_t ref = compute();
+  memo.emplace_back(opt, ref);
+  return ref;
+}
 
 /// Deterministic 64-bit mix (splitmix64) used by app RNGs and hashes.
 constexpr std::uint64_t mix64(std::uint64_t x) {

@@ -20,6 +20,8 @@ struct Options {
   int n_mats = 12;
   int max_nucs_per_mat = 12;
   std::int64_t lookups = 20000;
+
+  bool operator==(const Options&) const = default;
 };
 
 /// One windowed-multipole pole (the RSBench Pole struct).

@@ -18,6 +18,8 @@ inline constexpr int kBlock = 256;
 struct Options {
   std::int64_t n = 1 << 20;  ///< elements (paper: 2^27, scaled)
   int iterations = 8;        ///< repetitions (paper: 1000, scaled)
+
+  bool operator==(const Options&) const = default;
 };
 
 struct SimulationData {

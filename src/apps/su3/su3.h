@@ -23,6 +23,8 @@ struct Options {
   int lattice_sites = 32768;  ///< paper: 32^4 = 1,048,576 (scaled)
   int iterations = 10;        ///< paper: 1000 (scaled)
   int threads_per_block = 128;  ///< the -t 128 CLI argument
+
+  bool operator==(const Options&) const = default;
 };
 
 struct SimulationData {

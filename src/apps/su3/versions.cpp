@@ -189,7 +189,8 @@ std::uint64_t reference_checksum(const SimulationData& d) {
 
 RunResult run(Version v, simt::Device& dev, const Options& opt) {
   const SimulationData d = make_data(opt);
-  const std::uint64_t ref = reference_checksum(d);
+  const std::uint64_t ref =
+      memo_reference(opt, [&] { return reference_checksum(d); });
   dev.clear_launch_log();
   RunResult r;
   r.app = "SU3";

@@ -245,7 +245,8 @@ std::uint64_t run_omp(const SimulationData& d, simt::Device& dev) {
 
 RunResult run(Version v, simt::Device& dev, const Options& opt) {
   const SimulationData d = make_data(opt);
-  const std::uint64_t ref = reference_hash(d);
+  const std::uint64_t ref =
+      memo_reference(opt, [&] { return reference_hash(d); });
 
   dev.clear_launch_log();
   RunResult r;

@@ -24,6 +24,8 @@ struct Options {
   /// cooperative to prove the analyzer's convergent verdict routes the
   /// kernel onto the lane-loop fast path.
   simt::ExecMode mode = simt::ExecMode::kDirect;
+
+  bool operator==(const Options&) const = default;
 };
 
 /// Flattened simulation data (SoA, as XSBench lays it out).

@@ -32,12 +32,11 @@ void TeamCtx::parallel(int nthreads, const ParallelFn& body) {
   const int team_threads = team_size();
   ts_.par_nthreads =
       nthreads <= 0 ? team_threads : std::min(nthreads, team_threads);
-  ts_.work = &body;
-  main_.block->counters_.parallel_handshakes++;
-  main_.block->sync_threads(main_);  // release workers into the region
-  body(0);                           // main participates as thread 0
-  main_.block->sync_threads(main_);  // join barrier
-  ts_.work = nullptr;
+  simt::BlockState& block = *main_.block;
+  block.counters_.parallel_handshakes++;
+  block.count_barrier();  // release workers into the region
+  block.run_lanes(main_, static_cast<std::uint32_t>(ts_.par_nthreads), body);
+  block.count_barrier();  // join barrier
 }
 
 void TeamCtx::parallel_for(std::int64_t lb, std::int64_t ub,
@@ -126,28 +125,20 @@ void* TeamCtx::groupprivate(std::size_t bytes, std::size_t align) {
 simt::KernelFn make_generic_kernel(TeamFn team_body) {
   return [team_body = std::move(team_body)] {
     auto& t = simt::this_thread();
-    // The team state block lives in shared memory (like the LLVM device
-    // runtime's state); the shared_alloc funnel hands every thread the
-    // same pointer.
-    auto* ts = static_cast<TeamState*>(
-        t.block->shared_alloc(t, sizeof(TeamState), alignof(TeamState)));
-    if (t.flat_tid == 0) new (ts) TeamState();
-    t.block->sync_threads(t);  // state-machine init barrier
-
-    if (t.flat_tid == 0) {
-      TeamCtx ctx(*ts, t);
-      team_body(ctx);
-      ts->done = true;
-      t.block->sync_threads(t);  // final release: workers observe done
-      ts->~TeamState();
-    } else {
-      while (true) {
-        t.block->sync_threads(t);  // wait for work (or done)
-        if (ts->done) break;
-        if (thread_num() < ts->par_nthreads) (*ts->work)(thread_num());
-        t.block->sync_threads(t);  // join barrier
-      }
-    }
+    // Workers have nothing to wait for: each parallel region runs their
+    // share as lanes of the main thread (TeamCtx::parallel).
+    if (t.flat_tid != 0) return;
+    // The team state block lives in shared memory, like the LLVM device
+    // runtime's state.
+    struct Destroy {
+      void operator()(TeamState* ts) const { ts->~TeamState(); }
+    };
+    const std::unique_ptr<TeamState, Destroy> ts(new (t.block->shared_alloc(
+        t, sizeof(TeamState), alignof(TeamState))) TeamState());
+    t.block->count_barrier();  // state-machine init barrier
+    TeamCtx ctx(*ts, t);
+    team_body(ctx);
+    t.block->count_barrier();  // final release: workers see the team done
   };
 }
 

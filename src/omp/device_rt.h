@@ -6,7 +6,10 @@
 //
 //  * generic mode: a team's main thread runs sequential code and wakes
 //    worker threads through a state machine for each `parallel` region
-//    (a handshake of two block barriers per region);
+//    (a handshake of two block barriers per region). The state machine
+//    is priced, not executed: its handshakes and barriers are counted,
+//    and the host runs each region's threads as plain lane calls of the
+//    main thread, so generic launches need no fibers;
 //  * SPMD mode: all threads run the loop body, lighter runtime init;
 //  * globalization: variables shared between sequential and parallel
 //    parts of a team cannot live in a thread's registers/stack; they
@@ -62,9 +65,7 @@ using TeamFn = std::function<void(TeamCtx&)>;  ///< generic-mode team body
 /// Per-team runtime state (lives in the team's shared memory, like the
 /// LLVM device runtime's state block).
 struct TeamState {
-  const ParallelFn* work = nullptr;
   int par_nthreads = 0;
-  bool done = false;
   std::int64_t dyn_next = 0;  ///< dynamic-schedule chunk cursor
   /// Globalized storage: device-heap blocks owned by the team.
   std::vector<std::unique_ptr<char[]>> globalized;
@@ -76,10 +77,12 @@ class TeamCtx {
  public:
   TeamCtx(TeamState& ts, simt::ThreadCtx& main);
 
-  /// #pragma omp parallel num_threads(n): wakes the team's worker
-  /// threads (one handshake), runs `body(tid)` on every thread of the
-  /// region including this main thread (tid 0), joins.
-  /// n == 0 uses the whole team.
+  /// #pragma omp parallel num_threads(n): one handshake (a release
+  /// and a join barrier, counted), with `body(tid)` run for every
+  /// thread of the region in ascending tid order, each under its own
+  /// thread context; the main thread's context is restored after,
+  /// also when `body` throws. n == 0 uses the whole team. `body` must
+  /// not reach a block barrier or warp collective (std::logic_error).
   void parallel(int nthreads, const ParallelFn& body);
 
   /// #pragma omp parallel for schedule(static): convenience nest.
@@ -121,9 +124,12 @@ class TeamCtx {
 // These produce KernelFn bodies the host-side target layer launches.
 
 /// Generic-mode kernel: thread 0 of each team runs `team_body`; other
-/// threads sit in the worker state machine. This is the body shape the
-/// LLVM runtime falls back to when it cannot prove SPMD-ness (the
-/// Stencil-1D `omp` slowdown in §4.2.6).
+/// threads return at once, their share of each parallel region run as
+/// lanes by TeamCtx::parallel. The worker state machine is charged
+/// (2 + 2 x regions block barriers per team), not executed. This is the
+/// body shape the LLVM runtime falls back to when it cannot prove
+/// SPMD-ness (the Stencil-1D `omp` slowdown in §4.2.6). Launch it in
+/// ExecMode::kDirect.
 simt::KernelFn make_generic_kernel(TeamFn team_body);
 
 /// SPMD-mode kernel for `target teams distribute parallel for`:

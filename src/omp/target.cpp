@@ -69,8 +69,10 @@ void run_target(const TargetClauses& c, bool generic, std::int64_t n,
     DeviceEnv env(table);
     const LaunchShape shape = resolve_shape(c, n, dev);
     simt::LaunchParams p = base_params(c, shape, generic);
-    p.mode = (generic || c.needs_sync) ? simt::ExecMode::kCooperative
-                                       : simt::ExecMode::kDirect;
+    // Generic teams never suspend: their workers' share of a parallel
+    // region runs as lanes of the main thread (make_generic_kernel).
+    p.mode = (!generic && c.needs_sync) ? simt::ExecMode::kCooperative
+                                        : simt::ExecMode::kDirect;
     // Route through the default stream so target regions are
     // stream-ordered with ompx/kl async work on the same device, then
     // wait: a target region without nowait is synchronous by spec (the

@@ -434,14 +434,15 @@ void Server::run_quantum(DeviceSched& sched,
                                std::chrono::steady_clock::now() - r->t0)
                                .count());
         client->stats_.launches++;
+        // Logged before the waiter wakes: launch() returns with its
+        // record already in the device log.
+        dev.append_launch_record(r->combined.record());
       }
       r->done = true;
       client->pending_.pop_front();
       cv_done_.notify_all();
     }
   }
-
-  if (!err && r->done) dev.append_launch_record(r->combined.record());
 
   if (lost) {
     // Graceful degradation: one tenant's poisoned chunk must not take

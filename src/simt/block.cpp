@@ -394,10 +394,29 @@ bool BlockState::runnable(std::uint32_t i) const {
   return true;
 }
 
-void BlockState::release_barrier() {
-  barrier_arrived_ = 0;
+void BlockState::count_barrier() {
   barrier_epoch_++;
   counters_.block_barriers++;
+}
+
+void BlockState::run_lanes(ThreadCtx& caller, std::uint32_t n,
+                           const std::function<void(int)>& lane) {
+  if (params_.mode != ExecMode::kDirect || n > nthreads_)
+    throw std::logic_error(
+        "BlockState::run_lanes: direct-mode blocks and n <= block size only");
+  struct Restore {
+    ThreadCtx* ctx;
+    ~Restore() { t_ctx = ctx; }
+  } restore{&caller};
+  for (std::uint32_t tid = 0; tid < n; ++tid) {
+    t_ctx = &ctxs_[tid];
+    lane(static_cast<int>(tid));
+  }
+}
+
+void BlockState::release_barrier() {
+  barrier_arrived_ = 0;
+  count_barrier();
   if (!use_ready_queue_) return;  // sweep wakeups go through the epoch check
   if (rq_count_ == 0) {
     // Nothing else is runnable: snapshot the waiters and drain them

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -68,6 +69,21 @@ class BlockState {
 
   /// Block-wide barrier (__syncthreads / ompx_sync_thread_block).
   void sync_threads(ThreadCtx& ctx);
+
+  /// Counts one block barrier that every thread passes together,
+  /// without suspending anyone: the barrier count and the racecheck
+  /// epoch advance exactly as a real release advances them. For
+  /// barriers the caller's control flow already implies (the omp
+  /// generic-mode handshakes, which are priced, not executed).
+  void count_barrier();
+
+  /// Runs `lane(tid)` for tid in [0, n) in ascending order, each as a
+  /// plain call with thread tid's own ThreadCtx current, and makes
+  /// `caller` current again on return or on an exception. Direct-mode
+  /// blocks only, so a barrier or warp collective reached inside a
+  /// lane raises std::logic_error.
+  void run_lanes(ThreadCtx& caller, std::uint32_t n,
+                 const std::function<void(int)>& lane);
 
   /// Funnelled shared-memory allocation: the k-th call of every thread
   /// returns the same pointer (one block-level variable per call site

@@ -263,4 +263,29 @@ TEST(StencilUnit, ChecksumPositionSensitive) {
   EXPECT_NE(apps::stencil1d::checksum_of(a), apps::stencil1d::checksum_of(b));
 }
 
+TEST(ReferenceMemo, DistinctOptionsGetDistinctReferences) {
+  // Keyed on the full Options value: two Stencil-1D sizes must not
+  // share a memo entry, and a repeat returns the first computation.
+  apps::stencil1d::Options small, large;
+  small.n = 512;
+  large.n = 1024;
+  auto ref = [](const apps::stencil1d::Options& o) {
+    return apps::stencil1d::reference_checksum(apps::stencil1d::make_data(o));
+  };
+  int computed = 0;
+  auto memo = [&](const apps::stencil1d::Options& o) {
+    return apps::memo_reference(o, [&] {
+      computed++;
+      return ref(o);
+    });
+  };
+  const std::uint64_t a = memo(small);
+  const std::uint64_t b = memo(large);
+  EXPECT_EQ(a, ref(small));
+  EXPECT_EQ(b, ref(large));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(memo(small), a);
+  EXPECT_EQ(computed, 2);
+}
+
 }  // namespace

@@ -4,6 +4,9 @@
 // "invalid checksum" defect and must be flagged invalid.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "apps/adam/adam.h"
 #include "apps/aidw/aidw.h"
 #include "apps/harness.h"
@@ -134,6 +137,55 @@ TEST(AppsHarness, RunCellFillsBookkeeping) {
   EXPECT_EQ(r.device, "sim-a100");
   EXPECT_GT(r.wall_ms, 0.0);
   EXPECT_TRUE(r.valid);
+}
+
+// Golden for the Stencil-1D omp cell (§4.2.6, the generic-mode
+// state-machine path) at the Fig. 8 size, captured when generic teams
+// still ran the worker state machine on fibers: every modeled
+// LaunchStats field of the cell's folded launch log and its kernel_ms,
+// doubles as %a. The host-engine diagnostics (fiber, steal and lane-loop
+// counts) describe how the simulator ran, not the modeled GPU, and are
+// left out.
+std::string stencil_omp_golden(simt::Device& dev) {
+  const apps::RunResult r = apps::stencil1d::run(Version::kOmp, dev, {});
+  simt::LaunchStats s;
+  for (const simt::LaunchRecord& rec : dev.launch_log()) s += rec.stats;
+  char buf[512];
+  std::snprintf(
+      buf, sizeof buf,
+      "records=%zu blocks=%llu threads=%llu block_barriers=%llu "
+      "warp_collectives=%llu warp_syncs=%llu atomics=%llu runtime_init=%d "
+      "generic_mode=%d parallel_handshakes=%llu workshare_dispatches=%llu "
+      "globalized_bytes=%llu spill_in_shared=%d kernel_ms=%a valid=%d",
+      dev.launch_log().size(), static_cast<unsigned long long>(s.blocks),
+      static_cast<unsigned long long>(s.threads),
+      static_cast<unsigned long long>(s.block_barriers),
+      static_cast<unsigned long long>(s.warp_collectives),
+      static_cast<unsigned long long>(s.warp_syncs),
+      static_cast<unsigned long long>(s.atomics), s.runtime_init,
+      s.generic_mode, static_cast<unsigned long long>(s.parallel_handshakes),
+      static_cast<unsigned long long>(s.workshare_dispatches),
+      static_cast<unsigned long long>(s.globalized_bytes), s.spill_in_shared,
+      r.kernel_ms, r.valid);
+  return buf;
+}
+
+TEST(StencilOmpGolden, A100) {
+  EXPECT_EQ(stencil_omp_golden(simt::sim_a100()),
+            "records=8 blocks=32768 threads=8388608 block_barriers=196608 "
+            "warp_collectives=0 warp_syncs=0 atomics=0 runtime_init=1 "
+            "generic_mode=1 parallel_handshakes=65536 workshare_dispatches=0 "
+            "globalized_bytes=283115520 spill_in_shared=0 "
+            "kernel_ms=0x1.d3c3c83852cd9p+2 valid=1");
+}
+
+TEST(StencilOmpGolden, Mi250) {
+  EXPECT_EQ(stencil_omp_golden(simt::sim_mi250()),
+            "records=8 blocks=32768 threads=8388608 block_barriers=196608 "
+            "warp_collectives=0 warp_syncs=0 atomics=0 runtime_init=1 "
+            "generic_mode=1 parallel_handshakes=65536 workshare_dispatches=0 "
+            "globalized_bytes=283115520 spill_in_shared=0 "
+            "kernel_ms=0x1.56ea567ace7c1p+2 valid=1");
 }
 
 }  // namespace

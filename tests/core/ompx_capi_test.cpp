@@ -3,6 +3,7 @@
 // C (or Fortran-binding) translation unit links against, so each one
 // is exercised individually rather than through the C++ templates.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <sstream>
@@ -228,8 +229,9 @@ TEST(CApiHost, ProfilerDumpWritesParseableTrace) {
   ompx_profiler_start();
   capi_profiler::one_launch("capi_dump");
   ompx_profiler_stop();
-  const std::string path =
-      ::testing::TempDir() + "/ompx_capi_trace.json";
+  // Per-process name: concurrent runs of this suite share TempDir().
+  const std::string path = ::testing::TempDir() + "/ompx_capi_trace." +
+                           std::to_string(::getpid()) + ".json";
   ASSERT_EQ(ompx_profiler_dump(path.c_str()), 0);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -1,8 +1,10 @@
 // Device-runtime emulation details: dynamic schedules, critical
-// sections, and generic-mode state-machine bookkeeping.
+// sections, and generic-mode regions run as lanes of the team's main
+// thread.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "omp/omp.h"
@@ -235,6 +237,117 @@ TEST(DeviceRt, ParallelNumThreadsClamps) {
     };
   });
   EXPECT_EQ(active, 16);  // num_threads(16) limits the region
+}
+
+TEST(DeviceRt, RegionExceptionPropagatesAndRestoresMainThread) {
+  TargetClauses c;
+  c.num_teams = 1;
+  c.thread_limit = 32;
+  c.name = "region_throws";
+  int main_tid_after = -1;
+  EXPECT_THROW(target_teams_generic(c, [&](DeviceEnv&) {
+                 return [&](TeamCtx& team) {
+                   try {
+                     team.parallel(0, [](int tid) {
+                       if (tid == 5) throw std::runtime_error("lane 5");
+                     });
+                   } catch (...) {
+                     main_tid_after = thread_num();
+                     throw;
+                   }
+                 };
+               }),
+               std::runtime_error);
+  EXPECT_EQ(main_tid_after, 0);
+}
+
+TEST(DeviceRt, BarrierInsideRegionIsAnError) {
+  TargetClauses c;
+  c.num_teams = 1;
+  c.thread_limit = 32;
+  c.name = "region_barrier";
+  EXPECT_THROW(target_teams_generic(c, [&](DeviceEnv&) {
+                 return [](TeamCtx& team) {
+                   team.parallel(0, [](int) {
+                     auto& t = simt::this_thread();
+                     t.block->sync_threads(t);
+                   });
+                 };
+               }),
+               std::logic_error);
+}
+
+TEST(DeviceRt, WarpCollectiveInsideRegionIsAnError) {
+  TargetClauses c;
+  c.num_teams = 1;
+  c.thread_limit = 32;
+  c.name = "region_warp";
+  EXPECT_THROW(target_teams_generic(c, [&](DeviceEnv&) {
+                 return [](TeamCtx& team) {
+                   team.parallel(0, [](int) {
+                     auto& t = simt::this_thread();
+                     (void)t.warp->collective(t, simt::WarpOp::kSync, 0, 0,
+                                              ~simt::LaneMask{0});
+                   });
+                 };
+               }),
+               std::logic_error);
+}
+
+/// Racecheck on generic regions; restores the sanitizer as it found it.
+class DeviceRtRace : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    saved_ = simt::San::instance().checks();
+    simt::San::instance().disable();
+    simt::San::instance().enable(simt::kSanRace);
+    simt::San::instance().reset();
+  }
+  void TearDown() override {
+    simt::San::instance().disable();
+    simt::San::instance().reset();
+    if (saved_ != 0) simt::San::instance().enable(saved_);
+  }
+  std::uint32_t saved_ = 0;
+};
+
+TEST_F(DeviceRtRace, SameRegionWriteWriteIsReported) {
+  TargetClauses c;
+  c.num_teams = 1;
+  c.thread_limit = 32;
+  c.name = "region_waw";
+  target_teams_generic(c, [&](DeviceEnv&) {
+    return [](TeamCtx& team) {
+      auto* cell = static_cast<int*>(team.groupprivate(sizeof(int)));
+      team.parallel(0, [=](int tid) {
+        simt::san_shared_access(cell, sizeof(int), /*is_write=*/true);
+        *cell = tid;
+      });
+    };
+  });
+  EXPECT_GE(simt::San::instance().count(simt::SanKind::kSharedRace), 1u);
+}
+
+TEST_F(DeviceRtRace, MainReadAfterJoinIsNotReported) {
+  TargetClauses c;
+  c.num_teams = 1;
+  c.thread_limit = 32;
+  c.name = "region_join";
+  int seen = -1;
+  target_teams_generic(c, [&](DeviceEnv&) {
+    return [&](TeamCtx& team) {
+      auto* cell = static_cast<int*>(team.groupprivate(sizeof(int)));
+      team.parallel(0, [=](int tid) {
+        if (tid != 7) return;
+        simt::san_shared_access(cell, sizeof(int), /*is_write=*/true);
+        *cell = tid;
+      });
+      simt::san_shared_access(cell, sizeof(int), /*is_write=*/false);
+      seen = *cell;
+    };
+  });
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(simt::San::instance().error_count(), 0u);
 }
 
 }  // namespace

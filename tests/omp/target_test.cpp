@@ -119,7 +119,10 @@ TEST(Target, GenericModeParallelRegions) {
   const auto rec = dev().last_launch();
   EXPECT_TRUE(rec.stats.generic_mode);
   EXPECT_EQ(rec.stats.parallel_handshakes, 2u * teams);
-  EXPECT_GE(rec.stats.block_barriers, 4u * teams);  // 2 per handshake + init
+  // Init and final release, plus a release and a join per region.
+  EXPECT_EQ(rec.stats.block_barriers, 6u * teams);
+  // The state machine is priced, not executed: no thread needs a fiber.
+  EXPECT_EQ(rec.stats.fibers_created + rec.stats.fiber_reuses, 0u);
 }
 
 TEST(Target, GenericParallelForDistributesIterations) {

@@ -87,6 +87,21 @@ TEST(ServeBasic, ModeledKernelTotalIsTheLogSum) {
   server.destroy_client(c);
 }
 
+TEST(ServeBasic, LaunchReturnsWithItsRecordLogged) {
+  // The scheduler logs a request's combined record before it wakes the
+  // waiting client, so the log is complete the moment launch() returns.
+  simt::Device dev(simt::make_sim_a100_config());
+  Server server;
+  server.set_quantum_blocks(1);  // two slices per launch
+  ClientContext* c = server.create_client(&dev);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t before = dev.launch_log().size();
+    (void)c->launch(grid1d(2, 32, "logged_on_return"), [] {});
+    ASSERT_EQ(dev.launch_log().size(), before + 1) << "launch " << i;
+  }
+  server.destroy_client(c);
+}
+
 TEST(ServeBasic, LaunchRunsFullGridAndCombinesRecord) {
   Server server;
   server.set_quantum_blocks(4);  // eight chunks of four blocks
