@@ -147,10 +147,11 @@ int register_exec_hints(const std::string& source) {
 
 LaunchResult launch(const LaunchSpec& spec, simt::KernelFn body) {
   simt::Device& dev = spec.device != nullptr ? *spec.device : default_device();
+  omp::wait_for_depends(spec.depends);
 
   // Plain synchronous launches honor the process-wide shard override
   // (--devices=N): split across the first N registry devices, primary
-  // first. Stream-bound and deferred launches are never sharded.
+  // first. Interop-stream and nowait launches are never sharded.
   if (!spec.nowait && spec.depend_interop == nullptr) {
     const int n = shard_devices();
     if (n > 1) {
@@ -185,14 +186,7 @@ LaunchResult launch(const LaunchSpec& spec, simt::KernelFn body) {
     return result;
   }
 
-  if (spec.nowait) {
-    omp::TaskGraph::global().submit(
-        [&dev, p, body = std::move(body)] { dev.launch_sync(p, body); },
-        spec.depends);
-    return result;
-  }
-
-  if (launch_mode() == LaunchMode::kAsync) {
+  if (spec.nowait || launch_mode() == LaunchMode::kAsync) {
     // Stream-ordered launch: enqueue on the device's default stream and
     // hand back a ticket. The stream executor runs the same resolve ->
     // run -> record path as launch_sync off-thread, so the record the
@@ -291,7 +285,5 @@ void taskwait(const omp::Interop& obj) {
     throw std::invalid_argument("taskwait(interopobj): invalid interop object");
   obj.stream->synchronize();
 }
-
-void taskwait() { omp::TaskGraph::global().taskwait(); }
 
 }  // namespace ompx

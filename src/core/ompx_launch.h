@@ -15,6 +15,12 @@
 //   spec.depend_interop = &obj;          // optional (§3.5)
 //   ompx::launch(spec, [=] { body });
 //
+// A nowait launch without an interop object is enqueued on the device's
+// default stream and returns a ticket, like every asynchronous launch
+// (LaunchMode::kAsync); classic depend clauses first wait for every
+// registry device's default stream (omp/api.h), and taskwait() waits
+// for all of them.
+//
 // With `bare = true` (the default) the region runs in bare-metal mode:
 // no device runtime initialization, no state machine, no globalization
 // of locals — all threads of all teams simply execute the body, exactly
@@ -27,7 +33,6 @@
 #include <vector>
 
 #include "omp/api.h"
-#include "omp/task.h"
 #include "simt/simt.h"
 
 namespace ompx {
@@ -42,13 +47,14 @@ struct LaunchSpec {
   bool bare = true;
   /// Dynamic shared-memory segment (dynamic groupprivate storage).
   std::uint64_t dynamic_groupprivate_bytes = 0;
-  /// Asynchronous execution (nowait clause).
+  /// Asynchronous execution (nowait clause): the launch goes on the
+  /// default stream even under LaunchMode::kSync.
   bool nowait = false;
   /// depend(interopobj: obj): dispatch into the stream carried by the
   /// interop object (implies asynchronous execution, Figure 5).
   const omp::Interop* depend_interop = nullptr;
-  /// Classic depend clauses (host task-graph ordering); used with
-  /// nowait and without an interop object.
+  /// Classic depend clauses: when non-empty, the launch first waits for
+  /// the default stream of every registry device.
   std::vector<omp::Depend> depends;
   /// Target device (null = default device, registry index 0).
   simt::Device* device = nullptr;
@@ -92,18 +98,19 @@ void set_launch_mode(LaunchMode mode);
 [[nodiscard]] LaunchMode launch_mode();
 
 /// What a launch hands back: a ticket for work that may still be in
-/// flight. The synchronous forms (LaunchMode::kSync, shard launches,
-/// depend_interop without nowait) return with `completed` already true
-/// and `record` filled; asynchronous launches return immediately and
-/// the record becomes available through wait()/query(). Callers read
+/// flight. The synchronous forms (LaunchMode::kSync without nowait,
+/// shard launches, depend_interop without nowait) return with
+/// `completed` already true and `record` filled; default-stream async
+/// launches (LaunchMode::kAsync or nowait) return immediately and the
+/// record becomes available through wait()/query(). Callers read
 /// launch measurements from here — no layer above core should reach
 /// into simt::Device internals for stats.
 struct LaunchResult {
   /// True once the engine's record for the launch is in `record`:
   /// immediately for the synchronous forms, after wait() (or a true
-  /// query()) for asynchronous ones. nowait task-graph launches never
-  /// carry a ticket; fetch their record after taskwait() via
-  /// launch_record().
+  /// query()) for default-stream async ones. Async launches into an
+  /// interop stream carry no ticket; fetch their record after
+  /// taskwait(obj) via launch_record().
   bool completed = false;
   simt::LaunchRecord record;
 
@@ -139,9 +146,9 @@ struct LaunchResult {
 LaunchResult launch(const LaunchSpec& spec, simt::KernelFn body);
 
 /// The most recent completed launch on `dev` (default device if null) —
-/// the sanctioned way to read stats for launches that went through a
-/// stream or task graph. Synchronizes the device first so in-flight
-/// async launches are included. Throws std::logic_error if nothing
+/// the sanctioned way to read stats for launches that went through an
+/// interop stream. Synchronizes the device first so in-flight async
+/// launches are included. Throws std::logic_error if nothing
 /// launched.
 simt::LaunchRecord launch_record(simt::Device* dev = nullptr);
 
@@ -149,8 +156,9 @@ simt::LaunchRecord launch_record(simt::Device* dev = nullptr);
 /// stream carried by the interop object (Figure 5's stream sync).
 void taskwait(const omp::Interop& obj);
 
-/// #pragma omp taskwait: waits for all deferred (nowait) launches.
-void taskwait();
+/// #pragma omp taskwait: the one omp::taskwait (omp/api.h) — waits for
+/// every registry device's default stream, so for every nowait launch.
+using omp::taskwait;
 
 /// The device an unqualified ompx call targets (registry index 0 by
 /// default; set *per host thread*, CUDA cudaSetDevice semantics — a new

@@ -5,4 +5,3 @@
 #include "omp/device_rt.h"
 #include "omp/mapping.h"
 #include "omp/target.h"
-#include "omp/task.h"

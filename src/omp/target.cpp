@@ -1,6 +1,7 @@
 #include "omp/target.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "simt/device.h"
 #include "simt/memory.h"
@@ -75,8 +76,8 @@ void run_target(const TargetClauses& c, bool generic, std::int64_t n,
                                         : simt::ExecMode::kDirect;
     // Route through the default stream so target regions are
     // stream-ordered with ompx/kl async work on the same device, then
-    // wait: a target region without nowait is synchronous by spec (the
-    // unmap below must observe the kernel's writes either way).
+    // wait: nowait regions run undeferred too (target.h), and the unmap
+    // below must observe the kernel's writes.
     simt::Stream& st = dev.default_stream();
     st.launch(p, make_kernel(env));
     st.synchronize();
@@ -87,20 +88,12 @@ void run_target(const TargetClauses& c, bool generic, std::int64_t n,
   for (const Map& m : c.maps) table.exit(m);
 }
 
-/// Wraps the synchronous run as a deferred task when nowait is set.
-void maybe_deferred(const TargetClauses& c, std::function<void()> sync_run) {
-  if (!c.nowait) {
-    sync_run();
-    return;
-  }
-  TaskGraph::global().submit(std::move(sync_run), c.depends);
-}
-
 }  // namespace
 
 void target_teams_distribute_parallel_for(const TargetClauses& c,
                                           std::int64_t n,
                                           BodyFactory make_body) {
+  wait_for_depends(c.depends);
   if (offload_disabled()) {
     // Host fallback: no mapping, no device — the loop runs here.
     MappingTable& table = mapping_for(resolve_device(c));
@@ -109,16 +102,15 @@ void target_teams_distribute_parallel_for(const TargetClauses& c,
     for (std::int64_t i = 0; i < n; ++i) body(i);
     return;
   }
-  maybe_deferred(c, [c, n, make_body = std::move(make_body)] {
-    run_target(c, /*generic=*/false, n, [&](DeviceEnv& env) {
-      return make_spmd_loop_kernel(n, make_body(env));
-    });
+  run_target(c, /*generic=*/false, n, [&](DeviceEnv& env) {
+    return make_spmd_loop_kernel(n, make_body(env));
   });
 }
 
 double target_teams_distribute_parallel_for_reduce(const TargetClauses& c,
                                                    std::int64_t n,
                                                    ReduceBodyFactory make_body) {
+  wait_for_depends(c.depends);
   if (offload_disabled()) {
     MappingTable& table = mapping_for(resolve_device(c));
     DeviceEnv env(table, /*host_mode=*/true);
@@ -127,10 +119,6 @@ double target_teams_distribute_parallel_for_reduce(const TargetClauses& c,
     for (std::int64_t i = 0; i < n; ++i) sum += body(i);
     return sum;
   }
-  if (c.nowait)
-    throw std::invalid_argument(
-        "nowait reduction returning a value is not expressible; use a "
-        "mapped result variable");
   double result = 0.0;
   TargetClauses cc = c;
   cc.needs_sync = true;  // reduction tree uses shared memory + barriers
@@ -141,13 +129,12 @@ double target_teams_distribute_parallel_for_reduce(const TargetClauses& c,
 }
 
 void target_teams_generic(const TargetClauses& c, TeamBodyFactory make_team_body) {
-  maybe_deferred(c, [c, make_team_body = std::move(make_team_body)] {
-    const std::int64_t n =
-        static_cast<std::int64_t>(std::max(c.num_teams, 1)) *
-        (c.thread_limit > 0 ? c.thread_limit : kDefaultThreadLimit);
-    run_target(c, /*generic=*/true, n, [&](DeviceEnv& env) {
-      return make_generic_kernel(make_team_body(env));
-    });
+  wait_for_depends(c.depends);
+  const std::int64_t n =
+      static_cast<std::int64_t>(std::max(c.num_teams, 1)) *
+      (c.thread_limit > 0 ? c.thread_limit : kDefaultThreadLimit);
+  run_target(c, /*generic=*/true, n, [&](DeviceEnv& env) {
+    return make_generic_kernel(make_team_body(env));
   });
 }
 
@@ -214,6 +201,22 @@ bool target_is_present(const void* host, simt::Device& dev) {
   return mapping_for(dev).is_present(host);
 }
 
-void taskwait() { TaskGraph::global().taskwait(); }
+void wait_for_depends(const std::vector<Depend>& deps) {
+  if (!deps.empty()) taskwait();
+}
+
+void taskwait() {
+  // Skipped on stream-executor threads, as in Device::sync_for_host_op.
+  if (simt::in_stream_op()) return;
+  std::exception_ptr first;
+  for (simt::Device* d : simt::device_registry()) {
+    try {
+      d->default_stream().synchronize();
+    } catch (...) {
+      if (first == nullptr) first = std::current_exception();
+    }
+  }
+  if (first != nullptr) std::rethrow_exception(first);
+}
 
 }  // namespace omp

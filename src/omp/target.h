@@ -19,6 +19,13 @@
 // The factory runs once on the (emulated) device side with the mapped
 // data environment — the library analogue of the compiler rewriting
 // pointer uses inside the region — and returns the per-iteration body.
+//
+// nowait target regions run undeferred: OpenMP lets a target task
+// execute at once on the encountering thread, and here the maps must
+// be entered before the kernel can be built. Either way the region is
+// launched on the device's default stream, so it stays in order with
+// ompx/kl async work on that device. A non-empty `depends` list first
+// waits for every registry device's default stream (omp/api.h).
 #pragma once
 
 #include <cstdint>
@@ -26,9 +33,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "omp/api.h"
 #include "omp/device_rt.h"
 #include "omp/mapping.h"
-#include "omp/task.h"
 #include "simt/simt.h"
 
 namespace omp {
@@ -98,13 +105,12 @@ using ReduceBodyFactory =
 using TeamBodyFactory = std::function<TeamFn(DeviceEnv&)>;
 
 /// #pragma omp target teams distribute parallel for (SPMD mode).
-/// Synchronous unless c.nowait.
 void target_teams_distribute_parallel_for(const TargetClauses& c,
                                           std::int64_t n,
                                           BodyFactory make_body);
 
-/// Same with reduction(+: result); returns the reduced value
-/// (synchronous form only).
+/// Same with reduction(+: result); returns the reduced value (a nowait
+/// reduction runs undeferred like every nowait region).
 double target_teams_distribute_parallel_for_reduce(const TargetClauses& c,
                                                    std::int64_t n,
                                                    ReduceBodyFactory make_body);
@@ -144,9 +150,6 @@ void target_free(void* ptr, simt::Device& dev);
 void target_memcpy(void* dst, const void* src, std::size_t bytes,
                    bool dst_on_device, bool src_on_device, simt::Device& dev);
 bool target_is_present(const void* host, simt::Device& dev);
-
-/// #pragma omp taskwait (no depend clause): waits for all host tasks.
-void taskwait();
 
 /// OMP_TARGET_OFFLOAD=DISABLED equivalent: when set, target regions
 /// execute on the host — maps become no-ops (host pointers are used

@@ -373,8 +373,7 @@ void Device::resolve_launch(LaunchParams& params) const {
   if (params.mode != ExecMode::kCooperative ||
       opts_.scheduler != BlockScheduler::kReadyQueue)
     return;
-  // Precedence: per-launch request > device options > OMPX_EXEC policy.
-  if (want == LaneExec::kDefault) want = opts_.lane_exec;
+  // Precedence: per-launch request > OMPX_EXEC policy.
   bool hinted_only = false;
   if (want == LaneExec::kDefault) {
     switch (exec_policy()) {
@@ -546,7 +545,7 @@ void Device::synchronize() {
 }
 
 void Device::sync_for_host_op() {
-  if (telemetry_detail::t_in_stream_op) return;
+  if (in_stream_op()) return;
   synchronize();
 }
 

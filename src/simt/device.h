@@ -117,16 +117,6 @@ struct EngineOptions {
   /// Blocks grabbed per atomic fetch of the work-stealing launch queue
   /// (0 = auto: ~8 chunks per worker, at least 1 block).
   std::uint64_t steal_chunk_blocks = 0;
-  /// Device-wide lane-execution override. kDefault defers to the
-  /// per-launch request, the hint registry, and the OMPX_EXEC policy;
-  /// kFiber/kConvergent force that path for every cooperative launch
-  /// on this device (convergent still deflates dynamically).
-  LaneExec lane_exec = LaneExec::kDefault;
-  /// Stream-executor pool threads per device (how many stream ops run
-  /// concurrently in host wall time). 0 = auto: OMPX_STREAM_WORKERS if
-  /// set, else a small share of the host (2..4). Simulation results
-  /// are identical for any value; only overlap/wall time changes.
-  unsigned stream_workers = 0;
 };
 
 /// One completed kernel launch: measured stats + modeled time.
@@ -248,8 +238,8 @@ class Device {
   /// device is usable again. Streams the watchdog timed out stay dead
   /// (destroy and recreate them).
   void reset();
-  /// Pool threads executing this device's stream ops (see
-  /// EngineOptions::stream_workers / OMPX_STREAM_WORKERS).
+  /// Pool threads executing this device's stream ops (OMPX_STREAM_WORKERS
+  /// if set, else a small share of the host, 2..4).
   [[nodiscard]] unsigned stream_worker_count() const;
 
   /// Modeled host<->device transfer time for `bytes` (used by the data

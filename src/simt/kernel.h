@@ -67,10 +67,10 @@ enum class ExecMode { kCooperative, kDirect };
 /// worker thread (zero context switches) until one reaches its first
 /// collective — block barrier, warp op, or atomic — at which point the
 /// thread "deflates" onto a fiber and the rest of the block takes the
-/// fiber path (see BlockState). kDefault defers the choice to
-/// EngineOptions::lane_exec, the per-kernel ExecHint registry, and the
-/// OMPX_EXEC environment policy (device.h). Results are identical in
-/// both modes; only host overhead differs.
+/// fiber path (see BlockState). kDefault defers the choice to the
+/// per-kernel ExecHint registry and the OMPX_EXEC environment policy
+/// (device.h). Results are identical in both modes; only host overhead
+/// differs.
 enum class LaneExec : std::uint8_t { kDefault, kFiber, kConvergent };
 
 /// Execution-model flags the OpenMP runtime emulation sets on its
@@ -89,9 +89,9 @@ struct LaunchParams {
   std::uint64_t dynamic_smem_bytes = 0;
   ExecMode mode = ExecMode::kCooperative;
   /// Lane execution strategy for cooperative launches (see LaneExec).
-  /// kDefault resolves through the engine options / hint registry /
-  /// OMPX_EXEC policy at launch time; Device::resolve_launch stamps the
-  /// resolved value before blocks run.
+  /// kDefault resolves through the hint registry / OMPX_EXEC policy at
+  /// launch time; Device::resolve_launch stamps the resolved value
+  /// before blocks run.
   LaneExec lane_exec = LaneExec::kDefault;
   /// Stamped alongside lane_exec from the hint registry's atomics_ok:
   /// a convergent lane loop may run atomics inline (count them, keep

@@ -37,12 +37,12 @@ std::uint64_t event_flow_id(std::uint64_t uid, std::uint64_t generation) {
   return generation == 0 ? 0 : (uid << 20) + generation;
 }
 
-/// Pool workers per device executor: explicit EngineOptions value, else
-/// OMPX_STREAM_WORKERS, else a small share of the host (2..4). More
-/// than a handful buys nothing — each op already fans blocks out over
-/// the launch worker pool; these threads only provide stream overlap.
-unsigned stream_worker_count(unsigned requested) {
-  if (requested > 0) return std::min(requested, 64u);
+/// Pool workers per device executor: OMPX_STREAM_WORKERS, else a small
+/// share of the host (2..4). More than a handful buys nothing — each op
+/// already fans blocks out over the launch worker pool; these threads
+/// only provide stream overlap. Simulation results are identical for
+/// any count; only overlap and wall time change.
+unsigned stream_worker_count() {
   if (const char* e = std::getenv("OMPX_STREAM_WORKERS")) {
     const int v = std::atoi(e);
     if (v > 0) return std::min<unsigned>(static_cast<unsigned>(v), 64u);
@@ -366,7 +366,7 @@ double Stream::modeled_ready_ms() const {
 StreamExecutor::StreamExecutor(Device& dev) : dev_(dev) {
   streams_.emplace_back(new Stream(dev_, *this, next_stream_id_++));
   queues_.emplace(streams_.front()->id(), std::deque<Op>{});
-  const unsigned n = stream_worker_count(dev_.options().stream_workers);
+  const unsigned n = stream_worker_count();
   slots_.resize(n);
   workers_.reserve(n);
   for (unsigned slot = 0; slot < n; ++slot)
@@ -717,7 +717,7 @@ void StreamExecutor::execute(Stream& s, Op& op) {
     const double ms = FaultInjector::instance().stall_ms();
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
   }
-  ScopedStreamOp in_stream_op;
+  ScopedStreamOp op_scope;
   run_op(s, op);
 }
 

@@ -3,13 +3,13 @@
 // A stream is an ordered queue of device operations; operations in
 // different streams may execute concurrently and are ordered only
 // through events — CUDA/HIP semantics. The engine executes operations
-// functionally on a small per-device worker pool (OMPX_STREAM_WORKERS /
-// EngineOptions::stream_workers), one op per stream in flight at a
-// time, choosing any ready stream head (a legal interleaving) — so
-// independent streams genuinely overlap in host wall time. A *modeled*
-// timeline tracks what the concurrency would cost on the simulated
-// device: each op begins at max(stream-ready, awaited-event timestamps)
-// and advances its stream by the op's modeled duration. Cross-stream
+// functionally on a small per-device worker pool (OMPX_STREAM_WORKERS),
+// one op per stream in flight at a time, choosing any ready stream head
+// (a legal interleaving) — so independent streams genuinely overlap in
+// host wall time. A *modeled* timeline tracks what the concurrency
+// would cost on the simulated device: each op begins at
+// max(stream-ready, awaited-event timestamps) and advances its stream
+// by the op's modeled duration. Cross-stream
 // dependency cycles are detected and thrown instead of hanging.
 //
 // Streams also feed two higher-level mechanisms:
@@ -41,6 +41,10 @@ class Device;
 class Graph;
 class StreamExecutor;
 struct LaunchRecord;
+
+/// True on a stream-executor thread while it runs an op. Host-blocking
+/// waits skip themselves there: the op would wait on its own stream.
+inline bool in_stream_op() { return telemetry_detail::t_in_stream_op; }
 
 /// An event marks a point in a stream; other streams (or the host) can
 /// wait on it. Create via Device::create_event().

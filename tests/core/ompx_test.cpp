@@ -3,12 +3,19 @@
 //  - ompx_bare launches carry zero runtime machinery
 //  - multi-dimensional num_teams / thread_limit
 //  - depend(interopobj:) stream dispatch + taskwait (Figure 5)
+//  - nowait launches on the default stream, classic depend, taskwait
 //  - host APIs (ompx_malloc & friends)
 #include "core/ompx.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "kl/kl.h"
@@ -296,22 +303,191 @@ TEST(OmpxInterop, WrongDeviceInteropRejected) {
   omp::interop_destroy(obj);
 }
 
-TEST(OmpxLaunch, NowaitWithDependsOrdersTasks) {
-  std::vector<int> order;
-  int token = 0;
-  ompx::LaunchSpec first;
-  first.nowait = true;
-  first.depends = {omp::dep_out(&token)};
-  first.num_teams = {1};
-  first.thread_limit = {1};
-  first.name = "nowait_1";
-  ompx::launch(first, [&] { order.push_back(1); });
-  ompx::LaunchSpec second = first;
-  second.depends = {omp::dep_in(&token)};
-  second.name = "nowait_2";
-  ompx::launch(second, [&] { order.push_back(2); });
+// --- nowait, depend and taskwait ------------------------------------------
+//
+// A nowait launch is a default-stream op with a ticket; a non-empty
+// depend list first waits for every registry device's default stream;
+// taskwait() waits for all of them and rethrows the first async error.
+
+/// A one-thread nowait launch on `dev` (default device if null).
+ompx::LaunchSpec nowait_spec(const char* name,
+                             std::vector<omp::Depend> deps = {},
+                             simt::Device* dev = nullptr) {
+  ompx::LaunchSpec spec;
+  spec.device = dev;
+  spec.nowait = true;
+  spec.depends = std::move(deps);
+  spec.num_teams = {1};
+  spec.thread_limit = {1};
+  spec.mode = simt::ExecMode::kDirect;
+  spec.name = name;
+  return spec;
+}
+
+void sleep_ms(int ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+std::size_t process_threads() {
+  namespace fs = std::filesystem;
+  return static_cast<std::size_t>(std::distance(
+      fs::directory_iterator("/proc/self/task"), fs::directory_iterator{}));
+}
+
+TEST(OmpxNowait, IndependentLaunchesLogInSubmissionOrder) {
+  constexpr int kLaunches = 64;
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> v;
+    for (int i = 0; i < kLaunches; ++i)
+      v.push_back("nowait_order_" + std::to_string(i));
+    return v;
+  }();
+  int in_order = 0;
+  for (int rep = 0; rep < 20; ++rep) {
+    a100().clear_launch_log();
+    for (int i = 0; i < kLaunches; ++i) {
+      ompx::LaunchSpec spec = nowait_spec(names[i].c_str());
+      spec.num_teams = {4};
+      spec.thread_limit = {64};
+      ompx::launch(spec, [] {});
+    }
+    ompx::taskwait();
+    const std::vector<simt::LaunchRecord> log = a100().launch_log();
+    bool ordered = log.size() == names.size();
+    for (std::size_t i = 0; ordered && i < log.size(); ++i)
+      ordered = log[i].name == names[i];
+    in_order += ordered ? 1 : 0;
+  }
+  EXPECT_EQ(in_order, 20);
+}
+
+TEST(OmpxNowait, NoThreadsSpawnedByNowaitOrTaskwait) {
+  // Warm up with the same shapes, synchronously: registry devices,
+  // stream executors, watchdogs and the block-worker pool all exist.
+  std::vector<int> data(256, 0);
+  auto run = [&](bool nowait) {
+    for (simt::Device* d : {&a100(), &mi250()}) {
+      ompx::LaunchSpec spec = nowait_spec("nowait_threads");
+      spec.device = d;
+      spec.nowait = nowait;
+      spec.num_teams = {8};
+      spec.thread_limit = {32};
+      ompx::launch(spec, [] {}).wait();
+      omp::TargetClauses c;
+      c.device = d;
+      c.nowait = nowait;
+      c.name = "nowait_threads_target";
+      c.maps = {omp::map_tofrom(data.data(), data.size() * sizeof(int))};
+      if (nowait) c.depends = {omp::dep_inout(data.data())};
+      omp::target_teams_distribute_parallel_for(
+          c, 256, [&](omp::DeviceEnv& env) {
+            int* dd = env.translate(data.data());
+            return [=](std::int64_t i) { dd[i] += 1; };
+          });
+    }
+  };
+  run(/*nowait=*/false);
+  const std::size_t before = process_threads();
+  for (int i = 0; i < 4; ++i) {
+    run(/*nowait=*/true);
+    ompx::taskwait();
+  }
+  EXPECT_EQ(process_threads(), before);
+  for (int v : data) ASSERT_EQ(v, 2 * 5);
+}
+
+TEST(OmpxNowait, ResultCarriesItsOwnRecord) {
+  ompx::LaunchSpec spec = nowait_spec("nowait_ticket");
+  spec.num_teams = {2};
+  spec.thread_limit = {32};
+  ompx::LaunchResult r = ompx::launch(spec, [] {});
   ompx::taskwait();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_TRUE(r.query());
+  EXPECT_GT(r.modeled_ms(), 0.0);
+  EXPECT_EQ(r.record.name, "nowait_ticket");
+  EXPECT_EQ(r.record.grid.x, 2u);
+}
+
+TEST(OmpxNowait, OutThenInOrdering) {
+  int x = 0;
+  std::atomic<int> seen{-1};
+  ompx::launch(nowait_spec("dep_out", {omp::dep_out(&x)}), [&] {
+    sleep_ms(10);
+    x = 42;
+  });
+  ompx::launch(nowait_spec("dep_in", {omp::dep_in(&x)}),
+               [&] { seen.store(x); });
+  ompx::taskwait();
+  EXPECT_EQ(seen.load(), 42);
+}
+
+TEST(OmpxNowait, ReadersRunBeforeNextWriter) {
+  int x = 1;
+  std::atomic<int> r1{0}, r2{0};
+  ompx::launch(nowait_spec("writer_1", {omp::dep_out(&x)}), [&] { x = 10; });
+  ompx::launch(nowait_spec("reader_1", {omp::dep_in(&x)}), [&] {
+    sleep_ms(5);
+    r1.store(x);
+  });
+  ompx::launch(nowait_spec("reader_2", {omp::dep_in(&x)}), [&] {
+    sleep_ms(5);
+    r2.store(x);
+  });
+  ompx::launch(nowait_spec("writer_2", {omp::dep_out(&x)}), [&] { x = 20; });
+  ompx::taskwait();
+  EXPECT_EQ(r1.load(), 10);
+  EXPECT_EQ(r2.load(), 10);
+  EXPECT_EQ(x, 20);
+}
+
+TEST(OmpxNowait, WriteAfterWriteOrdered) {
+  std::vector<int> order;
+  int x = 0;
+  for (int i = 0; i < 8; ++i)
+    ompx::launch(nowait_spec("waw", {omp::dep_inout(&x)}),
+                 [&order, i] { order.push_back(i); });
+  ompx::taskwait();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(OmpxNowait, TaskwaitRethrowsAsyncErrorOnce) {
+  ompx::launch(nowait_spec("nowait_boom"),
+               [] { throw std::runtime_error("nowait boom"); });
+  EXPECT_THROW(ompx::taskwait(), std::runtime_error);
+  EXPECT_NO_THROW(ompx::taskwait());
+  // The device stays usable.
+  std::atomic<bool> ok{false};
+  ompx::launch(nowait_spec("nowait_after_boom"), [&] { ok.store(true); });
+  ompx::taskwait();
+  EXPECT_TRUE(ok.load());
+}
+
+TEST(OmpxNowait, ThousandConstructStress) {
+  std::atomic<long> sum{0};
+  int chain = 0;
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<omp::Depend> deps;
+    if (i % 5 == 0) deps = {omp::dep_inout(&chain)};
+    ompx::launch(nowait_spec("nowait_stress", std::move(deps)),
+                 [&sum, i] { sum.fetch_add(i); });
+  }
+  ompx::taskwait();
+  EXPECT_EQ(sum.load(), 1000L * 999 / 2);
+}
+
+TEST(OmpxNowait, CrossDeviceDependInWaitsForWriter) {
+  // The a100 writer and the mi250 reader sit on different default
+  // streams; only the depend clause orders them.
+  int x = 0;
+  std::atomic<int> seen{-1};
+  ompx::launch(nowait_spec("a100_writer", {omp::dep_out(&x)}, &a100()), [&] {
+    sleep_ms(20);
+    x = 7;
+  });
+  ompx::launch(nowait_spec("mi250_reader", {omp::dep_in(&x)}, &mi250()),
+               [&] { seen.store(x); });
+  ompx::taskwait();
+  EXPECT_EQ(seen.load(), 7);
 }
 
 TEST(OmpxLaunch, UnsupportedDimensionsDisregarded) {

@@ -156,42 +156,42 @@ TEST(Integration, RepeatedAppRunsLeaveNoResidue) {
   EXPECT_EQ(dev.memory().live_allocations(), live_before);
 }
 
-TEST(Integration, InteropStreamsPlusHostTasksCompose) {
-  // Figure 5's stream path and the classic depend task path used in one
-  // program: a host task produces data, an interop-stream kernel chain
-  // consumes it, a final taskwait drains everything.
+TEST(Integration, InteropStreamsPlusNowaitTargetCompose) {
+  // Figure 5's stream path and the classic depend path used in one
+  // program: a nowait target region produces data, an interop-stream
+  // kernel chain that depends on it consumes it, and taskwait on the
+  // object plus a final taskwait drain everything.
   simt::Device& dev = simt::sim_a100();
   omp::Interop obj = omp::interop_init_targetsync(dev);
   constexpr int n = 4096;
   std::vector<double> host(n, 0.0);
+  std::vector<double> init(n, 2.0);
   auto* buf = static_cast<double*>(omp::target_alloc(n * sizeof(double), dev));
 
   int token = 0;
-  omp::TaskGraph::global().submit(
-      [&] {
-        std::vector<double> init(n, 2.0);
-        omp::target_memcpy(buf, init.data(), n * sizeof(double), true, false,
-                           dev);
-      },
-      {omp::dep_out(&token)});
-  omp::TaskGraph::global().submit(
-      [&] {
-        for (int round = 0; round < 3; ++round) {
-          ompx::LaunchSpec spec;
-          spec.device = &dev;
-          spec.num_teams = {n / 256};
-          spec.thread_limit = {256};
-          spec.nowait = true;
-          spec.depend_interop = &obj;
-          spec.mode = simt::ExecMode::kDirect;
-          spec.name = "integration_chain";
-          ompx::launch(spec, [=] {
-            buf[ompx::global_thread_id()] += 0.5;
-          });
-        }
-        ompx::taskwait(obj);
-      },
-      {omp::dep_in(&token)});
+  omp::TargetClauses c;
+  c.device = &dev;
+  c.nowait = true;
+  c.depends = {omp::dep_out(&token)};
+  c.maps = {omp::map_to(init.data(), n * sizeof(double))};
+  c.name = "integration_init";
+  omp::target_teams_distribute_parallel_for(c, n, [&](omp::DeviceEnv& env) {
+    const double* di = env.translate(init.data());
+    return [=](std::int64_t i) { buf[i] = di[i]; };
+  });
+  for (int round = 0; round < 3; ++round) {
+    ompx::LaunchSpec spec;
+    spec.device = &dev;
+    spec.num_teams = {n / 256};
+    spec.thread_limit = {256};
+    spec.nowait = true;
+    spec.depend_interop = &obj;
+    spec.depends = {omp::dep_in(&token)};
+    spec.mode = simt::ExecMode::kDirect;
+    spec.name = "integration_chain";
+    ompx::launch(spec, [=] { buf[ompx::global_thread_id()] += 0.5; });
+  }
+  ompx::taskwait(obj);
   omp::taskwait();
   omp::target_memcpy(host.data(), buf, n * sizeof(double), false, true, dev);
   for (double v : host) ASSERT_DOUBLE_EQ(v, 3.5);

@@ -1,5 +1,5 @@
 // Target-construct layer: SPMD loops, reductions, generic-mode state
-// machine, globalization accounting, nowait tasks, and the documented
+// machine, globalization accounting, nowait/depend, and the documented
 // LLVM quirks the paper's evaluation hinges on.
 #include "omp/omp.h"
 
@@ -228,7 +228,7 @@ TEST(Target, TargetDataKeepsDataResidentAcrossRegions) {
   for (auto v : a) ASSERT_EQ(v, 3);
 }
 
-TEST(Target, NowaitRunsDeferredAndTaskwaitJoins) {
+TEST(Target, NowaitRegionsChainAndTaskwaitJoins) {
   constexpr std::int64_t n = 4096;
   std::vector<int> a(n, 1), b(n, 0);
   TargetClauses c;
@@ -252,6 +252,79 @@ TEST(Target, NowaitRunsDeferredAndTaskwaitJoins) {
   });
   taskwait();
   for (auto v : b) ASSERT_EQ(v, 6);
+}
+
+/// A nowait SPMD region over `n` ints: out[i] = f(in[i]) (in may be null).
+template <typename F>
+void nowait_region(std::vector<int>* in, std::vector<int>& out,
+                   std::vector<Depend> deps, F f) {
+  const std::int64_t n = static_cast<std::int64_t>(out.size());
+  TargetClauses c;
+  c.nowait = true;
+  c.name = "nowait_region";
+  c.depends = std::move(deps);
+  c.maps = {map_from(out.data(), n * sizeof(int))};
+  if (in != nullptr) c.maps.push_back(map_to(in->data(), n * sizeof(int)));
+  target_teams_distribute_parallel_for(c, n, [&, in, f](DeviceEnv& env) {
+    const int* din = in != nullptr ? env.translate(in->data()) : nullptr;
+    int* dout = env.translate(out.data());
+    return [=](std::int64_t i) {
+      dout[i] = f(din != nullptr ? din[i] : 0);
+    };
+  });
+}
+
+TEST(Target, NowaitDiamond) {
+  constexpr std::size_t n = 1024;
+  std::vector<int> src(n), left(n), right(n), sum(n);
+  nowait_region(nullptr, src, {dep_out(src.data())}, [](int) { return 1; });
+  nowait_region(&src, left, {dep_in(src.data()), dep_out(left.data())},
+                [](int v) { return v + 10; });
+  nowait_region(&src, right, {dep_in(src.data()), dep_out(right.data())},
+                [](int v) { return v + 20; });
+  // The join reads both branches.
+  TargetClauses c;
+  c.nowait = true;
+  c.name = "diamond_join";
+  c.depends = {dep_in(left.data()), dep_in(right.data())};
+  c.maps = {map_to(left.data(), n * sizeof(int)),
+            map_to(right.data(), n * sizeof(int)),
+            map_from(sum.data(), n * sizeof(int))};
+  target_teams_distribute_parallel_for(c, n, [&](DeviceEnv& env) {
+    const int* dl = env.translate(left.data());
+    const int* dr = env.translate(right.data());
+    int* ds = env.translate(sum.data());
+    return [=](std::int64_t i) { ds[i] = dl[i] + dr[i]; };
+  });
+  taskwait();
+  for (int v : sum) ASSERT_EQ(v, 32);
+}
+
+TEST(Target, NowaitDependOnCompletedRegionDoesNotBlock) {
+  std::vector<int> x(64), seen(64);
+  nowait_region(nullptr, x, {dep_out(x.data())}, [](int) { return 5; });
+  taskwait();
+  nowait_region(&x, seen, {dep_in(x.data())}, [](int v) { return v; });
+  taskwait();
+  for (int v : seen) ASSERT_EQ(v, 5);
+}
+
+TEST(Target, NowaitReductionReturnsItsValue) {
+  // nowait regions run undeferred, so a reduction's value is ready on
+  // return; its depend list still orders it after the nowait writer.
+  std::vector<int> x(256);
+  nowait_region(nullptr, x, {dep_out(x.data())}, [](int) { return 3; });
+  TargetClauses c;
+  c.nowait = true;
+  c.name = "nowait_reduce";
+  c.depends = {dep_in(x.data())};
+  c.maps = {map_to(x.data(), x.size() * sizeof(int))};
+  const double sum = target_teams_distribute_parallel_for_reduce(
+      c, static_cast<std::int64_t>(x.size()), [&](DeviceEnv& env) {
+        const int* dx = env.translate(x.data());
+        return [=](std::int64_t i) { return static_cast<double>(dx[i]); };
+      });
+  EXPECT_DOUBLE_EQ(sum, 3.0 * 256);
 }
 
 TEST(Target, UnmappedPointerDiagnosed) {
