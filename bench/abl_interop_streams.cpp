@@ -2,6 +2,7 @@
 // independent kernel chains dispatched synchronously vs into one
 // stream vs across four interop streams. The modeled device timeline
 // shows the overlap asynchronous dispatch buys.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -40,20 +41,20 @@ void chain_step(std::vector<double>& data, int chain) {
 }
 
 double run_synchronous(simt::Device& dev, std::vector<double>& data) {
-  // Synchronous target regions: each launch completes before the next,
-  // so the device timeline is the serial sum of kernel times.
+  // Synchronous target regions: each launch completes before the next
+  // (waited on even under the async launch default), so the device
+  // timeline is the serial sum of kernel times.
   dev.clear_launch_log();
   for (int k = 0; k < kKernelsPerChain; ++k)
     for (int chain = 0; chain < kChains; ++chain) {
       auto spec = kernel_spec(dev, "sync_chain");
       std::vector<double>* d = &data;
-      ompx::launch(spec, [d, chain] { chain_step(*d, chain); });
+      ompx::launch(spec, [d, chain] { chain_step(*d, chain); }).wait();
     }
   return dev.modeled_kernel_ms_total();
 }
 
 double run_streams(simt::Device& dev, std::vector<double>& data) {
-  const double t0 = dev.modeled_now_ms();
   std::vector<omp::Interop> objs;
   for (int i = 0; i < kChains; ++i)
     objs.push_back(omp::interop_init_targetsync(dev));
@@ -65,8 +66,14 @@ double run_streams(simt::Device& dev, std::vector<double>& data) {
       std::vector<double>* d = &data;
       ompx::launch(spec, [d, chain] { chain_step(*d, chain); });
     }
-  for (auto& obj : objs) ompx::taskwait(obj);  // taskwait depend(interopobj:)
-  const double elapsed = dev.modeled_now_ms() - t0;
+  // taskwait depend(interopobj:). The interop streams are fresh, so each
+  // one's timeline starts at 0 and ends where its chain does; the
+  // device-wide modeled_now_ms() would read the default stream's tail.
+  double elapsed = 0.0;
+  for (auto& obj : objs) {
+    ompx::taskwait(obj);
+    elapsed = std::max(elapsed, obj.stream->modeled_ready_ms());
+  }
   for (auto& obj : objs) omp::interop_destroy(obj);
   return elapsed;
 }

@@ -506,8 +506,7 @@ int emit_json(const std::string& path) {
       "    \"steals\": %llu\n"
       "  },\n"
       "  \"engine_async\": {\n"
-      "    \"grid\": %llu, \"block\": %llu, \"chain\": %d,"
-      " \"stream_workers\": %u,\n"
+      "    \"grid\": %llu, \"block\": %llu, \"chain\": %d,\n"
       "    \"async_launches_per_s\": %.0f,\n"
       "    \"graph_replay_launches_per_s\": %.0f,\n"
       "    \"replay_speedup\": %.2f,\n"
@@ -520,7 +519,7 @@ int emit_json(const std::string& path) {
       static_cast<unsigned long long>(steal_rec.stats.sched_steals),
       static_cast<unsigned long long>(ap.grid.count()),
       static_cast<unsigned long long>(ap.block.count()), kChain,
-      adev.stream_worker_count(), async_launches_s, replay_launches_s,
+      async_launches_s, replay_launches_s,
       replay_launches_s / async_launches_s, one_stream_ms, two_stream_ms,
       two_stream_ms / one_stream_ms);
   out += buf;

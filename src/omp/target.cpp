@@ -206,7 +206,7 @@ void wait_for_depends(const std::vector<Depend>& deps) {
 }
 
 void taskwait() {
-  // Skipped on stream-executor threads, as in Device::sync_for_host_op.
+  // Skipped inside stream ops, as in Device::sync_for_host_op.
   if (simt::in_stream_op()) return;
   std::exception_ptr first;
   for (simt::Device* d : simt::device_registry()) {

@@ -14,8 +14,8 @@
 namespace serve {
 
 /// One client launch making its way through the scheduler. The chunking
-/// fields are touched only by the owning device's scheduler thread; the
-/// completion fields are guarded by Server::mu_.
+/// fields are touched only by the owning device's drain; the completion
+/// fields are guarded by Server::mu_.
 struct Request {
   Request(ClientContext* c, const simt::LaunchParams& p, simt::KernelFn b)
       : client(c), params(p), body(std::move(b)),
@@ -26,7 +26,7 @@ struct Request {
   simt::KernelFn body;
   std::uint64_t id = 0;
 
-  // Chunk progress (scheduler thread only).
+  // Chunk progress (the device's drain only).
   bool started = false;
   std::uint32_t total = 0;            ///< extent along the split axis
   std::uint32_t next = 0;             ///< next chunk's begin along the axis
@@ -43,21 +43,7 @@ struct Request {
 
 ClientContext::ClientContext(Server& server, simt::Device& dev,
                              ClientLimits limits, std::uint64_t id)
-    : server_(server), dev_(dev), limits_(limits), id_(id) {
-  stream_ = dev.create_stream();
-}
-
-ClientContext::~ClientContext() {
-  if (stream_ != nullptr) {
-    // A timed-out stream is parked by the executor; either way the
-    // handle must not leak past the client.
-    try {
-      dev_.destroy_stream(stream_);
-    } catch (...) {
-    }
-    stream_ = nullptr;
-  }
-}
+    : server_(server), dev_(dev), limits_(limits), id_(id) {}
 
 void* ClientContext::malloc(std::size_t bytes) {
   if (bytes == 0) return nullptr;
@@ -117,7 +103,7 @@ void ClientContext::free(void* ptr) {
 // lost-device state, injected faults — happens when the scheduler runs
 // the request, where the failure is classified against the client's
 // stats and a lost device is reset without the submitting thread racing
-// the worker. That matches CUDA: most launch errors surface
+// the drain. That matches CUDA: most launch errors surface
 // asynchronously.
 static void check_shape(const simt::LaunchParams& p) {
   if (p.grid.count() == 0 || p.block.count() == 0)
@@ -169,8 +155,8 @@ ClientStats ClientContext::stats() const {
 
 Server& Server::instance() {
   // Touch the registry first: the sim devices are intentionally leaked,
-  // so constructing the server after them keeps every scheduler thread's
-  // device alive through static destruction.
+  // so constructing the server after them keeps every drain's device
+  // alive through static destruction.
   simt::device_registry();
   static Server s;
   return s;
@@ -179,9 +165,8 @@ Server& Server::instance() {
 Server::Server() = default;
 
 Server::~Server() {
-  std::vector<std::thread> workers;
   {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
     stopping_ = true;
     // Whatever is still queued fails cleanly instead of hanging a
     // waiter: shutdown is an admission decision like any other.
@@ -196,10 +181,12 @@ Server::~Server() {
       client->pending_.clear();
     }
     cv_done_.notify_all();
-    for (auto& s : scheds_) s->cv_work.notify_all();
+    // A drain mid-quantum finds nothing left to pick and returns.
+    cv_done_.wait(lock, [&] {
+      return std::none_of(scheds_.begin(), scheds_.end(),
+                          [](const auto& s) { return s->draining; });
+    });
   }
-  for (auto& s : scheds_)
-    if (s->worker.joinable()) s->worker.join();
   // Destroy surviving clients (leaked handles): release their device
   // allocations, then the contexts themselves.
   for (auto& [raw, client] : clients_) {
@@ -216,10 +203,8 @@ Server::DeviceSched& Server::sched_for(simt::Device& dev) {
   for (auto& s : scheds_)
     if (s->dev == &dev) return *s;
   scheds_.push_back(std::make_unique<DeviceSched>());
-  DeviceSched& s = *scheds_.back();
-  s.dev = &dev;
-  s.worker = std::thread([this, &s] { scheduler_loop(s); });
-  return s;
+  scheds_.back()->dev = &dev;
+  return *scheds_.back();
 }
 
 ClientContext* Server::create_client(simt::Device* dev,
@@ -277,7 +262,6 @@ void Server::destroy_client(ClientContext* client) {
       owned->dev_.memory().deallocate(const_cast<void*>(p));
     } catch (...) {
     }
-  // ~ClientContext destroys the client's stream.
 }
 
 bool Server::is_live(const ClientContext* client) const {
@@ -313,21 +297,19 @@ void Server::submit_locked(ClientContext& client,
         " reached; retry after pending requests drain");
   }
   r->id = next_request_id_++;
+  DeviceSched& sched = sched_for(client.dev_);
   // An idle client re-entering the rotation must not replay the share
   // it "saved" while idle: start from the busiest sibling's progress.
-  if (client.pending_.empty()) {
-    double floor = client.wrr_progress_;
-    for (auto& s : scheds_) {
-      if (s->dev != &client.dev_) continue;
-      for (ClientContext* c : s->clients)
-        if (c != &client && !c->pending_.empty())
-          floor = std::max(floor, c->wrr_progress_);
-    }
-    client.wrr_progress_ = floor;
-  }
+  if (client.pending_.empty())
+    for (ClientContext* c : sched.clients)
+      if (c != &client && !c->pending_.empty())
+        client.wrr_progress_ =
+            std::max(client.wrr_progress_, c->wrr_progress_);
   client.pending_.push_back(r);
-  for (auto& s : scheds_)
-    if (s->dev == &client.dev_) s->cv_work.notify_all();
+  if (!sched.draining) {
+    sched.draining = true;
+    simt::run_on_host_pool([this, &sched] { drain(sched); });
+  }
 }
 
 std::shared_ptr<Request> Server::pick_locked(DeviceSched& sched) {
@@ -345,17 +327,16 @@ std::shared_ptr<Request> Server::pick_locked(DeviceSched& sched) {
   return best != nullptr ? best->pending_.front() : nullptr;
 }
 
-void Server::scheduler_loop(DeviceSched& sched) {
-  for (;;) {
-    std::shared_ptr<Request> r;
-    {
-      std::unique_lock lock(mu_);
-      sched.cv_work.wait(
-          lock, [&] { return stopping_ || (r = pick_locked(sched)) != nullptr; });
-      if (r == nullptr) return;  // stopping, queues drained
-    }
+void Server::drain(DeviceSched& sched) {
+  std::unique_lock lock(mu_);
+  while (std::shared_ptr<Request> r = pick_locked(sched)) {
+    lock.unlock();
     run_quantum(sched, r);
+    lock.lock();
   }
+  sched.draining = false;
+  cv_done_.notify_all();  // ~Server may be waiting for this drain
+  simt::host_pool_task_done();
 }
 
 void Server::run_quantum(DeviceSched& sched,

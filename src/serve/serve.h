@@ -4,12 +4,14 @@
 // production serving deployment multiplexes many clients onto the same
 // fixed fleet (CUDA MPS, pocl's per-queue command machinery). This
 // layer adds that without forking the engine: a ClientContext is a thin
-// tenant handle (its own stream, quota-charged allocation accounting,
-// per-client launch/fault/watchdog stats), and the Server time-slices
-// each device among its clients at block granularity — every launch is
-// executed as a sequence of grid chunks through the sharding hooks
-// (grid_offset / logical_grid), with a scheduling decision between
-// chunks, so one tenant's huge grid cannot starve the rest.
+// tenant handle (quota-charged allocation accounting, per-client
+// launch/fault/watchdog stats), and the Server time-slices each device
+// among its clients at block granularity — every launch is executed as
+// a sequence of grid chunks through the sharding hooks (grid_offset /
+// logical_grid), with a scheduling decision between chunks, so one
+// tenant's huge grid cannot starve the rest. The chunks run in one
+// drain per busy device, a task on the host thread pool
+// (simt::run_on_host_pool); an idle device holds no thread.
 //
 // Scheduling is weighted round-robin within the highest non-empty
 // priority class (higher classes run first; equal-priority clients
@@ -27,7 +29,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -74,8 +75,6 @@ class ClientContext {
   ClientContext& operator=(const ClientContext&) = delete;
 
   [[nodiscard]] simt::Device& device() const { return dev_; }
-  /// The client's private stream (async copies ordered per client).
-  [[nodiscard]] simt::Stream& stream() const { return *stream_; }
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] ClientLimits limits() const { return limits_; }
 
@@ -101,7 +100,7 @@ class ClientContext {
 
   /// Public only so the Server's owning container can delete; use
   /// Server::destroy_client, never delete a handle yourself.
-  ~ClientContext();
+  ~ClientContext() = default;
 
  private:
   friend class Server;
@@ -110,7 +109,6 @@ class ClientContext {
 
   Server& server_;
   simt::Device& dev_;
-  simt::Stream* stream_ = nullptr;
   const ClientLimits limits_;
   const std::uint64_t id_;
 
@@ -122,7 +120,7 @@ class ClientContext {
   double wrr_progress_ = 0.0;  ///< quanta / weight, for the WRR pick
 };
 
-/// The process-wide serving daemon: one scheduler thread per device,
+/// The process-wide serving daemon: one drain per busy device,
 /// time-slicing runnable client requests in `quantum_blocks()` chunks.
 class Server {
  public:
@@ -148,18 +146,19 @@ class Server {
   [[nodiscard]] std::uint32_t quantum_blocks() const;
 
   Server();   // public for tests that want an isolated server
-  ~Server();  // drains queues, stops scheduler threads
+  ~Server();  // fails queued requests, waits for running drains
 
  private:
   friend class ClientContext;
   struct DeviceSched {
     simt::Device* dev = nullptr;
-    std::thread worker;
-    std::condition_variable cv_work;
+    bool draining = false;                ///< a drain task is posted
     std::vector<ClientContext*> clients;  ///< rotation order
   };
 
-  void scheduler_loop(DeviceSched& sched);
+  /// A pool task: runs quanta on `sched`'s device until no client there
+  /// has pending work. submit_locked posts it when none is running.
+  void drain(DeviceSched& sched);
   std::shared_ptr<Request> pick_locked(DeviceSched& sched);
   void run_quantum(DeviceSched& sched, const std::shared_ptr<Request>& r);
   DeviceSched& sched_for(simt::Device& dev);
@@ -168,6 +167,7 @@ class Server {
 
   mutable std::mutex mu_;
   std::condition_variable cv_done_;  ///< broadcast on request completion
+                                     ///< and when a drain returns
   bool stopping_ = false;
   std::uint32_t quantum_blocks_ = 64;
   std::uint64_t next_client_id_ = 1;

@@ -7,10 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <semaphore>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "simt/block.h"
@@ -41,7 +43,7 @@ FiberPool& thread_fiber_pool() {
   return pool;
 }
 
-// --- persistent block-worker pool ----------------------------------------
+// --- the host thread pool -------------------------------------------------
 
 /// One launch's blocks, shared by its participants: each pulls chunks
 /// off `next`, then folds in its counters and error (a helper under the
@@ -89,19 +91,20 @@ struct BlockJob {
   }
 };
 
-/// The process-wide pool every multi-block launch fans out over. The
-/// launching thread posts its job and runs chunks too; once they run
-/// out it closes the job and waits only for helpers that already
-/// joined, which run nothing but this job's blocks, so concurrent and
-/// nested launches cannot deadlock. Helpers are spawned on demand, up
-/// to the largest `workers - 1` asked for, and never exit, so their
-/// thread_local fiber caches stay warm; the idle helpers that ran
-/// blocks most recently are woken first.
-class BlockPool {
+/// The process's one host thread pool. A multi-block launch posts its
+/// job to the block helpers and runs chunks too; once they run out it
+/// closes the job and waits only for helpers that already joined, which
+/// run nothing but this job's blocks, so concurrent and nested launches
+/// cannot deadlock. One-off tasks (stream drains, serve drains, watchdog
+/// monitors) run on task helpers and never queue: the warmest idle one
+/// takes a task, else a new one. Block helpers are spawned up to the
+/// largest `workers - 1` asked for; no helper exits, so thread_local
+/// fiber caches stay warm and the warmest idle helpers are woken first.
+class HostPool {
  public:
-  static BlockPool& instance() {
-    static BlockPool* pool = new BlockPool;  // leaked, like the devices
-    return *pool;                            // whose launches use it
+  static HostPool& instance() {
+    static HostPool* pool = new HostPool;  // leaked, like the devices
+    return *pool;                          // whose work runs on it
   }
 
   /// Runs `job` on the calling thread and up to `helpers` pool threads.
@@ -118,12 +121,61 @@ class BlockPool {
     if (job.error) std::rethrow_exception(job.error);
   }
 
+  void post(std::function<void()> task) {
+    std::lock_guard lock(mu_);
+    if (idle_tasks_.empty()) {
+      Helper* h = spawn_locked([this](Helper& w) { task_loop(w); });
+      h->task = std::move(task);
+      return;
+    }
+    Helper* h = idle_tasks_.back();
+    idle_tasks_.pop_back();
+    h->task = std::move(task);
+    h->wake.release();
+  }
+
+  void task_done() {  // see host_pool_task_done
+    if (t_task_helper == nullptr || t_task_helper->done) return;
+    std::lock_guard lock(mu_);
+    t_task_helper->done = true;
+    idle_tasks_.push_back(t_task_helper);
+  }
+
  private:
   struct Helper {
-    std::binary_semaphore wake{0};  ///< released when taken off idle_
+    std::binary_semaphore wake{0};  ///< released when handed work
     std::uint64_t job = 0;          ///< id of the job it was woken for
+    std::function<void()> task;     ///< a task helper's next task
+    bool done = false;              ///< its task called task_done()
     std::thread thread;
   };
+
+  static inline thread_local Helper* t_task_helper = nullptr;
+
+  /// The one place a host thread is created. The new thread blocks on
+  /// mu_ until the caller has handed it its first work.
+  template <typename Loop>
+  Helper* spawn_locked(Loop loop) {
+    Helper* h = all_.emplace_back(std::make_unique<Helper>()).get();
+    h->thread = std::thread([h, loop] { loop(*h); });
+    return h;
+  }
+
+  void task_loop(Helper& h) {
+    t_task_helper = &h;
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::lock_guard lock(mu_);
+        task = std::exchange(h.task, nullptr);
+        h.done = false;
+      }
+      task();
+      task = nullptr;  // the task's captures die off the lock
+      task_done();     // unless the task already did
+      h.wake.acquire();
+    }
+  }
 
   void post(BlockJob& job, unsigned helpers) {
     std::lock_guard lock(mu_);
@@ -133,10 +185,9 @@ class BlockPool {
       h->job = job.id;
       ++job.reserved;
     };
-    while (all_.size() < helpers) {  // before publishing: spawn may throw
-      Helper* h = all_.emplace_back(std::make_unique<Helper>()).get();
-      reserve(h);
-      h->thread = std::thread([this, h] { helper_loop(*h); });
+    while (blockers_ < helpers) {  // before publishing: spawn may throw
+      reserve(spawn_locked([this](Helper& h) { helper_loop(h); }));
+      ++blockers_;
     }
     jobs_.push_back(&job);
     for (; job.reserved < helpers && !idle_.empty(); idle_.pop_back()) {
@@ -188,9 +239,11 @@ class BlockPool {
 
   std::mutex mu_;  // guards the members below and posted jobs' counts
   std::uint64_t last_id_ = 0;
+  unsigned blockers_ = 0;  ///< block helpers spawned so far
   std::vector<std::unique_ptr<Helper>> all_;
-  std::vector<Helper*> idle_;    ///< back = ran blocks most recently
-  std::vector<BlockJob*> jobs_;  ///< open jobs, oldest first
+  std::vector<Helper*> idle_;        ///< block helpers; back = ran last
+  std::vector<Helper*> idle_tasks_;  ///< task helpers; back = ran last
+  std::vector<BlockJob*> jobs_;      ///< open jobs, oldest first
 };
 
 // --- lane-execution policy + per-kernel hint registry --------------------
@@ -218,6 +271,12 @@ struct ExecHintRegistry {
 };
 
 }  // namespace
+
+void run_on_host_pool(std::function<void()> task) {
+  HostPool::instance().post(std::move(task));
+}
+
+void host_pool_task_done() { HostPool::instance().task_done(); }
 
 void set_exec_hint(const std::string& kernel, ExecHint hint) {
   ExecHintRegistry& r = ExecHintRegistry::instance();
@@ -265,9 +324,10 @@ Device::Device(DeviceConfig cfg, EngineOptions opts)
       exec_(std::make_unique<StreamExecutor>(*this)) {}
 
 Device::~Device() {
-  // Stop the stream workers first (an abandoned capture's graph-owned
-  // allocations are released with it), then trim the stream-ordered
-  // pool — pooled blocks are live-but-reusable, not leaks.
+  // Stop the stream executor first: its drains, monitor and zombie ops
+  // leave (an abandoned capture's graph-owned allocations are released
+  // with it). Then trim the stream-ordered pool — pooled blocks are
+  // live-but-reusable, not leaks.
   exec_.reset();
   pool_.reset();
   // Teardown leak report, unconditional (cheap: one registry walk). A
@@ -476,7 +536,7 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
           ? opts_.steal_chunk_blocks
           : std::max<std::uint64_t>(1, nblocks / (8ull * n));
   BlockJob job{*this, params, kernel, nblocks, chunk, launch_header(params)};
-  BlockPool::instance().run(job, n - 1);
+  HostPool::instance().run(job, n - 1);
   return job.stats;
 }
 
@@ -536,7 +596,6 @@ Stream* Device::create_stream() { return exec_->create_stream(); }
 Event* Device::create_event() { return exec_->create_event(); }
 void Device::destroy_stream(Stream* stream) { exec_->destroy_stream(stream); }
 void Device::destroy_event(Event* event) { exec_->destroy_event(event); }
-unsigned Device::stream_worker_count() const { return exec_->worker_count(); }
 
 void Device::synchronize() {
   check_not_lost("device synchronize");
@@ -689,8 +748,8 @@ DeviceConfig make_sim_mi250_config() {
 
 std::vector<Device*>& device_registry() {
   static std::vector<Device*> reg = [] {
-    // Intentionally leaked: devices own executor threads and must outlive
-    // any static-destruction-order user.
+    // Intentionally leaked: host pool tasks work on these devices and
+    // they must outlive any static-destruction-order user.
     auto* a100 = new Device(make_sim_a100_config());
     auto* mi250 = new Device(make_sim_mi250_config());
     return std::vector<Device*>{a100, mi250};

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -103,13 +104,22 @@ void set_exec_policy(ExecPolicy policy);
 /// "convergent", or "direct" (ExecMode::kDirect launches).
 const char* exec_mode_name(ExecMode mode, LaneExec lane_exec);
 
+/// Runs `task` on the process's one host thread pool, on an idle task
+/// thread or a new one: never queues, never blocks. Task threads are
+/// never counted toward a launch's `workers - 1` block helpers.
+void run_on_host_pool(std::function<void()> task);
+/// A pool task's last step, under the lock that guards its return: the
+/// thread may take new work from here on, so work posted while the task
+/// unwinds reuses it instead of spawning one. A no-op off the pool.
+void host_pool_task_done();
+
 /// Engine-wide execution options (host-side knobs, not device model).
 struct EngineOptions {
   /// OS threads that run one launch's blocks: the launching thread
-  /// plus up to `workers - 1` helpers from the process-wide persistent
-  /// block-worker pool, which grows to the largest `workers - 1` any
-  /// device asks for. Defaults to the host's hardware concurrency
-  /// (>= 1); 1 runs every block on the launching thread. Simulation
+  /// plus up to `workers - 1` block helpers of the host thread pool,
+  /// which grows to the largest `workers - 1` any device asks for.
+  /// Defaults to the host's hardware concurrency (>= 1); 1 runs every
+  /// block on the launching thread. Simulation
   /// results are identical for any value; only host wall time changes.
   unsigned workers = 0;
   /// Cooperative block scheduler (results identical either way).
@@ -192,7 +202,7 @@ class Device {
   /// Executes a kernel synchronously on the calling thread (every block,
   /// every thread, functionally) and returns measured stats + modeled
   /// time: resolve_launch, then run_resolved — the path stream kernels
-  /// take too, on an executor worker.
+  /// take too, on a stream drain.
   LaunchRecord launch_sync(const LaunchParams& params, const KernelFn& kernel);
 
   /// Throws std::invalid_argument for an unlaunchable configuration.
@@ -217,7 +227,7 @@ class Device {
   void synchronize();
   /// CUDA's legacy-default-stream rule for a host-blocking op (memcpy,
   /// memset, free): first wait for every launch already enqueued on
-  /// the device. A no-op on stream-executor threads, so a host-fn
+  /// the device. A no-op inside a stream op, so a host-fn
   /// callback that calls back into the runtime does not wait on its
   /// own stream.
   void sync_for_host_op();
@@ -238,9 +248,6 @@ class Device {
   /// device is usable again. Streams the watchdog timed out stay dead
   /// (destroy and recreate them).
   void reset();
-  /// Pool threads executing this device's stream ops (OMPX_STREAM_WORKERS
-  /// if set, else a small share of the host, 2..4).
-  [[nodiscard]] unsigned stream_worker_count() const;
 
   /// Modeled host<->device transfer time for `bytes` (used by the data
   /// mapping layers; also accumulated when stream memcpys execute).
@@ -297,8 +304,8 @@ class Device {
   double run_resolved(const LaunchParams& params, const KernelFn& kernel,
                       const BlockCache* cached, LaunchRecord* rec);
   /// The block-execution core: the grid's blocks, in work-stealing
-  /// chunks, on the calling thread and the persistent block-worker
-  /// pool, with every participant's counters folded in.
+  /// chunks, on the calling thread and the host pool's block helpers,
+  /// with every participant's counters folded in.
   [[nodiscard]] LaunchStats run_blocks(const LaunchParams& params,
                                        const KernelFn& kernel);
 

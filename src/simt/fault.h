@@ -20,7 +20,7 @@
 //   oom          DeviceMemory::allocate (covers ompx_malloc, klMalloc,
 //                malloc_async pool refill, constant memory)
 //   host_oom     host-side control allocation (stream/event creation)
-//   stall        a stream worker sleeps `ms` before executing an op —
+//   stall        a stream drain sleeps `ms` before executing an op —
 //                the wall-clock hang the watchdog exists to catch
 //   peer         cross-device peer copy fails
 //   graph        graph instantiation fails

@@ -85,8 +85,8 @@ class Graph {
   void own_allocation(void* p);
   [[nodiscard]] bool owns_allocation(const void* p) const;
 
-  /// Runs every node through the executor's op step on an executor
-  /// worker, then closes the replay with its chain-fence span.
+  /// Runs every node through the executor's op step on the drain that
+  /// runs the replay op, then closes the replay with its chain-fence span.
   /// Serialized per graph. Returns the flow id of the arrow arriving
   /// from the previous replay's fence (0 for the first replay).
   std::uint64_t execute_on(Stream& s);

@@ -110,7 +110,7 @@ namespace telemetry_detail {
 /// The tracing switch. Read relaxed on every hot-path operation; set
 /// only by Profiler::start/stop.
 extern std::atomic<bool> g_enabled;
-/// True on an executor thread while it runs a stream op: the op step
+/// True on a pool thread while a drain runs a stream op: the op step
 /// records the span itself (it knows the stream track and modeled
 /// start), so an inner add_transfer/launch_sync must not double-record.
 extern constinit thread_local bool t_in_stream_op;

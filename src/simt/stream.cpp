@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,7 +19,7 @@ namespace simt {
 
 namespace {
 
-/// Marks the executor thread as inside a stream op so the inner
+/// Marks the drain's thread as inside a stream op so the inner
 /// add_transfer (or a launch_sync a host fn makes) does not record on
 /// the sync track: the op step records the span itself, with the
 /// stream track and modeled start.
@@ -37,19 +37,15 @@ std::uint64_t event_flow_id(std::uint64_t uid, std::uint64_t generation) {
   return generation == 0 ? 0 : (uid << 20) + generation;
 }
 
-/// Pool workers per device executor: OMPX_STREAM_WORKERS, else a small
-/// share of the host (2..4). More than a handful buys nothing — each op
-/// already fans blocks out over the launch worker pool; these threads
-/// only provide stream overlap. Simulation results are identical for
-/// any count; only overlap and wall time change.
-unsigned stream_worker_count() {
-  if (const char* e = std::getenv("OMPX_STREAM_WORKERS")) {
-    const int v = std::atoi(e);
-    if (v > 0) return std::min<unsigned>(static_cast<unsigned>(v), 64u);
+/// Completes a kernel op that has no record — it failed, or it was
+/// dropped unrun — with an empty one, so a ticket waiting on it is
+/// released. Called without the executor lock.
+void complete_empty(StreamOp& op) {
+  if (op.kind != StreamOp::Kind::kKernel || !op.on_complete) return;
+  try {
+    op.on_complete(LaunchRecord{});
+  } catch (...) {
   }
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 2;
-  return std::clamp(hw / 2, 2u, 4u);
 }
 
 /// Modeled cost of a stream-ordered alloc/free op: a fixed sliver of
@@ -128,39 +124,29 @@ Stream::Stream(Device& dev, StreamExecutor& ex, std::uint64_t id)
 
 Stream::~Stream() { capi::LiveSet<Stream>::instance().erase(this); }
 
-void Stream::launch(const LaunchParams& params, KernelFn kernel) {
-  launch(params, std::move(kernel), nullptr);
-}
-
 void Stream::launch(const LaunchParams& params, KernelFn kernel,
                     std::function<void(const LaunchRecord&)> on_complete) {
   dev_.validate_launch(params);
-  StreamOp op;
-  op.kind = StreamOp::Kind::kKernel;
-  op.params = params;
-  op.kernel = std::move(kernel);
-  op.on_complete = std::move(on_complete);
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this, {.kind = StreamOp::Kind::kKernel,
+                     .params = params,
+                     .kernel = std::move(kernel),
+                     .on_complete = std::move(on_complete)});
 }
 
 void Stream::memcpy_async(void* dst, const void* src, std::size_t bytes,
                           CopyKind kind) {
-  StreamOp op;
-  op.kind = StreamOp::Kind::kMemcpy;
-  op.dst = dst;
-  op.src = src;
-  op.bytes = bytes;
-  op.copy_kind = kind;
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this, {.kind = StreamOp::Kind::kMemcpy,
+                     .dst = dst,
+                     .src = src,
+                     .bytes = bytes,
+                     .copy_kind = kind});
 }
 
 void Stream::memset_async(void* ptr, int value, std::size_t bytes) {
-  StreamOp op;
-  op.kind = StreamOp::Kind::kMemset;
-  op.dst = ptr;
-  op.value = value;
-  op.bytes = bytes;
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this, {.kind = StreamOp::Kind::kMemset,
+                     .dst = ptr,
+                     .bytes = bytes,
+                     .value = value});
 }
 
 void* Stream::malloc_async(std::size_t bytes) {
@@ -180,11 +166,8 @@ void* Stream::malloc_async(std::size_t bytes) {
         p = dev_.memory().allocate(bytes);
       }
       ex_.capture_->own_allocation(p);
-      StreamOp op;
-      op.kind = StreamOp::Kind::kAlloc;
-      op.dst = p;
-      op.bytes = bytes;
-      ex_.capture_->add_node(std::move(op));
+      ex_.capture_->add_node(
+          {.kind = StreamOp::Kind::kAlloc, .dst = p, .bytes = bytes});
       return p;
     }
   }
@@ -202,20 +185,18 @@ void* Stream::malloc_async(std::size_t bytes) {
       // blocks are live-but-idle capacity. Wait out pending work (their
       // last uses), return every pool to the device heap, and retry once
       // before letting the OOM surface — the cudaMallocAsync fallback.
-      // On an executor thread (graph replay) skip the drain; waiting on
+      // Inside a stream op (graph replay) skip the wait; waiting on
       // our own pool would deadlock.
       if (!telemetry_detail::t_in_stream_op) ex_.synchronize_all();
       dev_.mem_pool().trim();
       p = dev_.memory().allocate(bytes);
     }
   }
-  StreamOp op;
-  op.kind = StreamOp::Kind::kAlloc;
-  op.dst = p;
-  op.bytes = bytes;
-  op.pool_hit = hit;
   try {
-    ex_.submit(*this, std::move(op));
+    ex_.submit(*this, {.kind = StreamOp::Kind::kAlloc,
+                       .dst = p,
+                       .bytes = bytes,
+                       .pool_hit = hit});
   } catch (...) {
     // Enqueue refused (timed-out stream, injected fault): return the
     // block to the heap before surfacing the error, or it is stranded
@@ -251,11 +232,8 @@ void Stream::free_async(void* ptr) {
             "free_async during capture: only blocks from a captured "
             "malloc_async may be freed (an external block would be freed "
             "again on every replay)");
-      StreamOp op;
-      op.kind = StreamOp::Kind::kFree;
-      op.dst = ptr;
-      op.bytes = bytes;
-      ex_.capture_->add_node(std::move(op));
+      ex_.capture_->add_node(
+          {.kind = StreamOp::Kind::kFree, .dst = ptr, .bytes = bytes});
       return;
     }
   }
@@ -264,37 +242,25 @@ void Stream::free_async(void* ptr) {
         "free_async: pointer was not allocated with malloc_async; use "
         "ompx_free for plain ompx_malloc blocks (a cross-API free would "
         "corrupt the stream-ordered pool)");
-  StreamOp op;
-  op.kind = StreamOp::Kind::kFree;
-  op.dst = ptr;
-  op.bytes = bytes;
   // Enqueue before pooling: if the stream refuses the op (timed out),
   // the allocation stays live and the caller's error is accurate —
   // pooling first would hand out a block whose free "failed".
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this,
+             {.kind = StreamOp::Kind::kFree, .dst = ptr, .bytes = bytes});
   dev_.mem_pool().note_async_dead(ptr);
   dev_.mem_pool().release(id_, ptr, bytes);
 }
 
 void Stream::host_fn(std::function<void()> fn) {
-  StreamOp op;
-  op.kind = StreamOp::Kind::kHostFn;
-  op.fn = std::move(fn);
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this, {.kind = StreamOp::Kind::kHostFn, .fn = std::move(fn)});
 }
 
 void Stream::record(Event& ev) {
-  StreamOp op;
-  op.kind = StreamOp::Kind::kEventRecord;
-  op.event = &ev;
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this, {.kind = StreamOp::Kind::kEventRecord, .event = &ev});
 }
 
 void Stream::wait(Event& ev) {
-  StreamOp op;
-  op.kind = StreamOp::Kind::kEventWait;
-  op.event = &ev;
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this, {.kind = StreamOp::Kind::kEventWait, .event = &ev});
 }
 
 void Stream::begin_capture() {
@@ -326,10 +292,7 @@ void Stream::launch_graph(Graph& g) {
     throw std::invalid_argument(
         "launch_graph: graph was captured on a different device");
   g.instantiate();  // idempotent; no-op after the first call
-  StreamOp op;
-  op.kind = StreamOp::Kind::kGraph;
-  op.graph = &g;
-  ex_.submit(*this, std::move(op));
+  ex_.submit(*this, {.kind = StreamOp::Kind::kGraph, .graph = &g});
 }
 
 void Stream::synchronize() {
@@ -365,34 +328,31 @@ double Stream::modeled_ready_ms() const {
 
 StreamExecutor::StreamExecutor(Device& dev) : dev_(dev) {
   streams_.emplace_back(new Stream(dev_, *this, next_stream_id_++));
-  queues_.emplace(streams_.front()->id(), std::deque<Op>{});
-  const unsigned n = stream_worker_count();
-  slots_.resize(n);
-  workers_.reserve(n);
-  for (unsigned slot = 0; slot < n; ++slot)
-    workers_.emplace_back([this, slot] { worker_loop(slot, 0); });
+  // Drains at once: a small share of the host (2..4). More buys nothing
+  // — each op already fans its blocks out over the host pool; drains
+  // only provide stream overlap. Results are identical for any count.
+  slots_.resize(std::clamp(std::thread::hardware_concurrency() / 2, 2u, 4u));
 }
 
 StreamExecutor::~StreamExecutor() {
   {
-    std::lock_guard lock(mu_);
-    shutdown_ = true;
-  }
-  cv_submit_.notify_all();
-  cv_monitor_.notify_all();
-  for (std::thread& w : workers_) w.join();
-  if (monitor_.joinable()) monitor_.join();
-  {
-    // Watchdog-abandoned workers run detached; give stragglers a bounded
-    // window to notice their epoch is stale and exit before their
-    // executor disappears out from under them.
     std::unique_lock lock(mu_);
-    if (!cv_zombie_.wait_for(lock, std::chrono::seconds(30),
-                             [&] { return zombies_ == 0; }))
+    shutdown_ = true;
+    cv_submit_.notify_all();
+    cv_monitor_.notify_all();
+    // Drains run what is still ready and return; so does the monitor.
+    cv_complete_.wait(lock,
+                      [&] { return drains_ == 0 && !monitor_running_; });
+    // Watchdog-abandoned ops still run on their pool threads; give
+    // stragglers a bounded window to notice their epoch is stale and
+    // leave before their executor disappears out from under them.
+    if (!cv_complete_.wait_for(lock, std::chrono::seconds(30),
+                               [&] { return zombies_ == 0; }))
       std::fprintf(stderr,
-                   "[simt] warning: %u watchdog-abandoned worker(s) still "
+                   "[simt] warning: %u watchdog-abandoned op(s) still "
                    "running at device teardown\n",
                    zombies_);
+    drop_queued(lock, nullptr);  // waits on events that never record
   }
   // An abandoned capture (begin_capture with no end_capture) dies here:
   // ~Graph releases any graph-owned allocations.
@@ -404,7 +364,6 @@ Stream* StreamExecutor::create_stream() {
     throw std::bad_alloc();  // modeled host allocation failure
   std::lock_guard lock(mu_);
   streams_.emplace_back(new Stream(dev_, *this, next_stream_id_++));
-  queues_.emplace(streams_.back()->id(), std::deque<Op>{});
   return streams_.back().get();
 }
 
@@ -420,7 +379,7 @@ Event* StreamExecutor::create_event() {
 
 void StreamExecutor::destroy_stream(Stream* s) {
   if (s == nullptr) return;
-  std::uint64_t id = 0;
+  const std::uint64_t id = s->id_;
   {
     std::unique_lock lock(mu_);
     if (!streams_.empty() && s == streams_.front().get())
@@ -429,29 +388,23 @@ void StreamExecutor::destroy_stream(Stream* s) {
       throw std::invalid_argument(
           "cannot destroy a stream while it is capturing a graph");
     // Drain the stream's queued and in-flight work first (completed_ is
-    // bumped only after execute() returns, so this also waits out an op
-    // a pool worker is currently running). The dependency-deadlock
-    // detector guarantees this terminates even for permanently blocked
-    // heads.
+    // bumped only after the op returns, so this also waits out an op a
+    // drain is currently running). The dependency-deadlock detector
+    // guarantees this terminates even for permanently blocked heads.
     cv_complete_.wait(lock, [&] { return s->completed_ >= s->submitted_; });
     destroyed_streams_max_ms_ =
         std::max(destroyed_streams_max_ms_, s->modeled_ready_ms());
-    id = s->id_;
-    queues_.erase(s->id_);
-    for (auto it = streams_.begin(); it != streams_.end(); ++it) {
-      if (it->get() == s) {
-        if (s->timed_out_) {
-          // A watchdog-abandoned worker may still hold a raw pointer to
-          // this stream; park the object instead of freeing it. It dies
-          // with the executor, after the bounded zombie wait. The handle
-          // still reads as destroyed to the C ABIs from here on.
-          capi::LiveSet<Stream>::instance().erase(s);
-          abandoned_streams_.push_back(std::move(*it));
-        }
-        streams_.erase(it);
-        break;
-      }
+    auto it = std::find_if(streams_.begin(), streams_.end(),
+                           [&](const auto& sp) { return sp.get() == s; });
+    if (s->timed_out_) {
+      // A watchdog-abandoned op's drain may still hold a raw pointer to
+      // this stream; park the object instead of freeing it. It dies
+      // with the executor, after the bounded zombie wait. The handle
+      // still reads as destroyed to the C ABIs from here on.
+      capi::LiveSet<Stream>::instance().erase(s);
+      abandoned_streams_.push_back(std::move(*it));
     }
+    streams_.erase(it);
   }
   // The dead stream's free pool can never be reused; return it to the
   // device heap. Outside mu_ — trimming takes the memory locks.
@@ -462,21 +415,15 @@ void StreamExecutor::destroy_event(Event* ev) {
   if (ev == nullptr) return;
   std::unique_lock lock(mu_);
   // Queued EventRecord/EventWait ops hold a raw pointer to the event;
-  // wait until none remain (workers notify cv_complete_ per op).
+  // wait until none remain (drains notify cv_complete_ per op).
   cv_complete_.wait(lock, [&] { return !event_referenced_locked(ev); });
-  for (auto it = events_.begin(); it != events_.end(); ++it) {
-    if (it->get() == ev) {
-      events_.erase(it);
-      break;
-    }
-  }
+  std::erase_if(events_, [&](const auto& e) { return e.get() == ev; });
 }
 
 bool StreamExecutor::event_alive(const Event* ev) const {
   std::lock_guard lock(mu_);
-  for (const auto& e : events_)
-    if (e.get() == ev) return true;
-  return false;
+  return std::any_of(events_.begin(), events_.end(),
+                     [&](const auto& e) { return e.get() == ev; });
 }
 
 bool StreamExecutor::event_referenced_locked(const Event* ev) const {
@@ -484,65 +431,86 @@ bool StreamExecutor::event_referenced_locked(const Event* ev) const {
     if (st.event == ev) return true;
   for (const Event* pinned : zombie_event_pins_)
     if (pinned == ev) return true;
-  for (const auto& [id, q] : queues_)
-    for (const Op& op : q)
+  for (const auto& sp : streams_)
+    for (const Op& op : sp->queue_)
       if (op.event == ev) return true;
   return false;
 }
 
 void StreamExecutor::submit(Stream& s, Op op) {
   dev_.check_not_lost("stream operation");
-  {
-    std::lock_guard lock(mu_);
-    if (shutdown_) throw std::logic_error("submit on shut-down executor");
-    if (s.timed_out_)
-      throw TimeoutError(
-          "stream operation: stream was timed out by the watchdog; destroy "
-          "it and create a new one");
-    // The watchdog thread is lazy: it spins up on the first submit made
-    // while a budget is set, and then lives for the executor's lifetime
-    // (it re-reads the budget every poll, so later changes apply).
-    if (!monitor_started_ && watchdog_ms() > 0.0) start_monitor_locked();
-    if (s.capturing_) {
-      if (op.kind == Op::Kind::kGraph)
-        throw std::invalid_argument(
-            "cannot capture a graph launch (child graphs are not "
-            "supported)");
-      capture_->add_node(std::move(op));
-      return;
-    }
-    if (op.kind == Op::Kind::kEventRecord) {
-      op.event->pending_ = true;
-      op.event->recorded_ = false;
-    }
-    queues_[s.id_].push_back(std::move(op));
-    s.submitted_++;
-    total_submitted_++;
+  std::lock_guard lock(mu_);
+  if (shutdown_) throw std::logic_error("submit on shut-down executor");
+  if (s.timed_out_)
+    throw TimeoutError(
+        "stream operation: stream was timed out by the watchdog; destroy "
+        "it and create a new one");
+  // The watchdog monitor is lazy: it is posted with the first submit
+  // made while a budget is set, and then runs for the executor's
+  // lifetime (it re-reads the budget every poll, so later changes apply).
+  if (!monitor_running_ && watchdog_ms() > 0.0) {
+    monitor_running_ = true;
+    run_on_host_pool([this] { monitor_loop(); });
   }
-  cv_submit_.notify_all();
+  if (s.capturing_) {
+    if (op.kind == Op::Kind::kGraph)
+      throw std::invalid_argument(
+          "cannot capture a graph launch (child graphs are not "
+          "supported)");
+    capture_->add_node(std::move(op));
+    return;
+  }
+  if (op.kind == Op::Kind::kEventRecord) {
+    op.event->pending_ = true;
+    op.event->recorded_ = false;
+  }
+  s.queue_.push_back(std::move(op));
+  s.submitted_++;
+  total_submitted_++;
+  post_drains_locked();
+  cv_submit_.notify_all();  // the last drain may be waiting for work
 }
 
-bool StreamExecutor::head_blocked_locked(const Stream& s) const {
-  auto it = queues_.find(s.id_);
-  if (it == queues_.end() || it->second.empty()) return false;
-  const Op& head = it->second.front();
-  return head.kind == Op::Kind::kEventWait && !head.event->recorded_;
+bool StreamExecutor::ready_locked(const Stream& s) const {
+  if (s.inflight_ || s.queue_.empty()) return false;  // one op in flight
+  const Op& head = s.queue_.front();
+  return head.kind != Op::Kind::kEventWait || head.event->recorded_;
 }
 
-Stream* StreamExecutor::pick_ready_locked() {
+bool StreamExecutor::queued_locked() const {
+  return std::any_of(streams_.begin(), streams_.end(),
+                     [](const auto& sp) { return !sp->queue_.empty(); });
+}
+
+void StreamExecutor::post_drains_locked() {
+  if (shutdown_) return;
+  // A drain that runs no op takes a ready head itself. With work queued
+  // and no drain at all, post one anyway: it watches for a deadlock.
+  unsigned ready = 0;
+  for (const auto& sp : streams_) ready += ready_locked(*sp) ? 1 : 0;
+  const unsigned idle = drains_ - executing_;
+  unsigned want = ready > idle ? ready - idle : 0;
+  if (drains_ == 0 && queued_locked()) want = std::max(want, 1u);
+  for (; want > 0 && drains_ < slots_.size(); --want, ++drains_)
+    run_on_host_pool([this] { drain(); });
+}
+
+void StreamExecutor::drop_queued(std::unique_lock<std::mutex>& lock,
+                                 Stream* only) {
+  std::vector<Op> dropped;
   for (auto& sp : streams_) {
-    if (sp->inflight_) continue;  // stream order: one op in flight each
-    auto it = queues_.find(sp->id_);
-    if (it == queues_.end() || it->second.empty()) continue;
-    if (!head_blocked_locked(*sp)) return sp.get();
+    if (only != nullptr && sp.get() != only) continue;
+    sp->completed_ += sp->queue_.size();
+    total_completed_ += sp->queue_.size();
+    std::move(sp->queue_.begin(), sp->queue_.end(),
+              std::back_inserter(dropped));
+    sp->queue_.clear();
   }
-  return nullptr;
-}
-
-void StreamExecutor::start_monitor_locked() {
-  if (monitor_started_) return;
-  monitor_started_ = true;
-  monitor_ = std::thread([this] { monitor_loop(); });
+  cv_complete_.notify_all();
+  lock.unlock();
+  for (Op& op : dropped) complete_empty(op);
+  dropped.clear();  // the ops' closures die off the lock too
+  lock.lock();
 }
 
 void StreamExecutor::monitor_loop() {
@@ -556,7 +524,7 @@ void StreamExecutor::monitor_loop() {
         budget > 0.0 ? std::clamp(budget / 4.0, 1.0, 50.0) : 50.0;
     cv_monitor_.wait_for(
         lock, std::chrono::duration<double, std::milli>(poll_ms));
-    if (shutdown_) return;
+    if (shutdown_) break;
     const double live_budget = wall_watchdog_ms();
     if (live_budget <= 0.0) continue;
     const auto now = std::chrono::steady_clock::now();
@@ -566,13 +534,16 @@ void StreamExecutor::monitor_loop() {
           std::chrono::duration<double, std::milli>(now - slots_[slot].start)
               .count();
       if (elapsed_ms > live_budget)
-        abandon_slot_locked(slot, elapsed_ms, live_budget);
+        abandon_slot(lock, slot, elapsed_ms, live_budget);
     }
   }
+  monitor_running_ = false;
+  cv_complete_.notify_all();
 }
 
-void StreamExecutor::abandon_slot_locked(unsigned slot, double elapsed_ms,
-                                         double budget_ms) {
+void StreamExecutor::abandon_slot(std::unique_lock<std::mutex>& lock,
+                                  unsigned slot, double elapsed_ms,
+                                  double budget_ms) {
   SlotState& st = slots_[slot];
   Stream* s = st.stream;
   if (async_error_ == nullptr)
@@ -581,144 +552,128 @@ void StreamExecutor::abandon_slot_locked(unsigned slot, double elapsed_ms,
         " exceeded the wall-clock budget (" + std::to_string(elapsed_ms) +
         " ms > " + std::to_string(budget_ms) +
         " ms); the stream is dead, other streams continue"));
-  // The stream is permanently dead: inflight_ stays true so the
-  // scheduler never picks it again, submit() refuses new work, and its
-  // queue drains here so host-side waits return promptly.
+  // The stream is permanently dead: inflight_ stays true so no drain
+  // picks it again, submit() refuses new work, and its queue is dropped
+  // below so host-side waits return promptly.
   s->timed_out_ = true;
   s->completed_++;  // the abandoned in-flight op
   total_completed_++;
   executing_--;
-  auto qit = queues_.find(s->id_);
-  if (qit != queues_.end()) {
-    s->completed_ += qit->second.size();
-    total_completed_ += qit->second.size();
-    qit->second.clear();
-  }
   // Keep the abandoned op's event pinned until the zombie finishes with
   // it (destroy_event waits on this).
   if (st.event != nullptr) zombie_event_pins_.push_back(st.event);
-  st.event = nullptr;
-  st.stream = nullptr;
-  st.busy = false;
-  // Bumping the epoch tells the stuck worker — whenever it finally
-  // returns from execute() — that its slot was given away: it must not
-  // touch completion bookkeeping, just unpin and exit. A fresh worker
-  // takes over the slot so the pool keeps its capacity.
-  st.epoch++;
+  // Bumping the epoch tells the stuck drain — whenever its op finally
+  // returns — that its slot was given away: it must not touch
+  // completion bookkeeping, just unpin and go back to the pool. A
+  // replacement drain takes its place.
+  st = SlotState{.epoch = st.epoch + 1};
+  drains_--;
   zombies_++;
-  workers_[slot].detach();
-  const std::uint64_t epoch = st.epoch;
-  workers_[slot] = std::thread([this, slot, epoch] { worker_loop(slot, epoch); });
-  cv_complete_.notify_all();
   cv_submit_.notify_all();
+  post_drains_locked();
+  drop_queued(lock, s);
 }
 
-void StreamExecutor::worker_loop(unsigned slot, std::uint64_t my_epoch) {
+void StreamExecutor::drain() {
   std::unique_lock lock(mu_);
   while (true) {
-    Stream* s = pick_ready_locked();
-    if (s == nullptr) {
-      bool any_pending = false;
-      for (auto& [id, q] : queues_) any_pending |= !q.empty();
-      if (any_pending && executing_ == 0 && async_error_ == nullptr) {
-        // Every nonempty stream head waits on an unrecorded event and
-        // no in-flight op can record one. Only workers record events,
-        // so the queues can only unblock if the host submits the
-        // missing record. Give it a grace period; if nothing changes,
-        // declare a dependency deadlock (a wait submitted before its
-        // record forming a cycle, or a wait on an event that is never
-        // recorded) instead of hanging forever.
-        // Only a full grace period counts: any wakeup re-checks from
-        // the top, because submit() notifies after releasing the lock,
-        // so a wakeup can belong to a submission this worker already
-        // saw (and may even have run to completion) before waiting.
-        const std::uint64_t subs_before = total_submitted_;
-        const std::uint64_t comps_before = total_completed_;
-        if (cv_submit_.wait_for(lock, std::chrono::milliseconds(250)) ==
-            std::cv_status::no_timeout)
-          continue;
-        if (total_submitted_ != subs_before ||
-            total_completed_ != comps_before || executing_ != 0 || shutdown_)
-          continue;
-        if (async_error_ == nullptr)  // another worker may have raced us
-          async_error_ = std::make_exception_ptr(std::runtime_error(
-              "stream dependency deadlock: every stream head waits on an "
-              "event whose record cannot execute"));
-        // Drain everything so host-side synchronize() calls return.
-        for (auto& sp : streams_) {
-          auto& q = queues_[sp->id_];
-          sp->completed_ += q.size();
-          total_completed_ += q.size();
-          q.clear();
-        }
-        cv_complete_.notify_all();
-        continue;
+    Stream* s = nullptr;
+    for (auto& sp : streams_)
+      if (ready_locked(*sp)) {
+        s = sp.get();
+        break;
       }
-      if (shutdown_) return;
-      cv_submit_.wait(lock);
+    if (s == nullptr) {
+      // Every drain but the last goes back to the pool. The last one
+      // stays while blocked work is queued and watches for a deadlock:
+      // every nonempty stream head waits on an unrecorded event and no
+      // in-flight op can record one. Only drains record events, so the
+      // queues can only unblock if the host submits the missing record.
+      // Give it a grace period; if nothing changes, declare a dependency
+      // deadlock (a wait submitted before its record forming a cycle, or
+      // a wait on an event that is never recorded) instead of hanging
+      // forever. Only a full grace period counts: any wakeup re-checks
+      // from the top, because a wakeup can belong to a submission this
+      // drain already saw (and may even have run to completion).
+      if (shutdown_ || drains_ > 1 || executing_ != 0 ||
+          async_error_ != nullptr || !queued_locked())
+        break;
+      const std::uint64_t subs_before = total_submitted_;
+      const std::uint64_t comps_before = total_completed_;
+      if (cv_submit_.wait_for(lock, std::chrono::milliseconds(250)) ==
+          std::cv_status::no_timeout)
+        continue;
+      if (total_submitted_ != subs_before ||
+          total_completed_ != comps_before || executing_ != 0 || shutdown_)
+        continue;
+      if (async_error_ == nullptr)  // an op may have failed meanwhile
+        async_error_ = std::make_exception_ptr(std::runtime_error(
+            "stream dependency deadlock: every stream head waits on an "
+            "event whose record cannot execute"));
+      drop_queued(lock, nullptr);  // so host-side synchronize() returns
       continue;
     }
 
-    Op op = std::move(queues_[s->id_].front());
-    queues_[s->id_].pop_front();
+    Op op = std::move(s->queue_.front());
+    s->queue_.pop_front();
     s->inflight_ = true;
     executing_++;
-    slots_[slot].event = op.event;  // pins against destroy_event
-    slots_[slot].stream = s;
-    slots_[slot].busy = true;
-    slots_[slot].start = std::chrono::steady_clock::now();
+    // A slot is free: the busy ones run the other drains' ops.
+    SlotState& st = *std::find_if(slots_.begin(), slots_.end(),
+                                  [](const SlotState& x) { return !x.busy; });
+    const std::uint64_t my_epoch = st.epoch;
+    st.event = op.event;  // pins against destroy_event
+    st.stream = s;
+    st.busy = true;
+    st.start = std::chrono::steady_clock::now();
     lock.unlock();
     try {
-      execute(*s, op);
-    } catch (...) {
-      {
-        std::lock_guard elock(mu_);
-        // A watchdog-abandoned op's late failure is not news: the
-        // TimeoutError was already posted when the slot was given away.
-        if (slots_[slot].epoch == my_epoch && async_error_ == nullptr)
-          async_error_ = std::current_exception();
+      if (fault_should_fire(FaultSite::kStreamStall)) {
+        // Injected wall-clock stall: the op sleeps here, on the drain's
+        // thread, exactly where a wedged device op would sit. With a
+        // watchdog budget below the stall, the monitor abandons this
+        // slot mid-sleep and this drain leaves as a zombie.
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            FaultInjector::instance().stall_ms()));
       }
+      ScopedStreamOp op_scope;
+      run_op(*s, op);
+    } catch (...) {
+      std::lock_guard elock(mu_);
+      // A watchdog-abandoned op's late failure is not news: the
+      // TimeoutError was already posted when the slot was given away.
+      if (st.epoch == my_epoch && async_error_ == nullptr)
+        async_error_ = std::current_exception();
     }
     lock.lock();
-    if (slots_[slot].epoch != my_epoch) {
+    if (st.epoch != my_epoch) {
       // The watchdog abandoned this slot while the op was running: the
-      // monitor already did the completion bookkeeping and a fresh
-      // worker owns the slot. Unpin the op's event and disappear.
+      // monitor already did the completion bookkeeping and freed the
+      // slot. Unpin the op's event and go back to the pool.
       if (op.event != nullptr) {
         auto it = std::find(zombie_event_pins_.begin(),
                             zombie_event_pins_.end(), op.event);
         if (it != zombie_event_pins_.end()) zombie_event_pins_.erase(it);
       }
       zombies_--;
-      cv_zombie_.notify_all();
       cv_complete_.notify_all();
       return;
     }
-    slots_[slot].event = nullptr;
-    slots_[slot].stream = nullptr;
-    slots_[slot].busy = false;
+    st.event = nullptr;
+    st.stream = nullptr;
+    st.busy = false;
     s->inflight_ = false;
     s->completed_++;
     total_completed_++;
     executing_--;
     cv_complete_.notify_all();
-    // A completed op (an event record, or the drain of a full stream)
-    // may unblock other streams' heads for parked workers.
-    cv_submit_.notify_all();
+    // A completed op (an event record, say) may make other streams'
+    // heads ready; this drain takes one of them itself.
+    post_drains_locked();
   }
-}
-
-void StreamExecutor::execute(Stream& s, Op& op) {
-  if (fault_should_fire(FaultSite::kStreamStall)) {
-    // Injected wall-clock stall: the op sleeps here, on the worker
-    // thread, exactly where a wedged device op would sit. With a
-    // watchdog budget below the stall, the monitor abandons this slot
-    // mid-sleep and this worker exits as a zombie.
-    const double ms = FaultInjector::instance().stall_ms();
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-  }
-  ScopedStreamOp op_scope;
-  run_op(s, op);
+  drains_--;
+  cv_complete_.notify_all();
+  host_pool_task_done();
 }
 
 void StreamExecutor::run_op(Stream& s, Op& op) {
@@ -728,7 +683,7 @@ void StreamExecutor::run_op(Stream& s, Op& op) {
   if (prof) t0 = std::chrono::steady_clock::now();
   // Happens-before for host readers comes from the executor mutex
   // (completion bookkeeping) or a ticket's completion, so relaxed
-  // suffices; only this worker writes the value meanwhile.
+  // suffices; only this drain writes the value meanwhile.
   const double start = s.modeled_ready_ms_.load(std::memory_order_relaxed);
   double end = start;
   TraceSpan span;
@@ -747,12 +702,7 @@ void StreamExecutor::run_op(Stream& s, Op& op) {
         // A failed kernel never gets its record; release any ticket
         // waiter with an empty one (the error surfaces at the next
         // synchronize).
-        if (op.on_complete) {
-          try {
-            op.on_complete(LaunchRecord{});
-          } catch (...) {
-          }
-        }
+        complete_empty(op);
         throw;
       }
       if (prof) span = kernel_span(rec);

@@ -3,14 +3,16 @@
 // A stream is an ordered queue of device operations; operations in
 // different streams may execute concurrently and are ordered only
 // through events — CUDA/HIP semantics. The engine executes operations
-// functionally on a small per-device worker pool (OMPX_STREAM_WORKERS),
-// one op per stream in flight at a time, choosing any ready stream head
-// (a legal interleaving) — so independent streams genuinely overlap in
-// host wall time. A *modeled* timeline tracks what the concurrency
-// would cost on the simulated device: each op begins at
-// max(stream-ready, awaited-event timestamps) and advances its stream
-// by the op's modeled duration. Cross-stream
-// dependency cycles are detected and thrown instead of hanging.
+// functionally in *drains*: tasks the executor posts to the host thread
+// pool (run_on_host_pool), at most a few per device. A drain runs ready
+// stream heads, one op per stream in flight at a time, choosing any
+// ready head (a legal interleaving), and goes back to the pool when
+// none is ready — so independent streams genuinely overlap in host wall
+// time, and an idle device holds no thread. A *modeled* timeline
+// tracks what the concurrency would cost on the simulated device: each
+// op begins at max(stream-ready, awaited-event timestamps) and advances
+// its stream by the op's modeled duration. Cross-stream dependency
+// cycles are detected and thrown instead of hanging.
 //
 // Streams also feed two higher-level mechanisms:
 //  - the stream-ordered allocator (malloc_async/free_async) reusing
@@ -27,8 +29,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "simt/kernel.h"
@@ -42,7 +42,7 @@ class Graph;
 class StreamExecutor;
 struct LaunchRecord;
 
-/// True on a stream-executor thread while it runs an op. Host-blocking
+/// True on a pool thread while a drain runs an op on it. Host-blocking
 /// waits skip themselves there: the op would wait on its own stream.
 inline bool in_stream_op() { return telemetry_detail::t_in_stream_op; }
 
@@ -83,9 +83,9 @@ struct StreamOp {
   using Kind = SpanKind;
   Kind kind = Kind::kKernel;
   // kernel
-  LaunchParams params;
-  KernelFn kernel;
-  std::function<void(const LaunchRecord&)> on_complete;
+  LaunchParams params{};
+  KernelFn kernel{};
+  std::function<void(const LaunchRecord&)> on_complete{};
   /// Set on graph kernel nodes by Graph::instantiate, which resolved
   /// `params` once and may have prebuilt the node's blocks (the cache
   /// is then non-empty). Null on live ops, which the op step resolves
@@ -101,7 +101,7 @@ struct StreamOp {
   int value = 0;
   bool pool_hit = false;  // kAlloc: served from the stream pool
   // host fn
-  std::function<void()> fn;
+  std::function<void()> fn{};
   // events
   Event* event = nullptr;
   // graph replay
@@ -124,15 +124,14 @@ class Stream {
 
   /// Enqueue a kernel. The launch executes asynchronously; use
   /// synchronize()/events to observe completion. Per-launch results
-  /// (stats + modeled time) land in Device::launch_log().
-  void launch(const LaunchParams& params, KernelFn kernel);
-
-  /// Like launch(), additionally invoking `on_complete` with the
-  /// finished record on the executor thread — how a sharded launch
-  /// collects per-shard records whose log entries are suppressed
-  /// (LaunchParams::log = false), and how ompx::launch tickets complete.
+  /// (stats + modeled time) land in Device::launch_log(). A non-null
+  /// `on_complete` gets the finished record on the executor's thread —
+  /// how a sharded launch collects per-shard records whose log entries
+  /// are suppressed (LaunchParams::log = false), and how ompx::launch
+  /// tickets complete. A launch that fails, or is dropped unrun
+  /// (deadlock, watchdog, executor shutdown), gets an empty record.
   void launch(const LaunchParams& params, KernelFn kernel,
-              std::function<void(const LaunchRecord&)> on_complete);
+              std::function<void(const LaunchRecord&)> on_complete = {});
 
   /// Asynchronous memcpy/memset on this stream.
   void memcpy_async(void* dst, const void* src, std::size_t bytes, CopyKind kind);
@@ -152,7 +151,7 @@ class Stream {
   /// may be freed.
   void free_async(void* ptr);
 
-  /// Enqueue a host callback (runs on the executor thread when reached).
+  /// Enqueue a host callback (runs on the executor's thread when reached).
   void host_fn(std::function<void()> fn);
 
   /// Record `ev` at this point of the stream / make this stream wait
@@ -193,12 +192,13 @@ class Stream {
   Device& dev_;
   StreamExecutor& ex_;
   std::uint64_t id_;
-  /// Written only by the worker running this stream's op (one in flight
+  /// Written only by the drain running this stream's op (one in flight
   /// per stream); atomic so host readers need no executor lock.
   std::atomic<double> modeled_ready_ms_{0.0};
+  std::deque<StreamOp> queue_;      // ops not yet taken (executor mutex)
   std::uint64_t submitted_ = 0;     // ops enqueued (executor mutex)
   std::uint64_t completed_ = 0;     // ops executed (executor mutex)
-  bool inflight_ = false;           // a worker is executing this stream's
+  bool inflight_ = false;           // a drain is executing this stream's
                                     // head (executor mutex)
   bool capturing_ = false;          // ops redirect into a Graph (executor
                                     // mutex)
@@ -213,7 +213,8 @@ class Stream {
 [[nodiscard]] bool stream_alive(const Stream* s);
 [[nodiscard]] bool event_alive(const Event* ev);
 
-/// One executor per device: owns the op queues and the worker pool.
+/// One executor per device: owns the op queues and posts the drains
+/// and the watchdog monitor that work them to the host thread pool.
 class StreamExecutor {
  public:
   explicit StreamExecutor(Device& dev);
@@ -227,7 +228,7 @@ class StreamExecutor {
   Stream& default_stream() { return *streams_.front(); }
 
   /// Drains the stream's pending/in-flight ops (including anything a
-  /// pool worker is currently running), trims its memory pool, then
+  /// drain is currently running), trims its memory pool, then
   /// releases it. Destroying the default stream or a capturing stream
   /// throws; nullptr is a no-op.
   void destroy_stream(Stream* s);
@@ -251,11 +252,6 @@ class StreamExecutor {
   /// their captured event references against this at instantiate).
   [[nodiscard]] bool event_alive(const Event* ev) const;
 
-  /// Number of pool workers executing this device's stream ops.
-  [[nodiscard]] unsigned worker_count() const {
-    return static_cast<unsigned>(workers_.size());
-  }
-
  private:
   friend class Stream;
   friend class Event;
@@ -263,27 +259,33 @@ class StreamExecutor {
 
   using Op = StreamOp;
 
-  /// One worker slot's in-flight state, watched by the wall-clock
-  /// watchdog monitor. `epoch` is bumped when the monitor abandons the
-  /// slot: the stuck worker sees the mismatch when (if) its op finally
-  /// returns and exits as a zombie instead of touching state its
-  /// replacement now owns.
+  /// One in-flight op's slot, watched by the wall-clock watchdog
+  /// monitor. `epoch` is bumped when the monitor abandons the slot: the
+  /// stuck drain sees the mismatch when (if) its op finally returns and
+  /// leaves as a zombie instead of touching state its successor owns.
   struct SlotState {
     const Event* event = nullptr;  ///< pins the op's event vs destroy_event
     Stream* stream = nullptr;      ///< stream whose op is executing
     std::uint64_t epoch = 0;
     bool busy = false;
-    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point start{};
   };
 
   void submit(Stream& s, Op op);
-  void worker_loop(unsigned slot, std::uint64_t my_epoch);
-  /// Under lock: a stream whose head op can run now and that has no op
-  /// already in flight, or nullptr.
-  Stream* pick_ready_locked();
-  [[nodiscard]] bool head_blocked_locked(const Stream& s) const;
-  /// Live caller of run_op: the injected-stall site, then the step.
-  void execute(Stream& s, Op& op);
+  /// Under lock: can `s`'s head op run now (none of its ops in flight,
+  /// and not a wait on an unrecorded event)? Is any op queued at all?
+  [[nodiscard]] bool ready_locked(const Stream& s) const;
+  [[nodiscard]] bool queued_locked() const;
+  /// Under lock: posts a drain (up to one per slot) for each ready head
+  /// no idle drain will take, and one when work is queued but none runs.
+  void post_drains_locked();
+  /// A pool task: runs ready stream heads until none is ready. The last
+  /// drain stays while work is queued, for the dependency-deadlock check.
+  void drain();
+  /// Under `lock`: counts the queued ops of `only` (of every stream when
+  /// null) complete and drops them, releasing their launches' tickets
+  /// with the lock released.
+  void drop_queued(std::unique_lock<std::mutex>& lock, Stream* only);
   /// The one op step, shared by live execution and graph replay: runs
   /// `op` on `s`'s modeled timeline (start at the stream's ready time,
   /// advance it by the op's modeled cost), records the op's span, then
@@ -292,21 +294,20 @@ class StreamExecutor {
   void run_op(Stream& s, Op& op);
   /// Under lock: any queued (or in-flight) op referencing `ev`?
   [[nodiscard]] bool event_referenced_locked(const Event* ev) const;
-  /// Watchdog monitor: polls busy slots against simt::wall_watchdog_ms().
+  /// Watchdog monitor, a pool task: polls busy slots against
+  /// simt::wall_watchdog_ms() until shutdown.
   void monitor_loop();
-  void start_monitor_locked();
-  /// Under lock: fails `slot`'s stream with TimeoutError, drains its
-  /// queue, and hands the slot to a fresh worker thread (the stuck one
-  /// becomes a zombie that exits when its op returns).
-  void abandon_slot_locked(unsigned slot, double elapsed_ms, double budget_ms);
+  /// Under `lock`: fails `slot`'s stream with TimeoutError, drops its
+  /// queue, and frees the slot for a replacement drain (the stuck one
+  /// becomes a zombie that leaves when its op returns).
+  void abandon_slot(std::unique_lock<std::mutex>& lock, unsigned slot,
+                    double elapsed_ms, double budget_ms);
 
   Device& dev_;
   mutable std::mutex mu_;
-  std::condition_variable cv_submit_;   // workers wait for work
-  std::condition_variable cv_complete_; // host waits for completion
+  std::condition_variable cv_submit_;   // the last drain waits for work
+  std::condition_variable cv_complete_; // op completion, task exit
   std::condition_variable cv_monitor_;  // wakes the watchdog monitor
-  std::condition_variable cv_zombie_;   // teardown waits for zombies
-  std::unordered_map<std::uint64_t, std::deque<Op>> queues_;
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Event>> events_;
   std::exception_ptr async_error_;
@@ -316,21 +317,20 @@ class StreamExecutor {
   std::uint64_t total_submitted_ = 0;
   std::uint64_t total_completed_ = 0;
   unsigned executing_ = 0;                 // ops currently in flight
-  std::vector<SlotState> slots_;           // per-worker-slot in-flight state
+  unsigned drains_ = 0;                    // drain tasks posted
+  std::vector<SlotState> slots_;           // one per drain allowed
   /// Event pins moved out of an abandoned slot; the zombie drops its
   /// entry when it exits (destroy_event scans these too).
   std::vector<const Event*> zombie_event_pins_;
   /// Streams destroyed while timed out are parked here (not freed):
-  /// their zombie worker may still touch them when its op returns.
+  /// their zombie drain may still touch them when its op returns.
   std::vector<std::unique_ptr<Stream>> abandoned_streams_;
   unsigned zombies_ = 0;
   double destroyed_streams_max_ms_ = 0.0;  // keeps modeled_now_ms monotonic
   // Graph capture: at most one capturing stream per device.
   Stream* capture_stream_ = nullptr;
   std::unique_ptr<Graph> capture_;
-  std::vector<std::thread> workers_;
-  std::thread monitor_;
-  bool monitor_started_ = false;
+  bool monitor_running_ = false;  // the watchdog monitor task is posted
 };
 
 }  // namespace simt

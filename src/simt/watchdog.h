@@ -8,8 +8,8 @@
 //     fails when its modeled duration exceeds the budget (TimeoutError
 //     before the launch is logged), the simulator analogue of
 //     cudaErrorLaunchTimeout;
-//   * wall clock — each StreamExecutor runs a monitor thread that
-//     abandons a worker stuck past wall_watchdog_ms() on one op (a hung
+//   * wall clock — each StreamExecutor runs a monitor pool task that
+//     abandons a drain stuck past wall_watchdog_ms() on one op (a hung
 //     kernel or an injected stall), fails the stream with TimeoutError,
 //     and drains its queue so host waits return instead of hanging.
 //     That budget is the same value floored at kMinWallWatchdogMs: a

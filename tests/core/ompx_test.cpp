@@ -475,6 +475,25 @@ TEST(OmpxNowait, ThousandConstructStress) {
   EXPECT_EQ(sum.load(), 1000L * 999 / 2);
 }
 
+TEST(OmpxNowait, TicketBehindDeadlockedWaitCompletes) {
+  // The stream's head waits on an event nothing records, so the
+  // dependency-deadlock detector drops the queue. The launch queued
+  // behind it never runs, but its ticket must still complete (with an
+  // empty record) instead of leaving wait() hanging.
+  simt::Event* ev = a100().create_event();
+  a100().default_stream().wait(*ev);
+  ompx::LaunchResult r =
+      ompx::launch(nowait_spec("behind_deadlocked_wait"), [] {});
+  EXPECT_THROW(a100().synchronize(), std::runtime_error);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!r.query() && std::chrono::steady_clock::now() < deadline)
+    sleep_ms(1);
+  ASSERT_TRUE(r.query());
+  EXPECT_EQ(r.record.stats.blocks, 0u);
+  a100().destroy_event(ev);
+}
+
 TEST(OmpxNowait, CrossDeviceDependInWaitsForWriter) {
   // The a100 writer and the mi250 reader sit on different default
   // streams; only the depend clause orders them.

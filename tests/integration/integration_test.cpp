@@ -2,6 +2,7 @@
 // and ompx layers used together the way a real application would.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
@@ -197,6 +198,56 @@ TEST(Integration, InteropStreamsPlusNowaitTargetCompose) {
   for (double v : host) ASSERT_DOUBLE_EQ(v, 3.5);
   omp::target_free(buf, dev);
   omp::interop_destroy(obj);
+}
+
+TEST(Integration, InteropStreamsOverlapFourEqualChains) {
+  // The abl_interop_streams pattern: four independent chains of equal
+  // kernels, first as waited launches (the modeled timeline is their
+  // serial sum), then one chain per interop stream (the timeline is one
+  // chain). Same buffers either way, and exactly 4x overlap.
+  constexpr int kChains = 4, kKernels = 8, kPer = 2048;
+  simt::Device& dev = simt::sim_a100();
+  std::vector<double> a(kChains * kPer, 1.0), b(kChains * kPer, 1.0);
+  const auto spec_for = [&](const char* name) {
+    ompx::LaunchSpec spec;
+    spec.device = &dev;
+    spec.num_teams = {8};
+    spec.thread_limit = {256};
+    spec.mode = simt::ExecMode::kDirect;
+    spec.cost.global_bytes_per_thread = 512;
+    spec.name = name;
+    return spec;
+  };
+  const auto step = [](double* chain) {
+    return [chain] { chain[ompx::global_thread_id()] *= 1.0000001; };
+  };
+
+  dev.clear_launch_log();
+  for (int k = 0; k < kKernels; ++k)
+    for (int c = 0; c < kChains; ++c)
+      ompx::launch(spec_for("overlap_sync"), step(a.data() + c * kPer)).wait();
+  const double sync_ms = dev.modeled_kernel_ms_total();
+
+  std::vector<omp::Interop> objs;
+  for (int c = 0; c < kChains; ++c)
+    objs.push_back(omp::interop_init_targetsync(dev));
+  for (int k = 0; k < kKernels; ++k)
+    for (int c = 0; c < kChains; ++c) {
+      ompx::LaunchSpec spec = spec_for("overlap_stream");
+      spec.nowait = true;
+      spec.depend_interop = &objs[c];
+      ompx::launch(spec, step(b.data() + c * kPer));
+    }
+  double stream_ms = 0.0;
+  for (omp::Interop& obj : objs) {
+    ompx::taskwait(obj);
+    stream_ms = std::max(stream_ms, obj.stream->modeled_ready_ms());
+  }
+  for (omp::Interop& obj : objs) omp::interop_destroy(obj);
+
+  EXPECT_EQ(a, b);
+  ASSERT_GT(stream_ms, 0.0);
+  EXPECT_NEAR(sync_ms / stream_ms, 4.0, 0.01);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 // are unchanged once the fault window closes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "apps/harness.h"
 #include "core/ompx.h"
@@ -231,6 +234,39 @@ TEST(FaultWatchdog, WallClockHangKillsOnlyTheOffendingStream) {
   // may still hold the pointer); both destroys must return cleanly.
   dev.destroy_stream(victim);
   dev.destroy_stream(bystander);
+  ASSERT_EQ(ompx_set_watchdog_ms(0.0), OMPX_SUCCESS);
+}
+
+// The watchdog drops whatever was queued behind the stalled op; a
+// dropped launch still gets its completion callback (with an empty
+// record), so a ticket waiting on it is released.
+TEST(FaultWatchdog, LaunchQueuedBehindStalledOpGetsItsCallback) {
+  simt::Device dev(simt::make_sim_a100_config());
+  simt::Stream* victim = dev.create_stream();
+  ASSERT_EQ(ompx_set_watchdog_ms(100.0), OMPX_SUCCESS);
+  std::atomic<bool> called{false};
+  std::atomic<std::uint64_t> blocks{1};
+  {
+    ompx::FaultScope fault("stall:after=0,ms=1500");
+    victim->host_fn([] {});
+    simt::LaunchParams p;
+    p.grid = {1};
+    p.block = {32};
+    p.mode = simt::ExecMode::kDirect;
+    p.name = "behind_stall";
+    victim->launch(p, [] {}, [&](const simt::LaunchRecord& rec) {
+      blocks.store(rec.stats.blocks);
+      called.store(true);
+    });
+    EXPECT_THROW(victim->synchronize(), simt::TimeoutError);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!called.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(called.load());
+  EXPECT_EQ(blocks.load(), 0u);
+  dev.destroy_stream(victim);
   ASSERT_EQ(ompx_set_watchdog_ms(0.0), OMPX_SUCCESS);
 }
 

@@ -2,7 +2,10 @@
 // for any worker count (blocks are independent, CUDA semantics), and
 // the persistent block-worker pool behind it stays bounded, shares
 // itself between concurrent launchers, survives throwing blocks, and
-// keeps its threads' fiber caches warm across launches.
+// keeps its threads' fiber caches warm across launches. The same pool is
+// the process's only host thread pool: stream executors, serve
+// schedulers and the watchdog monitor post their work to it instead of
+// owning threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve/serve.h"
 #include "simt/atomics.h"
 #include "simt/simt.h"
 
@@ -115,6 +119,9 @@ TEST(BlockPool, ProcessThreadCountStaysBounded) {
   // most 6 - 1 helpers; nothing is spawned per launch.
   Device two = make_dev(2);
   Device six = make_dev(6);
+  // A sanitizer runtime (TSan) starts a thread of its own along with the
+  // process's first thread; let that happen before the baseline.
+  std::thread([] {}).join();
   const std::size_t before = process_threads();
   std::atomic<std::size_t> peak{before};
   LaunchParams lp;
@@ -252,5 +259,123 @@ TEST(BlockPool, SecondFiberLaunchCreatesNoFibers) {
   EXPECT_EQ(second.stats.block_barriers, 16u);
 }
 
+
+// --- one host thread pool -------------------------------------------------
+
+TEST(HostPool, DeviceAndServerConstructionSpawnNoThreads) {
+  Device& a100 = sim_a100();
+  Device& mi250 = sim_mi250();
+  const std::size_t before = process_threads();
+  {
+    Device dev = make_dev(4);
+    EXPECT_EQ(process_threads(), before);
+  }
+  serve::Server server;
+  serve::ClientContext* c0 = server.create_client(&a100);
+  serve::ClientContext* c1 = server.create_client(&mi250);
+  EXPECT_EQ(process_threads(), before);
+  server.destroy_client(c0);
+  server.destroy_client(c1);
+}
+
+TEST(HostPool, ThreadCountPeaksInTheFirstRound) {
+  // Every kind of host work — stream ops on three streams of both
+  // registry devices, serve requests, multi-block launches — runs on
+  // the pool's helpers, which are reused; nothing is spawned per op.
+  // The pool holds the block helpers the widest launch asked for plus
+  // one task helper per task that ran at once. Each round holds its
+  // stream and serve kernels until the host's own launch runs, so every
+  // round runs the same tasks at once and the first round's peak is the
+  // peak.
+  Device* devs[] = {&sim_a100(), &sim_mi250()};
+  serve::Server server;
+  serve::ClientContext* clients[] = {server.create_client(devs[0]),
+                                     server.create_client(devs[1])};
+  std::vector<Stream*> streams;
+  for (Device* d : devs)
+    for (int i = 0; i < 3; ++i) streams.push_back(d->create_stream());
+  std::atomic<std::size_t> peak{0};
+  const auto sample = [&] {
+    const std::size_t now = process_threads();
+    std::size_t seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  };
+  std::atomic<bool> host_launched{false};
+  LaunchParams lp;
+  lp.grid = {16};
+  lp.block = {32};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "pool_rounds";
+  const KernelFn held = [&] {
+    if (this_thread().flat_tid != 0 || this_thread().block_idx.x != 0) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!host_launched.load() &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    sample();
+  };
+  const KernelFn host = [&] {
+    if (this_thread().flat_tid != 0 || this_thread().block_idx.x != 0) return;
+    sample();
+    host_launched.store(true);
+  };
+  std::vector<int> data(64, 1);
+  std::size_t first_peak = 0;
+  for (int round = 0; round < 500; ++round) {
+    host_launched.store(false);
+    for (Stream* s : streams) {
+      int* buf = static_cast<int*>(s->malloc_async(64 * sizeof(int)));
+      s->memcpy_async(buf, data.data(), 64 * sizeof(int),
+                      CopyKind::kHostToDevice);
+      s->launch(lp, held);
+      s->host_fn(sample);
+      s->free_async(buf);
+    }
+    for (serve::ClientContext* c : clients) (void)c->submit(lp, held);
+    (void)devs[round % 2]->launch_sync(lp, host);
+    for (serve::ClientContext* c : clients) c->synchronize();
+    for (Device* d : devs) d->synchronize();
+    sample();
+    if (round == 0) first_peak = peak.load();
+    ASSERT_LE(peak.load(), first_peak) << "round " << round;
+  }
+  for (Stream* s : streams) s->device().destroy_stream(s);
+  for (serve::ClientContext* c : clients) server.destroy_client(c);
+}
+
+TEST(HostPool, StreamKernelFansOutOverTheFullWorkerCount) {
+  // A stream op runs on a pool helper that is not part of any launch's
+  // helper budget: a 64-block kernel on a workers = 4 device still runs
+  // on four OS threads, the draining helper plus three block helpers.
+  Device dev = make_dev(4);
+  Stream* s = dev.create_stream();
+  std::mutex mu;
+  std::set<std::thread::id> ran;
+  const auto distinct = [&] {
+    std::lock_guard lock(mu);
+    return ran.size();
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  LaunchParams lp;
+  lp.grid = {64};
+  lp.block = {1};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "pool_stream_fanout";
+  s->launch(lp, [&] {
+    {
+      std::lock_guard lock(mu);
+      ran.insert(std::this_thread::get_id());
+    }
+    while (distinct() < 4 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  });
+  s->synchronize();
+  EXPECT_EQ(distinct(), 4u);
+  EXPECT_EQ(ran.count(std::this_thread::get_id()), 0u);
+  dev.destroy_stream(s);
+}
 
 }  // namespace
