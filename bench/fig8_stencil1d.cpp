@@ -32,6 +32,7 @@ void graph_demo(simt::Device& dev) {
   spec.thread_limit = {kBlock};
   spec.name = "stencil1d_graph";
   spec.device = &dev;
+  spec.mode = o.mode;
 
   simt::Stream& s = dev.default_stream();
   ompx::stream_begin_capture(s);

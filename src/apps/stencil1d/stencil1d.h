@@ -3,6 +3,9 @@
 // shared memory, synchronizes, and sums a (2*RADIUS+1)-point window.
 // The omp version cannot avoid the generic-mode state machine and is
 // dramatically slower. Paper CLI: `134217728 1000` (scaled here).
+// The ompx and kl kernels have exactly one barrier, so they launch in
+// ExecMode::kDirect: the engine runs a block's lanes nested through
+// that barrier instead of on fibers (see simt/block.h).
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,10 @@ inline constexpr int kBlock = 256;
 struct Options {
   std::int64_t n = 1 << 20;  ///< elements (paper: 2^27, scaled)
   int iterations = 8;        ///< repetitions (paper: 1000, scaled)
+  /// Launch mode of the ompx and kl kernels. Direct by default (one
+  /// barrier, lanes nested through it); tests flip it to cooperative
+  /// to run the same kernels on fibers or the convergent lane loop.
+  simt::ExecMode mode = simt::ExecMode::kDirect;
 
   bool operator==(const Options&) const = default;
 };

@@ -98,6 +98,7 @@ std::vector<int> run_kl(const SimulationData& d, simt::Device& dev,
   attrs.name = "stencil1d";
   attrs.profile = profile_for(v, dev);
   attrs.cost = tiled_cost();
+  attrs.mode = d.opt.mode;
   for (int it = 0; it < d.opt.iterations; ++it) {
     check(
         launch({static_cast<unsigned>(simt::ceil_div(n, kBlock))}, {kBlock}, 0,
@@ -145,6 +146,7 @@ std::vector<int> run_ompx(const SimulationData& d, simt::Device& dev) {
   spec.profile = profile_for(Version::kOmpx, dev);
   spec.cost = tiled_cost();
   spec.device = &dev;
+  spec.mode = d.opt.mode;
   for (int it = 0; it < d.opt.iterations; ++it) {
     ompx::launch(spec, [=] {
       int* tile = ompx::groupprivate<int>(kBlock + 2 * kRadius);

@@ -1,5 +1,7 @@
 #include "simt/block.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <bit>
 #include <cinttypes>
@@ -14,7 +16,41 @@ namespace simt {
 
 namespace {
 thread_local ThreadCtx* t_ctx = nullptr;
+
+/// Makes `ctx` current again when the scope ends, on return or unwind.
+struct CtxRestore {
+  ThreadCtx* ctx;
+  ~CtxRestore() { t_ctx = ctx; }
+};
+
+/// OS-thread stack a direct-mode barrier must leave free before it
+/// nests one more lane: that lane's own frames (its prefix, its
+/// post-barrier code, an exception unwind) must fit in it.
+constexpr std::uintptr_t kNestStackReserve = 256 << 10;
+
+/// The calling OS thread's stack, [lo, hi), read once per thread
+/// (pthread_getattr_np); {0, 0} if it cannot be read.
+struct StackBounds {
+  std::uintptr_t lo = 0, hi = 0;
+};
+
+const StackBounds& thread_stack() {
+  thread_local const StackBounds bounds = [] {
+    StackBounds b;
+    pthread_attr_t attr;
+    if (pthread_getattr_np(pthread_self(), &attr) != 0) return b;
+    void* addr = nullptr;
+    std::size_t size = 0;
+    if (pthread_attr_getstack(&attr, &addr, &size) == 0) {
+      b.lo = reinterpret_cast<std::uintptr_t>(addr);
+      b.hi = b.lo + size;
+    }
+    pthread_attr_destroy(&attr);
+    return b;
+  }();
+  return bounds;
 }
+}  // namespace
 
 ThreadCtx& this_thread() {
   if (t_ctx == nullptr)
@@ -40,10 +76,8 @@ BlockState::BlockState(Device& device, const LaunchParams& params,
   const std::uint32_t ws = device.config().warp_size;
   const std::uint32_t nwarps = static_cast<std::uint32_t>(ceil_div(nthreads_, ws));
   warps_.reserve(nwarps);
-  for (std::uint32_t w = 0; w < nwarps; ++w) {
-    const std::uint32_t width = std::min(ws, nthreads_ - w * ws);
-    warps_.push_back(std::make_unique<WarpState>(*this, w, width));
-  }
+  for (std::uint32_t w = 0; w < nwarps; ++w)
+    warps_.emplace_back(*this, w, std::min(ws, nthreads_ - w * ws));
   // slots_ stays empty here: only the fiber schedulers read it, and the
   // convergent fast path never does — they size it on entry instead.
   // Under the convergent lane loop the ctx array itself is also
@@ -81,7 +115,7 @@ void BlockState::setup_ctxs() {
     ctx.warp_id = warp;
     ctx.lane = lane;
     ctx.block = this;
-    ctx.warp = warps_[warp].get();
+    ctx.warp = &warps_[warp];
     ctx.device = &device_;
     ctx.fiber = nullptr;
     if (++t.x == bd.x) {
@@ -120,15 +154,61 @@ void BlockState::reset_for_replay() {
   shared_vars_.clear();
   std::fill(shared_alloc_ordinal_.begin(), shared_alloc_ordinal_.end(), 0);
   san_shadow_.clear();
+  direct_next_ = 0;
+  direct_released_ = false;
+  barrier_arrived_ = 0;
 }
 
 void BlockState::run_direct() {
-  for (std::uint32_t i = 0; i < nthreads_; ++i) {
-    t_ctx = &ctxs_[i];
-    kernel_();
-    t_ctx = nullptr;
-    live_--;
+  CtxRestore restore{nullptr};
+  while (direct_next_ < nthreads_) run_direct_lane(direct_next_++);
+}
+
+void BlockState::run_direct_lane(std::uint32_t i) {
+  t_ctx = &ctxs_[i];
+  kernel_();
+  live_--;
+}
+
+// Direct mode's one barrier, without fibers: the arriving lane runs
+// every lane the cursor has not started, each nested on this OS
+// thread's stack, so by the time the loop ends every lane has either
+// returned (exited early, or finished after a release deeper down) or
+// is suspended in an enclosing barrier call further up the stack. The
+// innermost call therefore releases, exactly once; the calls then
+// return one by one and each lane's post-barrier code runs, in
+// descending lane order. Prefix accesses carry barrier epoch e and
+// post-barrier ones e+1, as under the fiber scheduler.
+void BlockState::direct_barrier(ThreadCtx& ctx) {
+  if (in_run_lanes_) direct_error("block barrier inside run_lanes");
+  if (direct_released_) direct_error("second block barrier");
+  barrier_arrived_++;
+  {
+    CtxRestore restore{&ctx};
+    while (direct_next_ < nthreads_) {
+      // The frame address, not a local's: ASan may move locals off
+      // the real stack.
+      const StackBounds& stack = thread_stack();
+      const auto sp =
+          reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+      if (sp < stack.lo + kNestStackReserve || sp >= stack.hi)
+        direct_error("block barrier nesting lane " +
+                     std::to_string(direct_next_) + " of " +
+                     std::to_string(nthreads_) + " with less than " +
+                     std::to_string(kNestStackReserve >> 10) +
+                     " KiB of OS-thread stack left");
+      run_direct_lane(direct_next_++);
+    }
   }
+  if (direct_released_) return;
+  direct_released_ = true;
+  barrier_arrived_ = 0;
+  count_barrier();
+}
+
+void BlockState::direct_error(const std::string& what) const {
+  throw std::logic_error(what + " in ExecMode::kDirect (kernel '" +
+                         params_.name + "'); launch cooperatively");
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +316,7 @@ std::uint32_t BlockState::run_lane_loop() {
   ctx.warp_id = 0;
   ctx.lane = 0;
   ctx.block = this;
-  ctx.warp = warps_[0].get();
+  ctx.warp = &warps_[0];
   ctx.device = &device_;
   ctx.fiber = nullptr;
   std::uint32_t i = 0;
@@ -257,7 +337,7 @@ std::uint32_t BlockState::run_lane_loop() {
       ctx.flat_tid = i + 1;
       if (++ctx.lane == ws && i + 1 < nthreads_) {
         ctx.lane = 0;
-        ctx.warp = warps_[++ctx.warp_id].get();
+        ctx.warp = &warps_[++ctx.warp_id];
       }
     }
   } catch (const detail::DeflateSignal&) {
@@ -406,8 +486,14 @@ void BlockState::run_lanes(ThreadCtx& caller, std::uint32_t n,
         "BlockState::run_lanes: direct-mode blocks and n <= block size only");
   struct Restore {
     ThreadCtx* ctx;
-    ~Restore() { t_ctx = ctx; }
-  } restore{&caller};
+    bool& in_lanes;
+    bool was_in_lanes;
+    ~Restore() {
+      t_ctx = ctx;
+      in_lanes = was_in_lanes;
+    }
+  } restore{&caller, in_run_lanes_, in_run_lanes_};
+  in_run_lanes_ = true;
   for (std::uint32_t tid = 0; tid < n; ++tid) {
     t_ctx = &ctxs_[tid];
     lane(static_cast<int>(tid));
@@ -461,8 +547,12 @@ void BlockState::on_thread_exit(std::uint32_t flat) {
 }
 
 void BlockState::sync_threads(ThreadCtx& ctx) {
-  // Deflation (or the kDirect error) fires before barrier_arrived_
-  // moves: a deflating thread's prefix must leave no trace.
+  if (params_.mode == ExecMode::kDirect) {
+    direct_barrier(ctx);
+    return;
+  }
+  // Deflation fires before barrier_arrived_ moves: a deflating
+  // thread's prefix must leave no trace.
   require_fiber(ctx, "block barrier");
   barrier_arrived_++;
   if (barrier_arrived_ >= live_) {

@@ -14,8 +14,16 @@
 // synchronization surfaces as an error instead of a hang. The legacy
 // O(nthreads)-per-round sweep scheduler is kept behind
 // EngineOptions::scheduler as a reference implementation; both produce
-// identical results. In direct mode threads are plain calls — ~3x less
-// host overhead — and any blocking primitive throws.
+// identical results.
+//
+// In direct mode threads are plain calls — ~3x less host overhead —
+// and a block may pass one barrier: the lane that reaches it runs every
+// lane not yet started nested on the same OS-thread stack, the
+// innermost call releases the barrier once every lane has arrived or
+// exited, and the post-barrier code then runs as the calls return (in
+// descending lane order, no context switch). A second barrier, a warp
+// collective, an atomic after the release, a barrier inside run_lanes
+// or too little stack left to nest throws std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +65,8 @@ class BlockState {
   void run();
 
   /// Rewinds per-run state (live count, counters, shared arena, shared
-  /// variable funnel) so run() can execute again over the same
-  /// construction. Graph replay caches direct-mode BlockStates across
+  /// variable funnel, direct-mode barrier cursor) so run() can execute
+  /// again over the same construction. Graph replay caches direct-mode BlockStates across
   /// replays because construction — warps, thread contexts, ordinal
   /// vectors — dominates the per-launch cost of a launch-bound graph.
   /// Only valid for ExecMode::kDirect: cooperative runs retire fiber
@@ -80,8 +88,8 @@ class BlockState {
   /// Runs `lane(tid)` for tid in [0, n) in ascending order, each as a
   /// plain call with thread tid's own ThreadCtx current, and makes
   /// `caller` current again on return or on an exception. Direct-mode
-  /// blocks only, so a barrier or warp collective reached inside a
-  /// lane raises std::logic_error.
+  /// blocks only; the lanes cannot nest, so a barrier or warp
+  /// collective reached inside a lane raises std::logic_error.
   void run_lanes(ThreadCtx& caller, std::uint32_t n,
                  const std::function<void(int)>& lane);
 
@@ -107,7 +115,7 @@ class BlockState {
     return arena_.dynamic_size();
   }
 
-  [[nodiscard]] WarpState& warp(std::uint32_t warp_id) { return *warps_[warp_id]; }
+  [[nodiscard]] WarpState& warp(std::uint32_t warp_id) { return warps_[warp_id]; }
   [[nodiscard]] std::uint32_t num_warps() const {
     return static_cast<std::uint32_t>(warps_.size());
   }
@@ -127,7 +135,7 @@ class BlockState {
   void wait_barrier(ThreadCtx& ctx);
   void wait_warp(ThreadCtx& ctx, std::uint64_t epoch_at_entry);
 
-  /// Gate every blocking primitive passes before touching engine state:
+  /// Gate every warp collective passes before touching engine state:
   /// a fiberless thread either deflates (convergent lane loop — restart
   /// this thread on a fiber) or is an ExecMode::kDirect error. Called
   /// with the fiber present it is a no-op.
@@ -142,14 +150,15 @@ class BlockState {
             "hint is wrong for this kernel");
       throw detail::DeflateSignal{};
     }
-    throw std::logic_error(std::string(what) +
-                           " in ExecMode::kDirect; launch cooperatively");
+    direct_error(what);
   }
 
   /// Atomic accounting + the convergent-mode deflation trigger. An
   /// atomic is not a rendezvous, but it is a non-idempotent side effect:
   /// deflating *before* the first one executes keeps every inline-run
-  /// prefix replayable. Direct-mode and fiber threads just count.
+  /// prefix replayable. Fiber threads and direct-mode threads before
+  /// the barrier just count; after a direct-mode release the lanes run
+  /// in descending order, so an atomic there is an error.
   /// With the launch's inline_atomics set (statically proven
   /// rendezvous-free, see ExecHint::atomics_ok) the lane loop runs the
   /// atomic in place instead — a later rendezvous on the same lane is
@@ -159,6 +168,7 @@ class BlockState {
       if (!params_.inline_atomics) throw detail::DeflateSignal{};
       inline_atomic_done_ = true;
     }
+    if (direct_released_) direct_error("atomic after the block barrier");
     counters_.atomics++;
   }
 
@@ -184,6 +194,13 @@ class BlockState {
   void run_cooperative();
   void run_cooperative_sweep();
   void run_direct();
+  /// Runs thread i's kernel body as a plain call (direct mode).
+  void run_direct_lane(std::uint32_t i);
+  /// sync_threads under ExecMode::kDirect: nests the lanes not yet
+  /// started, then releases the block's one barrier.
+  void direct_barrier(ThreadCtx& ctx);
+  /// The ExecMode::kDirect std::logic_error for `what`, naming the kernel.
+  [[noreturn]] void direct_error(const std::string& what) const;
   /// Convergent inline fast path: runs threads 0..n as plain calls
   /// until one deflates. Returns the count that completed inline
   /// (nthreads_ = whole block done fiber-free).
@@ -219,11 +236,18 @@ class BlockState {
   std::uint32_t live_;
 
   SharedArena arena_;
-  std::vector<std::unique_ptr<WarpState>> warps_;
+  std::vector<WarpState> warps_;  // one allocation, never resized
 
   // Barrier state (epoch-based; single-threaded scheduler, no atomics).
   std::uint32_t barrier_arrived_ = 0;
   std::uint64_t barrier_epoch_ = 0;
+
+  // Direct-mode barrier state: the next lane no call has started yet,
+  // whether the block's one barrier has released, and whether run_lanes
+  // is running lanes (which cannot nest).
+  std::uint32_t direct_next_ = 0;
+  bool direct_released_ = false;
+  bool in_run_lanes_ = false;
 
   // Shared-allocation funnel. first_tid remembers who established the
   // variable so a mismatch diagnostic can name both threads.

@@ -55,8 +55,11 @@ using BlockCache = std::vector<std::unique_ptr<BlockState>>;
 ///
 /// kCooperative runs every GPU thread as a fiber so the kernel may use
 /// barriers and warp collectives anywhere. kDirect runs threads as
-/// plain calls (no suspension): ~3x faster host-side, but any blocking
-/// primitive throws. Results are identical when both are legal.
+/// plain calls (no suspension): ~3x faster host-side. It allows one
+/// block barrier per thread, run by nesting the block's remaining lanes
+/// on the OS-thread stack (see BlockState); a second barrier, a warp
+/// collective or an atomic after the barrier throws std::logic_error.
+/// Results are identical when both are legal.
 enum class ExecMode { kCooperative, kDirect };
 
 /// How a cooperative launch executes its lanes.

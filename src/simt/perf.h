@@ -97,6 +97,7 @@ struct LaunchStats {
                                        ///< collective and restarted on a fiber
 
   void reset() { *this = LaunchStats{}; }
+  bool operator==(const LaunchStats&) const = default;
 
   /// The one stats merge: blocks into a launch, worker shares into a
   /// launch, parts of a split launch into the whole. Counters sum; the

@@ -2,7 +2,16 @@
 // path: indexing, barriers, shared memory, direct mode, error handling.
 #include <gtest/gtest.h>
 
+#include <alloca.h>
+#include <pthread.h>
+
+#include <algorithm>
+#include <exception>
+#include <functional>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simt/atomics.h"
@@ -184,18 +193,253 @@ TEST(Launch, DirectModeRunsAllThreads) {
   EXPECT_EQ(count.load(), 8 * 64);
 }
 
-TEST(Launch, DirectModeBarrierThrows) {
-  Device dev(tiny_config());
+// --- direct mode's one barrier ---------------------------------------
+//
+// A kDirect block passes one barrier by nesting its lanes on the
+// OS-thread stack (BlockState::direct_barrier). What cannot nest must
+// raise std::logic_error naming the kernel, never crash or miscompute.
+
+LaunchParams direct_block(Dim3 block, const char* name) {
   LaunchParams p;
   p.grid = {1};
-  p.block = {2};
+  p.block = block;
   p.mode = ExecMode::kDirect;
-  EXPECT_THROW(dev.launch_sync(p,
-                               [&] {
+  p.name = name;
+  return p;
+}
+
+/// Runs `launch` and returns the std::logic_error message it raises
+/// ("" when it returns normally).
+template <typename Launch>
+std::string logic_error_of(const Launch& launch) {
+  try {
+    launch();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Launch, DirectBarrierSecondBarrierThrows) {
+  Device dev(tiny_config());
+  const std::string what = logic_error_of([&] {
+    dev.launch_sync(direct_block({8}, "two_barriers"), [] {
+      auto& t = this_thread();
+      t.block->sync_threads(t);
+      t.block->sync_threads(t);
+    });
+  });
+  EXPECT_NE(what.find("second block barrier"), std::string::npos) << what;
+  EXPECT_NE(what.find("two_barriers"), std::string::npos) << what;
+}
+
+TEST(Launch, DirectBarrierWarpCollectiveThrows) {
+  Device dev(tiny_config());
+  const std::string what = logic_error_of([&] {
+    dev.launch_sync(direct_block({32}, "direct_warp_op"), [] {
+      auto& t = this_thread();
+      t.warp->collective(t, WarpOp::kSync, 0, 0, ~0ull);
+    });
+  });
+  EXPECT_NE(what.find("warp collective"), std::string::npos) << what;
+  EXPECT_NE(what.find("direct_warp_op"), std::string::npos) << what;
+}
+
+TEST(Launch, DirectBarrierAtomicAfterBarrierThrows) {
+  Device dev(tiny_config());
+  int counter = 0;
+  // Before the barrier an atomic is fine (lanes still run ascending)...
+  auto rec = dev.launch_sync(direct_block({16}, "atomic_before"), [&] {
+    auto& t = this_thread();
+    atomic_add(&counter, 1);
+    t.block->sync_threads(t);
+  });
+  EXPECT_EQ(counter, 16);
+  EXPECT_EQ(rec.stats.atomics, 16u);
+  // ...after it the lanes run descending, so the order would leak.
+  const std::string what = logic_error_of([&] {
+    dev.launch_sync(direct_block({16}, "atomic_after"), [&] {
+      auto& t = this_thread();
+      t.block->sync_threads(t);
+      atomic_add(&counter, 1);
+    });
+  });
+  EXPECT_NE(what.find("atomic after the block barrier"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("atomic_after"), std::string::npos) << what;
+}
+
+TEST(Launch, DirectBarrierInsideRunLanesThrows) {
+  Device dev(tiny_config());
+  const std::string what = logic_error_of([&] {
+    dev.launch_sync(direct_block({8}, "lanes_barrier"), [] {
+      auto& t = this_thread();
+      if (t.flat_tid != 0) return;
+      t.block->run_lanes(t, 8, [](int) {
+        auto& lane = this_thread();
+        lane.block->sync_threads(lane);
+      });
+    });
+  });
+  EXPECT_NE(what.find("inside run_lanes"), std::string::npos) << what;
+  EXPECT_FALSE(in_kernel());
+}
+
+/// Runs `body` on a fresh OS thread with a `stack_bytes` stack, so the
+/// stack the direct barrier nests on has a known size whatever the
+/// process's stack limit is. Rethrows what `body` threw.
+void on_thread_with_stack(std::size_t stack_bytes,
+                          const std::function<void()>& body) {
+  struct Job {
+    const std::function<void()>* body;
+    std::exception_ptr error;
+  } job{&body, nullptr};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t th;
+  ASSERT_EQ(pthread_create(
+                &th, &attr,
+                [](void* arg) -> void* {
+                  auto* j = static_cast<Job*>(arg);
+                  try {
+                    (*j->body)();
+                  } catch (...) {
+                    j->error = std::current_exception();
+                  }
+                  return nullptr;
+                },
+                &job),
+            0);
+  pthread_join(th, nullptr);
+  pthread_attr_destroy(&attr);
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+TEST(Launch, DirectBarrierStackGuardThrows) {
+  // Every lane holds 64 KiB of real stack (alloca, so ASan's fake stack
+  // does not move it) across the barrier: 512 nested lanes would need
+  // 32 MiB, far beyond the 2 MiB thread, so the guard must refuse to
+  // nest instead of overflowing.
+  Device dev(tiny_config());
+  std::string what;
+  on_thread_with_stack(2 << 20, [&] {
+    what = logic_error_of([&] {
+      dev.launch_sync(direct_block({512}, "deep_lanes"), [] {
+        auto& t = this_thread();
+        auto* pad = static_cast<volatile char*>(alloca(64 << 10));
+        pad[0] = static_cast<char>(t.flat_tid);
+        t.block->sync_threads(t);
+        EXPECT_EQ(pad[0], static_cast<char>(t.flat_tid));
+      });
+    });
+    EXPECT_FALSE(in_kernel());
+  });
+  EXPECT_NE(what.find("OS-thread stack"), std::string::npos) << what;
+  EXPECT_NE(what.find("deep_lanes"), std::string::npos) << what;
+}
+
+TEST(Launch, DirectBarrierEarlyExitLanesStopParticipating) {
+  Device dev(tiny_config());
+  int after = 0;
+  std::vector<int> order;
+  auto rec = dev.launch_sync(direct_block({64}, "early_exit"), [&] {
+    auto& t = this_thread();
+    if (t.flat_tid % 3 == 0) return;  // a third of the block exits early
+    t.block->sync_threads(t);
+    after++;
+    order.push_back(static_cast<int>(t.flat_tid));
+  });
+  EXPECT_EQ(after, 64 - 22);
+  EXPECT_EQ(rec.stats.block_barriers, 1u);
+  // Post-barrier code runs as the nested calls return: descending.
+  EXPECT_TRUE(std::is_sorted(order.rbegin(), order.rend()));
+  // Every lane exiting early: nobody arrives, so nothing is released.
+  rec = dev.launch_sync(direct_block({64}, "all_exit"), [] {});
+  EXPECT_EQ(rec.stats.block_barriers, 0u);
+  // Only the last lane arrives; the rest exit before it.
+  rec = dev.launch_sync(direct_block({64}, "last_arrives"), [&] {
+    auto& t = this_thread();
+    if (t.flat_tid != 63) return;
+    t.block->sync_threads(t);
+  });
+  EXPECT_EQ(rec.stats.block_barriers, 1u);
+}
+
+TEST(Launch, DirectBarrier3DBlock) {
+  Device dev(tiny_config());
+  const Dim3 block{4, 3, 5};
+  std::vector<std::uint64_t> out(block.count(), 0);
+  dev.launch_sync(direct_block(block, "block3d"), [&] {
+    auto& t = this_thread();
+    auto* tile = static_cast<std::uint64_t*>(t.block->shared_alloc(
+        t, 60 * sizeof(std::uint64_t), alignof(std::uint64_t)));
+    tile[t.block_dim.linear(t.thread_idx)] =
+        t.thread_idx.x + 10 * t.thread_idx.y + 100 * t.thread_idx.z;
+    t.block->sync_threads(t);
+    // Read the point mirrored through the block's centre.
+    const Dim3 m{3 - t.thread_idx.x, 2 - t.thread_idx.y, 4 - t.thread_idx.z};
+    out[t.flat_tid] = tile[t.block_dim.linear(m)];
+  });
+  for (std::uint32_t z = 0; z < 5; ++z)
+    for (std::uint32_t y = 0; y < 3; ++y)
+      for (std::uint32_t x = 0; x < 4; ++x)
+        ASSERT_EQ(out[block.linear({x, y, z})],
+                  (3 - x) + 10 * (2 - y) + 100 * (4 - z));
+}
+
+TEST(Launch, DirectBarrierGraphReplayResetsCachedBlocks) {
+  // A <= 8-block direct grid replays through BlockStates cached at
+  // instantiate: each replay must rewind the barrier cursor and flag.
+  Device dev(tiny_config());
+  LaunchParams p = direct_block({32}, "replayed_barrier");
+  p.grid = {4};
+  std::vector<int> acc(4 * 32, 0);
+  int* data = acc.data();
+  const auto step = [data] {
+    auto& t = this_thread();
+    auto* tile = static_cast<int*>(
+        t.block->shared_alloc(t, 32 * sizeof(int), alignof(int)));
+    const std::uint32_t g = t.block_idx.x * 32 + t.flat_tid;
+    tile[t.flat_tid] = static_cast<int>(g);
+    t.block->sync_threads(t);
+    data[g] += tile[31 - t.flat_tid];
+  };
+  Stream& s = dev.default_stream();
+  s.begin_capture();
+  s.launch(p, step);
+  std::unique_ptr<Graph> g = s.end_capture();
+  g->instantiate();
+  for (int rep = 0; rep < 3; ++rep) s.launch_graph(*g);
+  s.synchronize();
+  EXPECT_EQ(g->replay_count(), 3u);
+  for (std::uint32_t b = 0; b < 4; ++b)
+    for (std::uint32_t i = 0; i < 32; ++i)
+      ASSERT_EQ(acc[b * 32 + i], 3 * static_cast<int>(b * 32 + 31 - i))
+          << "block " << b << " lane " << i;
+}
+
+TEST(Launch, DirectBarrierLaneExceptionPropagates) {
+  Device dev(tiny_config());
+  EXPECT_THROW(dev.launch_sync(direct_block({32}, "throws_nested"),
+                               [] {
                                  auto& t = this_thread();
+                                 if (t.flat_tid == 20)
+                                   throw std::runtime_error("lane 20");
                                  t.block->sync_threads(t);
                                }),
-               std::logic_error);
+               std::runtime_error);
+  // No stale context is left on this thread...
+  EXPECT_FALSE(in_kernel());
+  // ...and the next launch on it runs every lane through the barrier.
+  int after = 0;
+  auto rec = dev.launch_sync(direct_block({32}, "after_throw"), [&] {
+    auto& t = this_thread();
+    t.block->sync_threads(t);
+    after++;
+  });
+  EXPECT_EQ(after, 32);
+  EXPECT_EQ(rec.stats.block_barriers, 1u);
 }
 
 TEST(Launch, EarlyExitThreadsDoNotBlockBarrier) {

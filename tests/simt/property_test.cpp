@@ -60,14 +60,80 @@ TEST_P(LaunchShapeSweep, EveryThreadExactlyOnceAndIndexed) {
     ASSERT_EQ(hits[i].load(), 1) << "thread " << i;
 }
 
+const auto kSweepWarps = ::testing::Values(32u, 64u);
+const auto kSweepGrids =
+    ::testing::Values(Dim3{1}, Dim3{7}, Dim3{4, 3}, Dim3{2, 2, 2});
+const auto kSweepBlocks = ::testing::Values(Dim3{1}, Dim3{33}, Dim3{16, 8},
+                                            Dim3{8, 4, 4}, Dim3{256});
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, LaunchShapeSweep,
-    ::testing::Combine(
-        ::testing::Values(32u, 64u),
-        ::testing::Values(Dim3{1}, Dim3{7}, Dim3{4, 3}, Dim3{2, 2, 2}),
-        ::testing::Values(Dim3{1}, Dim3{33}, Dim3{16, 8}, Dim3{8, 4, 4},
-                          Dim3{256}),
-        ::testing::Values(ExecMode::kCooperative, ExecMode::kDirect)));
+    ::testing::Combine(kSweepWarps, kSweepGrids, kSweepBlocks,
+                       ::testing::Values(ExecMode::kCooperative,
+                                         ExecMode::kDirect)));
+
+// ---------------------------------------------------------------------
+// Sweep 1b: a single-barrier kernel (static and dynamic shared memory,
+// partial warps) gives identical buffers and engine counts in kDirect,
+// which nests lanes through the barrier, and on fibers.
+// ---------------------------------------------------------------------
+
+using BarrierShapeParam =
+    std::tuple<std::uint32_t /*warp*/, Dim3 /*grid*/, Dim3 /*block*/>;
+
+class OneBarrierModeSweep
+    : public ::testing::TestWithParam<BarrierShapeParam> {};
+
+/// `s` without the counters that describe how the host ran the launch
+/// (fibers, lane loops, deflations, steals), which differ by design.
+LaunchStats modeled_counts(LaunchStats s) {
+  s.fibers_created = s.fiber_reuses = s.sched_steals = 0;
+  s.sched_lane_loops = s.sched_deflations = 0;
+  return s;
+}
+
+TEST_P(OneBarrierModeSweep, DirectEqualsCooperative) {
+  const auto [warp, grid, block] = GetParam();
+  DeviceConfig cfg = make_sim_a100_config();
+  cfg.name = "sweep";
+  cfg.warp_size = warp;
+  Device dev(cfg);
+  const std::uint64_t n = block.count();
+  const std::uint64_t total = grid.count() * n;
+
+  std::vector<std::uint64_t> out[2];
+  LaunchStats stats[2];
+  const ExecMode modes[2] = {ExecMode::kCooperative, ExecMode::kDirect};
+  for (int m = 0; m < 2; ++m) {
+    out[m].assign(total, 0);
+    LaunchParams p;
+    p.grid = grid;
+    p.block = block;
+    p.mode = modes[m];
+    p.dynamic_smem_bytes = n * sizeof(std::uint32_t);
+    p.name = "one_barrier_sweep";
+    std::uint64_t* data = out[m].data();
+    stats[m] = dev.launch_sync(p, [=] {
+      auto& t = this_thread();
+      auto* tile = static_cast<std::uint64_t*>(t.block->shared_alloc(
+          t, n * sizeof(std::uint64_t), alignof(std::uint64_t)));
+      auto* lanes = static_cast<std::uint32_t*>(t.block->dynamic_shared());
+      const std::uint64_t g = t.grid_dim.linear(t.block_idx) * n + t.flat_tid;
+      tile[t.flat_tid] = g * 2654435761u;
+      lanes[t.flat_tid] = t.lane;
+      t.block->sync_threads(t);
+      data[g] = tile[n - 1 - t.flat_tid] + lanes[(t.flat_tid + 1) % n];
+    }).stats;
+  }
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_EQ(modeled_counts(stats[0]), modeled_counts(stats[1]));
+  EXPECT_EQ(stats[0].block_barriers, grid.count());
+  EXPECT_EQ(stats[1].fibers_created + stats[1].fiber_reuses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, OneBarrierModeSweep,
+                         ::testing::Combine(kSweepWarps, kSweepGrids,
+                                            kSweepBlocks));
 
 // ---------------------------------------------------------------------
 // Sweep 2: barrier count accounting is exact for any block shape.

@@ -113,6 +113,48 @@ TEST_F(SanTest, BarrierSeparatedHandoffDoesNotReport) {
   EXPECT_EQ(San::instance().error_count(), 0u) << San::instance().report();
 }
 
+/// The Stencil-1D shape on one 64-thread block: stage a tile plus
+/// halo in racecheck-instrumented shared memory, then sum a window of
+/// neighbours' slots. Without the barrier the window reads race the
+/// neighbours' staging writes.
+void san_stencil_launch(ExecMode mode, bool with_barrier) {
+  constexpr int kR = 3;
+  constexpr unsigned kN = 64;
+  LaunchParams p = one_block(with_barrier ? "san_stencil" : "san_stencil_nobar",
+                             kN);
+  p.mode = mode;
+  std::vector<int> out(kN);
+  dev().launch_sync(p, [&out, with_barrier] {
+    auto& t = this_thread();
+    auto tile = ompx::san::shared_array<int>(kN + 2 * kR);
+    const int l = static_cast<int>(t.flat_tid) + kR;
+    tile[l] = l;
+    if (t.flat_tid < kR) {
+      tile[l - kR] = l - kR;
+      tile[l + kN] = l + static_cast<int>(kN);
+    }
+    if (with_barrier) t.block->sync_threads(t);
+    int acc = 0;
+    for (int o = -kR; o <= kR; ++o) acc += tile[l + o];
+    out[t.flat_tid] = acc;
+  });
+}
+
+TEST_F(SanTest, StencilRacecheckAgreesAcrossExecModes) {
+  for (const ExecMode mode : {ExecMode::kDirect, ExecMode::kCooperative}) {
+    San::instance().reset();
+    San::instance().enable(kSanRace);
+    san_stencil_launch(mode, /*with_barrier=*/true);
+    EXPECT_EQ(San::instance().error_count(), 0u) << San::instance().report();
+
+    San::instance().reset();
+    san_stencil_launch(mode, /*with_barrier=*/false);
+    EXPECT_GE(diags_of(SanKind::kSharedRace).size(), 1u)
+        << "missing barrier not caught, mode "
+        << (mode == ExecMode::kDirect ? "direct" : "cooperative");
+  }
+}
+
 TEST_F(SanTest, AtomicsDoNotReport) {
   San::instance().enable(kSanRace);
   LaunchParams p = one_block("atomic_kernel");
