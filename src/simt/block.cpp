@@ -68,17 +68,14 @@ BlockState::BlockState(Device& device, const LaunchParams& params,
       nthreads_(static_cast<std::uint32_t>(params.block.count())),
       live_(nthreads_),
       arena_(device.config().smem_per_block_max, params.dynamic_smem_bytes),
-      use_ready_queue_(device.options().scheduler ==
-                       BlockScheduler::kReadyQueue),
       convergent_(params.lane_exec == LaneExec::kConvergent &&
-                  params.mode == ExecMode::kCooperative &&
-                  use_ready_queue_) {
+                  params.mode == ExecMode::kCooperative) {
   const std::uint32_t ws = device.config().warp_size;
   const std::uint32_t nwarps = static_cast<std::uint32_t>(ceil_div(nthreads_, ws));
   warps_.reserve(nwarps);
   for (std::uint32_t w = 0; w < nwarps; ++w)
     warps_.emplace_back(*this, w, std::min(ws, nthreads_ - w * ws));
-  // slots_ stays empty here: only the fiber schedulers read it, and the
+  // waits_ stays empty here: only the fiber scheduler reads it, and the
   // convergent fast path never does — they size it on entry instead.
   // Under the convergent lane loop the ctx array itself is also
   // deferred: one thread runs at a time, on a scratch ThreadCtx the
@@ -134,11 +131,7 @@ void BlockState::setup_ctxs() {
 
 void BlockState::run() {
   if (params_.mode == ExecMode::kCooperative) {
-    if (use_ready_queue_) {
-      run_cooperative();
-    } else {
-      run_cooperative_sweep();
-    }
+    run_cooperative();
   } else {
     run_direct();
   }
@@ -212,7 +205,7 @@ void BlockState::direct_error(const std::string& what) const {
 }
 
 // ---------------------------------------------------------------------------
-// Ready-queue scheduler (default).
+// Ready-queue scheduler.
 //
 // The queue holds exactly the runnable threads: every thread starts
 // enqueued (ascending), and a blocked thread is re-enqueued only by the
@@ -221,8 +214,8 @@ void BlockState::direct_error(const std::string& what) const {
 // thread order. Scheduling work is therefore O(threads woken), not
 // O(nthreads) per round. An empty queue with unfinished threads is a
 // deadlock by construction (threads only leave the queue by finishing
-// or recording a wait state), so the census fires exactly when the
-// sweep's no-progress check would.
+// or recording a wait state), so the census fires exactly when no
+// thread can make progress.
 //
 // Fibers are acquired lazily at a thread's first resume and recycled
 // through free_fibers_ the moment the thread finishes: a sync-free
@@ -375,12 +368,12 @@ void BlockState::run_cooperative() {
     // only merges counters_.
     if (first == nthreads_) return;
   }
-  slots_.resize(nthreads_);
+  waits_.resize(nthreads_);
   // Settle the deflation prefix's deferred exits (threads 0..first-1
   // completed inline; barrier_arrived_ is still 0, so no barrier
   // release can fire from these).
   for (std::uint32_t j = 0; j < first; ++j) {
-    slots_[j].wait = Wait::kDone;
+    waits_[j] = Wait::kDone;
     on_thread_exit(j);
   }
   ready_.resize(std::bit_ceil(nthreads_));
@@ -399,7 +392,7 @@ void BlockState::run_cooperative() {
   while (finished < nthreads_) {
     std::uint32_t i;
     if (!next_runnable(i)) deadlock("block scheduler");
-    // slots_[i].wait is already kNone: threads start that way and every
+    // waits_[i] is already kNone: threads start that way and every
     // wakeup clears it at enqueue time.
     ThreadCtx& ctx = ctxs_[i];
     if (ctx.fiber == nullptr) ctx.fiber = acquire_fiber();
@@ -410,7 +403,7 @@ void BlockState::run_cooperative() {
       finished++;
       Fiber* f = ctx.fiber;
       ctx.fiber = nullptr;
-      slots_[i].wait = Wait::kDone;
+      waits_[i] = Wait::kDone;
       on_thread_exit(i);
       recycle_fiber(f);
     }
@@ -422,56 +415,6 @@ void BlockState::run_cooperative() {
   free_fibers_.clear();
   for (auto& f : fibers_) fiber_pool_.recycle(std::move(f));
   fibers_.clear();
-}
-
-// Legacy reference scheduler: eager one-fiber-per-thread allocation and
-// an O(nthreads) sweep per round. Kept behind EngineOptions::scheduler
-// so differential tests can pin "results identical to the sweep".
-void BlockState::run_cooperative_sweep() {
-  slots_.resize(nthreads_);
-  FiberStackPool& stacks = fiber_pool_.stack_pool();
-  fibers_.reserve(nthreads_);
-  for (std::uint32_t i = 0; i < nthreads_; ++i) {
-    fibers_.push_back(std::make_unique<Fiber>(stacks, [this] { kernel_(); }));
-    ctxs_[i].fiber = fibers_[i].get();
-    counters_.fibers_created++;
-  }
-  std::uint32_t remaining = nthreads_;
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::uint32_t i = 0; i < nthreads_; ++i) {
-      Fiber& f = *fibers_[i];
-      if (f.done() || !runnable(i)) continue;
-      slots_[i].wait = Wait::kNone;
-      t_ctx = &ctxs_[i];
-      f.resume();
-      t_ctx = nullptr;
-      progressed = true;
-      if (f.done()) {
-        remaining--;
-        slots_[i].wait = Wait::kDone;
-        on_thread_exit(i);
-      }
-    }
-    if (!progressed && remaining > 0) deadlock("block scheduler");
-  }
-  // Free fibers (and return stacks to the pool) before the arena dies.
-  fibers_.clear();
-}
-
-bool BlockState::runnable(std::uint32_t i) const {
-  const Slot& s = slots_[i];
-  switch (s.wait) {
-    case Wait::kNone:
-      return true;
-    case Wait::kBarrier:
-      return barrier_epoch_ != s.wait_epoch;
-    case Wait::kWarp:
-      return ctxs_[i].warp->epoch() != s.wait_epoch;
-    case Wait::kDone:
-      return false;
-  }
-  return true;
 }
 
 void BlockState::count_barrier() {
@@ -503,7 +446,6 @@ void BlockState::run_lanes(ThreadCtx& caller, std::uint32_t n,
 void BlockState::release_barrier() {
   barrier_arrived_ = 0;
   count_barrier();
-  if (!use_ready_queue_) return;  // sweep wakeups go through the epoch check
   if (rq_count_ == 0) {
     // Nothing else is runnable: snapshot the waiters and drain them
     // straight off the bitmap (ascending) instead of round-tripping
@@ -518,12 +460,11 @@ void BlockState::release_barrier() {
     drain_bits_ = 0;
     return;
   }
-  // Wake waiters in ascending thread order (low-to-high bit scan): the
-  // sweep resumed waiters in thread order, and warp rendezvous arrival
-  // order (hence last-arrival identity) must stay deterministic.
-  // Clearing the bit is what marks the thread runnable again (barrier
-  // waits are tracked only in the bitmap under the ready queue; their
-  // Slot stays kNone).
+  // Wake waiters in ascending thread order (low-to-high bit scan): warp
+  // rendezvous arrival order (hence last-arrival identity) must stay
+  // deterministic. Clearing the bit is what marks the thread runnable
+  // again (barrier waits are tracked only in the bitmap; their wait
+  // state stays kNone).
   for (std::size_t w = 0; w < barrier_waitmap_.size(); ++w) {
     std::uint64_t bits = barrier_waitmap_[w];
     barrier_waitmap_[w] = 0;
@@ -563,37 +504,28 @@ void BlockState::sync_threads(ThreadCtx& ctx) {
 }
 
 void BlockState::wait_barrier(ThreadCtx& ctx) {
-  if (use_ready_queue_) {
-    // The bitmap alone records the wait (the Slot stays kNone): one RMW
-    // instead of two stores, and release_barrier wakes by bit scan.
-    barrier_waitmap_[ctx.flat_tid / 64] |= 1ull << (ctx.flat_tid % 64);
-  } else {
-    Slot& s = slots_[ctx.flat_tid];
-    s.wait = Wait::kBarrier;
-    s.wait_epoch = barrier_epoch_;
-  }
+  // The bitmap alone records the wait (the wait state stays kNone), and
+  // release_barrier wakes by bit scan.
+  barrier_waitmap_[ctx.flat_tid / 64] |= 1ull << (ctx.flat_tid % 64);
   ctx.fiber->yield();
 }
 
 void BlockState::notify_warp_release(WarpState& warp) {
-  if (!use_ready_queue_) return;
   // Enqueue the warp's suspended waiters in ascending lane (hence flat
   // thread) order. The releasing lane is still running and is not on
   // the queue; scanning one warp is O(warp_size) <= 64.
   const std::uint32_t base = warp.warp_id() * device_.config().warp_size;
   for (std::uint32_t l = 0; l < warp.width(); ++l) {
     const std::uint32_t flat = base + l;
-    if (slots_[flat].wait == Wait::kWarp) {
-      slots_[flat].wait = Wait::kNone;  // runnable now; see release_barrier
+    if (waits_[flat] == Wait::kWarp) {
+      waits_[flat] = Wait::kNone;  // runnable now; see release_barrier
       rq_push(flat);
     }
   }
 }
 
-void BlockState::wait_warp(ThreadCtx& ctx, std::uint64_t epoch_at_entry) {
-  Slot& s = slots_[ctx.flat_tid];
-  s.wait = Wait::kWarp;
-  s.wait_epoch = epoch_at_entry;
+void BlockState::wait_warp(ThreadCtx& ctx) {
+  waits_[ctx.flat_tid] = Wait::kWarp;
   ctx.fiber->yield();
 }
 
@@ -716,11 +648,8 @@ void BlockState::deadlock(const char* where) const {
                     params_.name + "', block " + block_idx_.to_string() +
                     "): ";
   std::uint32_t at_barrier = 0, at_warp = 0;
-  for (std::uint32_t i = 0; i < nthreads_; ++i) {
-    if (slots_[i].wait == Wait::kBarrier) at_barrier++;
-    if (slots_[i].wait == Wait::kWarp) at_warp++;
-  }
-  // Under the ready queue, barrier waits live in the bitmap, not slots.
+  for (std::uint32_t i = 0; i < nthreads_; ++i)
+    if (waits_[i] == Wait::kWarp) at_warp++;
   for (const std::uint64_t bits : barrier_waitmap_)
     at_barrier += static_cast<std::uint32_t>(std::popcount(bits));
   msg += std::to_string(live_) + " live threads, " +

@@ -11,10 +11,7 @@
 // (warp rendezvous semantics depend on deterministic arrival order).
 // An empty ready queue with threads remaining is a deadlock — reported
 // with a census of who waits where, which is how invalid divergent
-// synchronization surfaces as an error instead of a hang. The legacy
-// O(nthreads)-per-round sweep scheduler is kept behind
-// EngineOptions::scheduler as a reference implementation; both produce
-// identical results.
+// synchronization surfaces as an error instead of a hang.
 //
 // In direct mode threads are plain calls — ~3x less host overhead —
 // and a block may pass one barrier: the lane that reaches it runs every
@@ -133,7 +130,7 @@ class BlockState {
   /// Yields the calling fiber marked as waiting on the block barrier /
   /// its warp. Internal to the engine's blocking primitives.
   void wait_barrier(ThreadCtx& ctx);
-  void wait_warp(ThreadCtx& ctx, std::uint64_t epoch_at_entry);
+  void wait_warp(ThreadCtx& ctx);
 
   /// Gate every warp collective passes before touching engine state:
   /// a fiberless thread either deflates (convergent lane loop — restart
@@ -181,18 +178,13 @@ class BlockState {
   LaunchStats counters_;
 
  private:
-  // kDone doubles as the thread-lifecycle terminal state so the
-  // deadlock census can skip finished threads without consulting a
-  // (possibly recycled) fiber.
-  enum class Wait : std::uint8_t { kNone, kBarrier, kWarp, kDone };
-
-  struct Slot {
-    Wait wait = Wait::kNone;
-    std::uint64_t wait_epoch = 0;
-  };
+  // A thread's wait state. Barrier waits are not recorded here but in
+  // barrier_waitmap_. kDone doubles as the thread-lifecycle terminal
+  // state so the deadlock census can skip finished threads without
+  // consulting a (possibly recycled) fiber.
+  enum class Wait : std::uint8_t { kNone, kWarp, kDone };
 
   void run_cooperative();
-  void run_cooperative_sweep();
   void run_direct();
   /// Runs thread i's kernel body as a plain call (direct mode).
   void run_direct_lane(std::uint32_t i);
@@ -206,7 +198,6 @@ class BlockState {
   /// (nthreads_ = whole block done fiber-free).
   std::uint32_t run_lane_loop();
   void setup_ctxs();
-  [[nodiscard]] bool runnable(std::uint32_t i) const;
   void on_thread_exit(std::uint32_t flat);
   void release_barrier();
   [[noreturn]] void deadlock(const char* where) const;
@@ -275,7 +266,7 @@ class BlockState {
   std::vector<SanShadowCell> san_shadow_;
 
   std::vector<ThreadCtx> ctxs_;
-  std::vector<Slot> slots_;
+  std::vector<Wait> waits_;
 
   // Ready queue (ring buffer of thread ids, power-of-two capacity
   // >= nthreads_ so wraparound is a mask, not a division).
@@ -283,7 +274,6 @@ class BlockState {
   std::uint32_t rq_mask_ = 0;
   std::uint32_t rq_head_ = 0;
   std::uint32_t rq_count_ = 0;
-  bool use_ready_queue_ = true;
 
   // Convergent lane-loop state. convergent_ arms the inline fast path
   // for threads that have not acquired a fiber yet; the first deflation

@@ -1,6 +1,7 @@
 #include "simt/device.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -63,9 +64,10 @@ struct BlockJob {
   std::condition_variable drained{};
   std::atomic<std::uint64_t> next{0};
 
-  /// Runs chunks until none are left. A throwing block drains the queue
-  /// (fail fast); the exception is returned, not thrown.
-  std::exception_ptr run(LaunchStats& acc) {
+  /// Runs chunks until none are left, counting its blocks in `ran`. A
+  /// throwing block drains the queue (fail fast); the exception is
+  /// returned, not thrown.
+  std::exception_ptr run(LaunchStats& acc, std::uint64_t& ran) {
     try {
       for (bool first = true;; first = false) {
         const std::uint64_t b0 =
@@ -77,6 +79,7 @@ struct BlockJob {
                            thread_fiber_pool());
           block.run();
           acc += block.counters();
+          ++ran;
         }
       }
     } catch (...) {
@@ -108,10 +111,17 @@ class HostPool {
   }
 
   /// Runs `job` on the calling thread and up to `helpers` pool threads.
-  void run(BlockJob& job, unsigned helpers) {
+  /// Returns the host ns per block of the blocks the calling thread ran
+  /// itself, or 0 if it ran none.
+  std::uint64_t run(BlockJob& job, unsigned helpers) {
     if (helpers > 0) post(job, helpers);
     LaunchStats acc;
-    std::exception_ptr err = job.run(acc);
+    std::uint64_t ran = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::exception_ptr err = job.run(acc, ran);
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
     if (helpers > 0) {
       std::unique_lock lock(mu_);
       if (job.open > 0) std::erase(jobs_, &job);
@@ -119,6 +129,7 @@ class HostPool {
     }
     job.fold(acc, std::move(err));  // every helper has folded and left
     if (job.error) std::rethrow_exception(job.error);
+    return ran == 0 ? 0 : static_cast<std::uint64_t>(ns) / ran;
   }
 
   void post(std::function<void()> task) {
@@ -227,7 +238,8 @@ class HostPool {
       ++job->running;
       lock.unlock();
       LaunchStats acc;
-      std::exception_ptr err = job->run(acc);
+      std::uint64_t blocks = 0;
+      std::exception_ptr err = job->run(acc, blocks);
       lock.lock();
       ran = true;
       job->fold(acc, std::move(err));
@@ -245,6 +257,41 @@ class HostPool {
   std::vector<Helper*> idle_tasks_;  ///< task helpers; back = ran last
   std::vector<BlockJob*> jobs_;      ///< open jobs, oldest first
 };
+
+/// Host ns below which a grid runs faster on its launching thread alone
+/// than fanned out: block helpers wake tens of µs after the post, so
+/// they only take blocks off a grid that keeps the launcher busy that
+/// long. On the 4-core dev box, 16 blocks at workers 4 vs 1 took
+/// 11.3 vs 4.5 µs per launch when empty, 31 vs 22 µs at 1 µs per block
+/// and 37 vs 39 µs at 2 µs per block (the break-even).
+constexpr double kFanOutNs = 30'000;
+
+/// One kernel's host ns per block on the thread that launched it, as
+/// its last launch that did not throw measured.
+struct BlockCost {
+  std::atomic<const char*> name{nullptr};
+  std::atomic<std::uint64_t> ns_per_block{0};
+};
+
+/// The block-cost table: 64 direct-mapped slots of relaxed atomics,
+/// keyed by the params.name pointer (compared, never read), so names
+/// sharing a slot evict each other. It is process-wide, not per Device:
+/// the cost belongs to the kernel and the host, not to the simulated
+/// device, and it stays off the heap. A stale entry (a concurrent
+/// launch pairing one name with another's cost, a new name at a freed
+/// one's address) misplaces one launch's blocks on OS threads, nothing
+/// else.
+constinit std::array<BlockCost, 64> g_block_costs{};
+
+/// `name`'s slot (Fibonacci hashing of the pointer: the high bits of
+/// the product mix every bit of the address, and string literals sit a
+/// few bytes apart).
+BlockCost& block_cost(const char* name) {
+  const std::uint64_t h =
+      std::uint64_t{reinterpret_cast<std::uintptr_t>(name)} *
+      0x9E3779B97F4A7C15ull;
+  return g_block_costs[(h >> 32) % g_block_costs.size()];
+}
 
 // --- lane-execution policy + per-kernel hint registry --------------------
 
@@ -321,7 +368,12 @@ Device::Device(DeviceConfig cfg, EngineOptions opts)
       mem_(std::make_unique<DeviceMemory>(cfg_.global_mem_bytes)),
       cmem_(std::make_unique<DeviceMemory>(cfg_.const_mem_bytes)),
       pool_(std::make_unique<StreamMemPool>(*mem_)),
-      exec_(std::make_unique<StreamExecutor>(*this)) {}
+      exec_(std::make_unique<StreamExecutor>(*this)) {
+  // Once here, not per launch: the OS answers this with a sysfs or
+  // affinity read, several µs each time.
+  if (opts_.workers == 0)
+    opts_.workers = std::max(1u, std::thread::hardware_concurrency());
+}
 
 Device::~Device() {
   // Stop the stream executor first: its drains, monitor and zombie ops
@@ -427,12 +479,9 @@ void Device::resolve_launch(LaunchParams& params) const {
   // of this launch (and the record/trace span) sees the same decision.
   LaneExec want = params.lane_exec;
   params.lane_exec = LaneExec::kFiber;
-  // The lane loop is an optimization of the ready-queue cooperative
-  // scheduler only: direct mode already runs plain calls, and the
-  // legacy sweep allocates fibers eagerly by design.
-  if (params.mode != ExecMode::kCooperative ||
-      opts_.scheduler != BlockScheduler::kReadyQueue)
-    return;
+  // The lane loop is an optimization of the cooperative scheduler only:
+  // direct mode already runs plain calls.
+  if (params.mode != ExecMode::kCooperative) return;
   // Precedence: per-launch request > OMPX_EXEC policy.
   bool hinted_only = false;
   if (want == LaneExec::kDefault) {
@@ -520,23 +569,37 @@ LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
 LaunchStats Device::run_blocks(const LaunchParams& params,
                                const KernelFn& kernel) {
   const std::uint64_t nblocks = params.grid.count();
-  const unsigned workers = std::max(
-      1u, opts_.workers != 0 ? opts_.workers
-                             : std::thread::hardware_concurrency());
+  // A grid its kernel's last launch says the calling thread finishes
+  // in less time than one fan-out costs runs on the calling thread
+  // alone. A kernel the table does not know fans out.
+  BlockCost& cost = block_cost(params.name);
+  const bool small =
+      cost.name.load(std::memory_order_relaxed) == params.name &&
+      static_cast<double>(nblocks) *
+              static_cast<double>(
+                  cost.ns_per_block.load(std::memory_order_relaxed)) <
+          kFanOutNs;
   // Blocks are independent (CUDA semantics: no inter-block ordering),
   // so participants pull chunks from a shared atomic queue instead of a
   // static partition: an irregular block (XSBench/RSBench lookups)
   // delays only its own chunk while the others keep stealing the rest.
   // Results are identical for any worker count or chunk size.
   const unsigned n =
-      static_cast<unsigned>(std::min<std::uint64_t>(workers, nblocks));
+      small ? 1
+            : static_cast<unsigned>(
+                  std::min<std::uint64_t>(opts_.workers, nblocks));
   const std::uint64_t chunk =
       n == 1 ? nblocks
       : opts_.steal_chunk_blocks != 0
           ? opts_.steal_chunk_blocks
           : std::max<std::uint64_t>(1, nblocks / (8ull * n));
   BlockJob job{*this, params, kernel, nblocks, chunk, launch_header(params)};
-  HostPool::instance().run(job, n - 1);
+  // A launch that throws leaves the table as it was.
+  const std::uint64_t ns_per_block = HostPool::instance().run(job, n - 1);
+  if (ns_per_block != 0) {
+    cost.ns_per_block.store(ns_per_block, std::memory_order_relaxed);
+    cost.name.store(params.name, std::memory_order_relaxed);
+  }
   return job.stats;
 }
 

@@ -55,12 +55,6 @@ struct DeviceConfig {
   }
 };
 
-/// Which cooperative block scheduler a device's launches use. Both
-/// produce identical results, counters, and modeled time; kReadyQueue
-/// is the fast path (O(waiters) wakeups, fiber recycling), kSweep the
-/// legacy O(nthreads)-per-round reference kept for differential tests.
-enum class BlockScheduler { kReadyQueue, kSweep };
-
 /// Per-kernel execution classification, keyed by kernel name in a
 /// process-wide registry. `convergent` marks a kernel safe and
 /// profitable for the lane-loop fast path (no collectives expected);
@@ -115,15 +109,16 @@ void host_pool_task_done();
 
 /// Engine-wide execution options (host-side knobs, not device model).
 struct EngineOptions {
-  /// OS threads that run one launch's blocks: the launching thread
-  /// plus up to `workers - 1` block helpers of the host thread pool,
-  /// which grows to the largest `workers - 1` any device asks for.
-  /// Defaults to the host's hardware concurrency (>= 1); 1 runs every
-  /// block on the launching thread. Simulation
-  /// results are identical for any value; only host wall time changes.
+  /// Most OS threads that run one launch's blocks: the launching
+  /// thread plus up to `workers - 1` block helpers of the host thread
+  /// pool, which grows to the largest `workers - 1` any device asks
+  /// for. 0 means the host's hardware concurrency (>= 1), resolved once
+  /// when the Device is built, so Device::options().workers is never 0.
+  /// 1 runs every block on the launching thread, and so does a launch
+  /// whose blocks last ran too briefly to pay for waking helpers (see
+  /// Device::run_blocks). Simulation results are identical for any
+  /// value; only host wall time changes.
   unsigned workers = 0;
-  /// Cooperative block scheduler (results identical either way).
-  BlockScheduler scheduler = BlockScheduler::kReadyQueue;
   /// Blocks grabbed per atomic fetch of the work-stealing launch queue
   /// (0 = auto: ~8 chunks per worker, at least 1 block).
   std::uint64_t steal_chunk_blocks = 0;
@@ -305,7 +300,9 @@ class Device {
                       const BlockCache* cached, LaunchRecord* rec);
   /// The block-execution core: the grid's blocks, in work-stealing
   /// chunks, on the calling thread and the host pool's block helpers,
-  /// with every participant's counters folded in.
+  /// with every participant's counters folded in. A grid that its
+  /// kernel's last launch says the calling thread runs faster than a
+  /// fan-out costs stays on the calling thread.
   [[nodiscard]] LaunchStats run_blocks(const LaunchParams& params,
                                        const KernelFn& kernel);
 

@@ -121,7 +121,6 @@ class FiberPool {
   void recycle(std::unique_ptr<Fiber> fiber);
 
   [[nodiscard]] std::size_t cached() const { return free_.size(); }
-  [[nodiscard]] FiberStackPool& stack_pool() { return stacks_; }
 
  private:
   FiberStackPool& stacks_;

@@ -116,7 +116,7 @@ std::uint64_t WarpState::collective(ThreadCtx& ctx, WarpOp op,
     release();
     return result_[lane];
   }
-  block_.wait_warp(ctx, epoch_);
+  block_.wait_warp(ctx);
   return result_[lane];
 }
 
@@ -220,13 +220,11 @@ void WarpState::release() {
     case WarpOp::kNone:
       throw std::logic_error("warp release with no pending op");
   }
-  epoch_++;
   arrived_ = 0;
   op_ = WarpOp::kNone;
   op_mask_ = 0;
   // Wake exactly this warp's suspended waiters (the releasing lane keeps
-  // running). Under the sweep scheduler this is a no-op; the epoch bump
-  // above is what unblocks them there.
+  // running).
   block_.notify_warp_release(*this);
 }
 

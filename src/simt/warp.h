@@ -53,7 +53,6 @@ class WarpState {
   [[nodiscard]] LaneMask member_mask() const { return member_mask_; }
   /// Lanes that have not returned from the kernel yet.
   [[nodiscard]] LaneMask live_mask() const { return live_mask_; }
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] bool rendezvous_pending() const { return arrived_ != 0; }
 
   /// Called by the block runner when a lane's kernel body returns.
@@ -63,7 +62,7 @@ class WarpState {
  private:
   friend class BlockState;
 
-  void release();  // compute results for all participants, advance epoch
+  void release();  // compute results for all participants, wake waiters
 
   BlockState& block_;
   std::uint32_t warp_id_;
@@ -75,7 +74,6 @@ class WarpState {
   WarpOp op_ = WarpOp::kNone;
   LaneMask op_mask_ = 0;   ///< participants, fixed by the first arrival
   LaneMask arrived_ = 0;
-  std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> value_;
   std::vector<std::uint64_t> param_;
   std::vector<std::uint64_t> result_;

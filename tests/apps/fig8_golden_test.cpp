@@ -4,12 +4,14 @@
 // captured before the stream executor, the serve layer and the watchdog
 // moved onto the one host thread pool; both launch modes must still
 // reproduce it bit for bit. Which host thread runs an op may change,
-// the modeled output may not. The XSBench omp cells stay INVALID, as
-// in the paper.
+// the modeled output may not: the registry devices and devices built
+// with one and with three block workers all reproduce it. The XSBench
+// omp cells stay INVALID, as in the paper.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,6 +82,39 @@ TEST_F(Fig8Golden, AsyncDefaultMatchesCapture) {
 TEST_F(Fig8Golden, SyncModeMatchesCapture) {
   ompx::set_launch_mode(ompx::LaunchMode::kSync);
   expect_grid_matches_golden();
+}
+
+/// The grid on devices with the registry's configurations (so its
+/// device names) and `workers` block workers. They stand in the
+/// registry's two slots while the grid runs: run_cell gets them as its
+/// Device&, and the CUDA/HIP versions, which select a device by
+/// registry index, reach them there. Built once per worker count and
+/// never destroyed, like the registry's own devices.
+void expect_grid_matches_golden_at(unsigned workers) {
+  static std::map<unsigned, std::vector<simt::Device*>> devices;
+  std::vector<simt::Device*>& devs = devices[workers];
+  if (devs.empty()) {
+    simt::EngineOptions opts;
+    opts.workers = workers;
+    devs = {new simt::Device(simt::make_sim_a100_config(), opts),
+            new simt::Device(simt::make_sim_mi250_config(), opts)};
+  }
+  struct Swap {
+    std::vector<simt::Device*> saved = simt::device_registry();
+    ~Swap() { simt::device_registry() = saved; }
+  } swap;
+  simt::device_registry() = devs;
+  expect_grid_matches_golden();
+}
+
+TEST_F(Fig8Golden, OneWorkerDevicesMatchCapture) {
+  ompx::set_launch_mode(ompx::LaunchMode::kAsync);
+  expect_grid_matches_golden_at(1);
+}
+
+TEST_F(Fig8Golden, ThreeWorkerDevicesMatchCapture) {
+  ompx::set_launch_mode(ompx::LaunchMode::kAsync);
+  expect_grid_matches_golden_at(3);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Differential tests for the two cooperative block schedulers: the
-// default ready-queue scheduler (O(waiters) wakeups, fiber recycling,
-// batch drain) must produce results, counters, and modeled time
-// identical to the legacy O(nthreads)-per-round sweep, for any worker
-// count, on barrier-, warp-, and early-exit-heavy kernels. The
-// deadlock census must also keep its exact message shape.
+// Golden tests for the cooperative block scheduler: the ready-queue
+// scheduler (O(waiters) wakeups, fiber recycling, batch drain) must
+// reproduce, at any worker count, the outputs, counters and modeled
+// time that it and the former O(nthreads)-per-round sweep scheduler
+// both produced on barrier-, warp- and early-exit-heavy kernels, and
+// the deadlock census must keep its exact message. The goldens were
+// captured from both schedulers, which agreed bit for bit, before the
+// sweep was deleted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,12 +19,11 @@ namespace {
 
 using namespace simt;
 
-Device make_dev(BlockScheduler sched, unsigned workers) {
+Device make_dev(unsigned workers) {
   DeviceConfig c = make_sim_a100_config();
   c.name = "sched-test";
   EngineOptions o;
   o.workers = workers;
-  o.scheduler = sched;
   return Device(c, o);
 }
 
@@ -36,9 +37,9 @@ using KernelMaker = std::function<KernelFn(std::uint64_t* out)>;
 constexpr std::uint64_t kBlocks = 7;
 constexpr std::uint32_t kThreads = 64;
 
-RunResult run_one(BlockScheduler sched, unsigned workers,
-                  const KernelMaker& mk, const char* name) {
-  Device dev = make_dev(sched, workers);
+RunResult run_one(unsigned workers, const KernelMaker& mk,
+                  const char* name) {
+  Device dev = make_dev(workers);
   RunResult r;
   r.out.assign(kBlocks * kThreads, 0);
   LaunchParams p;
@@ -49,36 +50,54 @@ RunResult run_one(BlockScheduler sched, unsigned workers,
   return r;
 }
 
-/// Runs `mk` under both schedulers and several worker counts and checks
-/// every run against the ready-queue single-worker reference: same
-/// outputs, same semantic counters, bit-identical modeled time.
-void expect_identical_across_schedulers(const KernelMaker& mk,
-                                        const char* name) {
-  const RunResult ref = run_one(BlockScheduler::kReadyQueue, 1, mk, name);
-  for (const BlockScheduler sched :
-       {BlockScheduler::kReadyQueue, BlockScheduler::kSweep}) {
-    for (const unsigned workers : {1u, 3u}) {
-      const RunResult r = run_one(sched, workers, mk, name);
-      EXPECT_EQ(r.out, ref.out)
-          << name << ": outputs diverged (sched="
-          << (sched == BlockScheduler::kSweep ? "sweep" : "queue")
-          << ", workers=" << workers << ")";
-      EXPECT_EQ(r.rec.stats.block_barriers, ref.rec.stats.block_barriers);
-      EXPECT_EQ(r.rec.stats.warp_collectives, ref.rec.stats.warp_collectives);
-      EXPECT_EQ(r.rec.stats.warp_syncs, ref.rec.stats.warp_syncs);
-      EXPECT_EQ(r.rec.stats.atomics, ref.rec.stats.atomics);
-      EXPECT_EQ(r.rec.stats.globalized_bytes, ref.rec.stats.globalized_bytes);
-      // Modeled time must be bit-identical: execution diagnostics
-      // (fiber counts, steals) never feed the performance model.
-      EXPECT_EQ(r.rec.time.total_ms, ref.rec.time.total_ms);
-    }
+/// What both schedulers produced for one kernel: a hash of its output
+/// buffer, its semantic counters and its modeled time.
+struct Golden {
+  std::uint64_t out_hash;
+  std::uint64_t block_barriers;
+  std::uint64_t warp_collectives;
+  double total_ms;
+};
+
+/// FNV-1a over the output words.
+std::uint64_t hash_out(const std::vector<std::uint64_t>& out) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t word : out) {
+    h ^= word;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Runs `mk` at several worker counts and checks every run against the
+/// golden and against the single-worker run: same outputs, same
+/// semantic counters, bit-identical modeled time.
+void expect_golden(const KernelMaker& mk, const char* name,
+                   const Golden& golden) {
+  const RunResult ref = run_one(1, mk, name);
+  for (const unsigned workers : {1u, 3u}) {
+    const RunResult r = run_one(workers, mk, name);
+    EXPECT_EQ(r.out, ref.out)
+        << name << ": outputs diverged (workers=" << workers << ")";
+    EXPECT_EQ(hash_out(r.out), golden.out_hash)
+        << name << ": outputs differ from the golden (workers=" << workers
+        << ")";
+    EXPECT_EQ(r.rec.stats.block_barriers, golden.block_barriers);
+    EXPECT_EQ(r.rec.stats.warp_collectives, golden.warp_collectives);
+    EXPECT_EQ(r.rec.stats.warp_syncs, 0u);
+    EXPECT_EQ(r.rec.stats.atomics, 0u);
+    EXPECT_EQ(r.rec.stats.globalized_bytes, 0u);
+    EXPECT_EQ(r.rec.stats.threads, kBlocks * kThreads);
+    // Modeled time must be bit-identical: execution diagnostics
+    // (fiber counts, steals) never feed the performance model.
+    EXPECT_EQ(r.rec.time.total_ms, golden.total_ms);
   }
 }
 
 TEST(SchedulerDifferential, BarrierHeavyTreeReduction) {
   // Tree reduction over block-shared memory: a wrong or premature
   // barrier wakeup reads a partial sum and corrupts the result.
-  expect_identical_across_schedulers(
+  expect_golden(
       [](std::uint64_t* out) -> KernelFn {
         return [out] {
           auto& t = this_thread();
@@ -96,13 +115,13 @@ TEST(SchedulerDifferential, BarrierHeavyTreeReduction) {
           out[flat] = sh[0] + t.flat_tid;
         };
       },
-      "barrier_tree");
+      "barrier_tree", {0x8aa732b7798d8e03ull, 49, 0, 0x1.e57d9dba908a3p-11});
 }
 
 TEST(SchedulerDifferential, WarpHeavyButterflyAndBallot) {
   // Butterfly xor-shuffle reduction plus a ballot: warp rendezvous
   // wakeups must deliver every lane the full-warp result.
-  expect_identical_across_schedulers(
+  expect_golden(
       [](std::uint64_t* out) -> KernelFn {
         return [out] {
           auto& t = this_thread();
@@ -118,13 +137,14 @@ TEST(SchedulerDifferential, WarpHeavyButterflyAndBallot) {
           out[flat] = v ^ ballot;
         };
       },
-      "warp_butterfly");
+      "warp_butterfly",
+      {0x1aebccf3b4b37d83ull, 7, 84, 0x1.b46ad637af99cp-11});
 }
 
 TEST(SchedulerDifferential, EarlyExitWavesReleaseBarriers) {
   // Threads drop out in waves while survivors keep syncing: exited
-  // threads must release the barrier identically under both schedulers.
-  expect_identical_across_schedulers(
+  // threads must release the barrier as they always have.
+  expect_golden(
       [](std::uint64_t* out) -> KernelFn {
         return [out] {
           auto& t = this_thread();
@@ -146,12 +166,13 @@ TEST(SchedulerDifferential, EarlyExitWavesReleaseBarriers) {
           out[flat] = *sh;
         };
       },
-      "early_exit_waves");
+      "early_exit_waves",
+      {0xde52a4a2ab5982c3ull, 35, 0, 0x1.d29dc725c3defp-11});
 }
 
 RunResult run_exec(LaneExec exec, unsigned workers, const KernelMaker& mk,
                    const char* name) {
-  Device dev = make_dev(BlockScheduler::kReadyQueue, workers);
+  Device dev = make_dev(workers);
   RunResult r;
   r.out.assign(kBlocks * kThreads, 0);
   LaunchParams p;
@@ -333,7 +354,7 @@ TEST(ExecModeDifferential, BarrierAfterInlineAtomicIsALogicError) {
   // fail loudly (wrong hint) instead of deflating into corruption.
   clear_exec_hints();
   set_exec_hint("exec_atomic_then_sync", {true, false, true});
-  Device dev = make_dev(BlockScheduler::kReadyQueue, 1);
+  Device dev = make_dev(1);
   LaunchParams p;
   p.grid = {1};
   p.block = {kThreads};
@@ -375,7 +396,7 @@ TEST(ExecModeDifferential, CensusMessageShapeIdenticalUnderConvergent) {
   // the report reads exactly as in fiber mode.
   clear_exec_hints();
   for (const LaneExec exec : {LaneExec::kFiber, LaneExec::kConvergent}) {
-    Device dev = make_dev(BlockScheduler::kReadyQueue, 1);
+    Device dev = make_dev(1);
     LaunchParams p;
     p.grid = {1};
     p.block = {kThreads};
@@ -412,7 +433,7 @@ TEST(ExecPolicy, AutoConsultsHintsAndDeflationLearns) {
   const ExecPolicy saved = exec_policy();
   clear_exec_hints();
   set_exec_policy(ExecPolicy::kAuto);
-  Device dev = make_dev(BlockScheduler::kReadyQueue, 1);
+  Device dev = make_dev(1);
   LaunchParams p;
   p.grid = {2};
   p.block = {32};
@@ -448,37 +469,32 @@ TEST(ExecPolicy, AutoConsultsHintsAndDeflationLearns) {
 TEST(SchedulerDeadlock, CensusMessageShapeIdenticalAcrossSchedulers) {
   // Thread 0 waits on a two-lane warp collective lane 1 never joins
   // (lane 1 sits at the block barrier with everyone else): a genuine
-  // deadlock. Both schedulers must report the same precise census.
-  for (const BlockScheduler sched :
-       {BlockScheduler::kReadyQueue, BlockScheduler::kSweep}) {
-    Device dev = make_dev(sched, 1);
-    LaunchParams p;
-    p.grid = {1};
-    p.block = {kThreads};
-    p.name = "census";
-    try {
-      dev.launch_sync(p, [] {
-        auto& t = this_thread();
-        if (t.flat_tid == 0) {
-          t.warp->collective(t, WarpOp::kSync, 0, 0, 0b11);
-        } else {
-          t.block->sync_threads(t);
-        }
-      });
-      FAIL() << "expected a deadlock diagnosis";
-    } catch (const std::runtime_error& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("SIMT deadlock in block scheduler"),
-                std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("(kernel 'census', block (0,0,0))"),
-                std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("64 live threads, 63 at block barrier, "
-                         "1 in warp collectives"),
-                std::string::npos)
-          << msg;
-    }
+  // deadlock. The census must read, byte for byte, as both the ready
+  // queue and the former sweep scheduler reported it.
+  Device dev = make_dev(1);
+  LaunchParams p;
+  p.grid = {1};
+  p.block = {kThreads};
+  p.name = "census";
+  try {
+    dev.launch_sync(p, [] {
+      auto& t = this_thread();
+      if (t.flat_tid == 0) {
+        t.warp->collective(t, WarpOp::kSync, 0, 0, 0b11);
+      } else {
+        t.block->sync_threads(t);
+      }
+    });
+    FAIL() << "expected a deadlock diagnosis";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "SIMT deadlock in block scheduler (kernel 'census', block "
+              "(0,0,0)): 64 live threads, 63 at block barrier, 1 in warp "
+              "collectives. Divergent synchronization (threads of one block "
+              "taking sync paths that can never all meet) is the usual "
+              "cause. [barrier divergence: the stranded threads wait at "
+              "barrier epoch 0, which the remaining threads can never "
+              "release]");
   }
 }
 
@@ -494,7 +510,7 @@ TEST(SchedulerOptions, ExplicitStealChunkProducesSameResults) {
       out[flat] = flat * 13 + 5;
     };
   };
-  const RunResult ref = run_one(BlockScheduler::kReadyQueue, 1, mk, "chunk");
+  const RunResult ref = run_one(1, mk, "chunk");
   for (const std::uint64_t chunk : {1ull, 2ull, 64ull}) {
     DeviceConfig c = make_sim_a100_config();
     c.name = "sched-test";

@@ -5,9 +5,11 @@
 // keeps its threads' fiber caches warm across launches. The same pool is
 // the process's only host thread pool: stream executors, serve
 // schedulers and the watchdog monitor post their work to it instead of
-// owning threads.
+// owning threads. A grid whose blocks its kernel's last launch ran
+// quickly stays on the launching thread instead of waking helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -16,7 +18,9 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/serve.h"
@@ -259,6 +263,161 @@ TEST(BlockPool, SecondFiberLaunchCreatesNoFibers) {
   EXPECT_EQ(second.stats.block_barriers, 16u);
 }
 
+// --- fanning a grid out only when it pays ---------------------------------
+
+// Under TSan or ASan a block costs 10-25x its native host time (16
+// one-lane blocks on one thread: ~110 µs under TSan, ~47 µs under
+// ASan+UBSan, ~4.5 µs without), more than a fan-out, so no small grid
+// stays on its launching thread there; the tests below still run every
+// launch for the sanitizer's checks.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define OMPX_TEST_SLOW_BLOCKS 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define OMPX_TEST_SLOW_BLOCKS 1
+#endif
+#endif
+
+/// Spins the calling OS thread for `ns` of wall time.
+void spin_for(std::chrono::nanoseconds ns) {
+  const auto until = std::chrono::steady_clock::now() + ns;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// Distinct OS threads that ran a launch's blocks (lane 0 of each block
+/// records its thread).
+struct ThreadSet {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+
+  void note() {
+    if (this_thread().flat_tid != 0) return;
+    std::lock_guard lock(mu);
+    ids.insert(std::this_thread::get_id());
+  }
+  std::set<std::thread::id> take() {
+    std::lock_guard lock(mu);
+    return std::exchange(ids, {});
+  }
+};
+
+TEST(FanOut, DefaultWorkersIsTheHardwareConcurrency) {
+  const Device dev(make_sim_a100_config());
+  EXPECT_EQ(dev.options().workers,
+            std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_GE(dev.options().workers, 1u);
+  EXPECT_EQ(make_dev(3).options().workers, 3u);
+}
+
+TEST(FanOut, TinyGridStaysOnTheLaunchingThread) {
+  // The first launch of a name fans out (no launch of it was timed
+  // yet); every later one runs its 16 blocks on the launching thread,
+  // which finishes them long before a helper could wake.
+  Device dev = make_dev(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  LaunchParams lp;
+  lp.grid = {16};
+  lp.block = {1};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "fanout_tiny";
+  ThreadSet threads;
+  const KernelFn kernel = [&] { threads.note(); };
+  (void)dev.launch_sync(lp, kernel);
+  (void)threads.take();
+  // A launching thread descheduled while it times its blocks (a loaded
+  // host) makes the next launch fan out once; a window of 20 launches
+  // may be retried for that, at most twice.
+  bool stayed = false;
+  for (int window = 0; window < 3 && !stayed; ++window) {
+    stayed = true;
+    for (int i = 0; i < 20; ++i) {
+      (void)dev.launch_sync(lp, kernel);
+      stayed = stayed && threads.take() == std::set{caller};
+    }
+  }
+#ifdef OMPX_TEST_SLOW_BLOCKS
+  GTEST_SKIP() << "blocks are not tiny under a sanitizer";
+#endif
+  EXPECT_TRUE(stayed) << "3 windows of 20 launches each left the caller";
+}
+
+TEST(FanOut, ExpensiveBlocksRunOnEveryWorker) {
+  // 256 blocks of ~200 µs each: far more than waking helpers costs, so
+  // every launch spreads over all four OS threads (and lasts long
+  // enough for a helper the host wakes late to join).
+  Device dev = make_dev(4);
+  LaunchParams lp;
+  lp.grid = {256};
+  lp.block = {1};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "fanout_spin";
+  ThreadSet threads;
+  for (int launch = 0; launch < 3; ++launch) {
+    (void)dev.launch_sync(lp, [&] {
+      threads.note();
+      spin_for(std::chrono::microseconds(200));
+    });
+    EXPECT_EQ(threads.take().size(), 4u) << "launch " << launch;
+  }
+}
+
+TEST(FanOut, NamesSharingATableSlotKeepOutputsAndStats) {
+  // 65 names and 64 table slots: at least two names share a slot. In
+  // round r, name i's blocks are expensive iff bit r of i is set, so
+  // every pair of names differs in some round, where one fans out and
+  // the other stays on the caller, evicting each other. Every launch
+  // must match the same launch on a one-worker device.
+  Device fanned = make_dev(4);
+  Device alone = make_dev(1);
+  std::vector<std::string> names;
+  for (int i = 0; i < 65; ++i)
+    names.push_back("fanout_slot_" + std::to_string(i));
+  constexpr std::uint32_t kBlocks = 16, kThreads = 8;
+  bool saw_fan_out = false, saw_caller_only = false;
+  ThreadSet threads;
+  for (std::uint64_t round = 0; round < 7; ++round) {
+    for (std::uint64_t i = 0; i < names.size(); ++i) {
+      const bool expensive = (i >> round) & 1;
+      LaunchParams lp;
+      lp.grid = {kBlocks};
+      lp.block = {kThreads};
+      lp.mode = ExecMode::kDirect;
+      lp.name = names[i].c_str();
+      lp.cost.flops_per_thread = static_cast<double>(i);
+      const auto run = [&](Device& dev, std::vector<std::uint64_t>& out,
+                           std::uint64_t& sum) {
+        return dev.launch_sync(lp, [&] {
+          auto& t = this_thread();
+          const std::uint64_t flat =
+              t.grid_dim.linear(t.block_idx) * t.block_dim.count() +
+              t.flat_tid;
+          if (&dev == &fanned) threads.note();
+          if (expensive && t.flat_tid == 0)
+            spin_for(std::chrono::microseconds(10));
+          out[flat] = flat * (i + 1) + round;
+          atomic_add(&sum, flat);
+        });
+      };
+      std::vector<std::uint64_t> out(kBlocks * kThreads), ref(out.size());
+      std::uint64_t sum = 0, ref_sum = 0;
+      LaunchRecord rec = run(fanned, out, sum);
+      LaunchRecord want = run(alone, ref, ref_sum);
+      const std::size_t nthreads = threads.take().size();
+      saw_fan_out = saw_fan_out || nthreads > 1;
+      saw_caller_only = saw_caller_only || nthreads == 1;
+      EXPECT_EQ(out, ref) << names[i] << " round " << round;
+      EXPECT_EQ(sum, ref_sum);
+      rec.stats.sched_steals = want.stats.sched_steals = 0;
+      EXPECT_EQ(rec.stats, want.stats) << names[i] << " round " << round;
+      EXPECT_EQ(rec.time.total_ms, want.time.total_ms);
+    }
+  }
+  EXPECT_TRUE(saw_fan_out);
+#ifndef OMPX_TEST_SLOW_BLOCKS
+  EXPECT_TRUE(saw_caller_only);
+#endif
+}
 
 // --- one host thread pool -------------------------------------------------
 
