@@ -66,22 +66,6 @@ void BM_CooperativeLaunchPerThread(benchmark::State& state) {
 }
 BENCHMARK(BM_CooperativeLaunchPerThread)->Arg(16)->Arg(256);
 
-void BM_ConvergentLaunchPerThread(benchmark::State& state) {
-  // Same cooperative launch, forced onto the fiber-free lane loop
-  // (LaneExec::kConvergent): the gap to BM_CooperativeLaunchPerThread
-  // is what the fiber switch costs a sync-free kernel.
-  simt::Device dev(simt::make_sim_a100_config());
-  simt::LaunchParams p;
-  p.grid = {static_cast<unsigned>(state.range(0))};
-  p.block = {256};
-  p.lane_exec = simt::LaneExec::kConvergent;
-  p.name = "bm_convergent";
-  for (auto _ : state) dev.launch_sync(p, [] {});
-  state.SetItemsProcessed(state.iterations() * p.grid.count() *
-                          p.block.count());
-}
-BENCHMARK(BM_ConvergentLaunchPerThread)->Arg(16)->Arg(256);
-
 void BM_BlockBarrier(benchmark::State& state) {
   simt::Device dev(simt::make_sim_a100_config());
   const int barriers = 16;
@@ -174,47 +158,42 @@ double measure_switch_ns() {
 /// the scheduler counters that prove which path actually ran.
 struct ExecRow {
   double ms_per_launch = 0.0;
-  std::uint64_t lane_loops = 0;   ///< threads run fiber-free (convergent)
-  std::uint64_t deflations = 0;   ///< convergent probes that hit a collective
+  std::uint64_t lane_loops = 0;   ///< threads run as plain calls (direct)
   std::uint64_t fibers_created = 0;
   std::uint64_t fiber_reuses = 0;
 };
 
+/// Times cooperative launches of `p` under `policy`: kFiber runs them
+/// on fibers, kAuto runs them direct when `p.name` is hinted
+/// convergent. The counters cover the timed launches only.
 template <typename Kernel>
-ExecRow measure_exec(simt::Device& dev, simt::LaunchParams p,
-                     simt::LaneExec exec, int warm, int iters,
+ExecRow measure_exec(simt::Device& dev, const simt::LaunchParams& p,
+                     simt::ExecPolicy policy, int warm, int iters,
                      const Kernel& kernel) {
-  p.lane_exec = exec;
+  const simt::ExecPolicy saved = simt::exec_policy();
+  simt::set_exec_policy(policy);
   ExecRow row;
-  // Counters accumulate across warm-up too, so a one-time deflation
-  // probe (hint learning) is visible in the row even though the timed
-  // window only sees the learned steady state.
-  for (int i = 0; i < warm; ++i) {
-    const simt::LaunchRecord r = dev.launch_sync(p, kernel);
-    row.lane_loops += r.stats.sched_lane_loops;
-    row.deflations += r.stats.sched_deflations;
-  }
+  for (int i = 0; i < warm; ++i) dev.launch_sync(p, kernel);
   const double t0 = now_ms();
   for (int i = 0; i < iters; ++i) {
     const simt::LaunchRecord r = dev.launch_sync(p, kernel);
     row.lane_loops += r.stats.sched_lane_loops;
-    row.deflations += r.stats.sched_deflations;
     row.fibers_created += r.stats.fibers_created;
     row.fiber_reuses += r.stats.fiber_reuses;
   }
   row.ms_per_launch = (now_ms() - t0) / iters;
+  simt::set_exec_policy(saved);
   return row;
 }
 
 int emit_json(const std::string& path) {
   const double switch_ns = measure_switch_ns();
 
-  // Sync-free cooperative launch, fiber vs convergent: the same launch
-  // through both lane-execution modes (simt::LaneExec). The fiber row
-  // is the fiber-recycling fast path; the convergent row runs every
-  // thread as a plain call on the worker (no fiber, no context
-  // switch). One block per launch on one worker so launches/s isolates
-  // engine overhead, not host parallelism.
+  // Sync-free cooperative launch, fiber vs direct: the same launch on
+  // both executors. The fiber row is the fiber-recycling fast path; the
+  // direct row, its kernel hinted convergent, runs every thread as a
+  // plain call on the worker (no fiber, no context switch). One worker
+  // so launches/s isolates engine overhead, not host parallelism.
   simt::EngineOptions opts;
   opts.workers = 1;
   simt::Device dev(simt::make_sim_a100_config(), opts);
@@ -224,10 +203,12 @@ int emit_json(const std::string& path) {
   p.name = "json_sync_free";
   const int warm = 20, iters = 200;
   const double sync_threads = 16.0 * 256.0;
-  const ExecRow sf_fiber = measure_exec(dev, p, simt::LaneExec::kFiber, warm,
-                                        iters, [] {});
-  const ExecRow sf_conv = measure_exec(dev, p, simt::LaneExec::kConvergent,
-                                       warm, iters, [] {});
+  const ExecRow sf_fiber = measure_exec(dev, p, simt::ExecPolicy::kFiber,
+                                        warm, iters, [] {});
+  ompx::launch_hints("json_sync_free", /*convergent=*/true);
+  const ExecRow sf_direct = measure_exec(dev, p, simt::ExecPolicy::kAuto,
+                                         warm, iters, [] {});
+  simt::clear_exec_hints();
   const double sync_free_ms = sf_fiber.ms_per_launch;
   const std::uint64_t created = sf_fiber.fibers_created;
   const std::uint64_t reused = sf_fiber.fiber_reuses;
@@ -248,11 +229,8 @@ int emit_json(const std::string& path) {
   simt::Profiler::instance().stop();
   simt::Profiler::instance().reset();
 
-  // Barrier-heavy launch: the ready-queue batch-drain path. The
-  // convergent row starts with a clean hint registry, so its first
-  // launch pays one deflation probe, note_exec_deflation pins
-  // needs_fibers, and every later launch routes straight to fibers —
-  // the row demonstrates parity, not speedup.
+  // Barrier-heavy launch: the ready-queue batch-drain path (fibers
+  // only: direct lanes pass one barrier, not sixteen).
   p.name = "json_barrier16";
   p.grid = {1};
   const int barriers = 16;
@@ -260,30 +238,22 @@ int emit_json(const std::string& path) {
     auto& t = simt::this_thread();
     for (int i = 0; i < barriers; ++i) t.block->sync_threads(t);
   };
-  const ExecRow bh_fiber = measure_exec(dev, p, simt::LaneExec::kFiber, warm,
-                                        iters, barrier_kernel);
-  simt::clear_exec_hints();
-  const ExecRow bh_conv = measure_exec(dev, p, simt::LaneExec::kConvergent,
-                                       warm, iters, barrier_kernel);
+  const ExecRow bh_fiber = measure_exec(dev, p, simt::ExecPolicy::kFiber,
+                                        warm, iters, barrier_kernel);
 
-  // Atomics-only kernel, three ways. Fibers; convergent without a hint
-  // (the first atomic deflates each block's lane loop and pins
-  // needs_fibers — parity, like the barrier row); and convergent under
-  // the ompx-analyze verdict "convergent, atomics inline-safe", where
-  // note_atomic runs the RMW inline in the lane loop: zero fibers,
-  // zero deflations. The hint is not hand-written — register_exec_hints
-  // runs the analyzer over the kernel's own source.
+  // Atomics-only kernel, two ways. Fibers; and direct under the
+  // ompx-analyze verdict "convergent, with atomics", where each lane's
+  // RMW runs in place in its plain call: zero fibers. The hint is not
+  // hand-written — register_exec_hints runs the analyzer over the
+  // kernel's own source.
   p.name = "json_atomic";
   p.grid = {16};
   std::uint64_t atomic_cell = 0;
   auto atomic_kernel = [&] {
     simt::atomic_add(&atomic_cell, std::uint64_t{1});
   };
-  const ExecRow at_fiber = measure_exec(dev, p, simt::LaneExec::kFiber, warm,
-                                        iters, atomic_kernel);
-  simt::clear_exec_hints();
-  const ExecRow at_deflate = measure_exec(dev, p, simt::LaneExec::kConvergent,
-                                          warm, iters, atomic_kernel);
+  const ExecRow at_fiber = measure_exec(dev, p, simt::ExecPolicy::kFiber,
+                                        warm, iters, atomic_kernel);
   simt::clear_exec_hints();
   const int hinted = ompx::register_exec_hints(R"(
     p.name = "json_atomic";
@@ -291,7 +261,7 @@ int emit_json(const std::string& path) {
       simt::atomic_add(&atomic_cell, std::uint64_t{1});
     });
   )");
-  const ExecRow at_inline = measure_exec(dev, p, simt::LaneExec::kConvergent,
+  const ExecRow at_direct = measure_exec(dev, p, simt::ExecPolicy::kAuto,
                                          warm, iters, atomic_kernel);
 
   // Sanitizer-off overhead: the same shared-memory traffic through the
@@ -408,30 +378,30 @@ int emit_json(const std::string& path) {
   char buf[1024];
   // ns_per_thread divides the whole launch (dispatch + scheduling +
   // kernel body) evenly over its threads — the per-lane engine tax.
-  auto exec_rows = [&](const ExecRow& fiber, const ExecRow& conv,
-                       double threads) {
-    std::snprintf(
-        buf, sizeof buf,
-        "    \"fiber\": {\n"
-        "      \"ms_per_launch\": %.3f,\n"
-        "      \"launches_per_s\": %.0f,\n"
-        "      \"ns_per_thread\": %.1f\n"
-        "    },\n"
-        "    \"convergent\": {\n"
-        "      \"ms_per_launch\": %.3f,\n"
-        "      \"launches_per_s\": %.0f,\n"
-        "      \"ns_per_thread\": %.1f,\n"
-        "      \"lane_loops\": %llu,\n"
-        "      \"deflations\": %llu,\n"
-        "      \"speedup_vs_fiber\": %.2f\n"
-        "    },\n",
-        fiber.ms_per_launch, 1000.0 / fiber.ms_per_launch,
-        fiber.ms_per_launch * 1e6 / threads, conv.ms_per_launch,
-        1000.0 / conv.ms_per_launch, conv.ms_per_launch * 1e6 / threads,
-        static_cast<unsigned long long>(conv.lane_loops),
-        static_cast<unsigned long long>(conv.deflations),
-        fiber.ms_per_launch / conv.ms_per_launch);
+  // A direct row also carries its counters and its speedup over
+  // `fiber`.
+  auto exec_row = [&](const char* key, const ExecRow& row, double threads,
+                      const ExecRow* fiber) {
+    std::snprintf(buf, sizeof buf,
+                  "    \"%s\": {\n"
+                  "      \"ms_per_launch\": %.3f,\n"
+                  "      \"launches_per_s\": %.0f,\n"
+                  "      \"ns_per_thread\": %.1f%s\n",
+                  key, row.ms_per_launch, 1000.0 / row.ms_per_launch,
+                  row.ms_per_launch * 1e6 / threads, fiber ? "," : "");
     out += buf;
+    if (fiber != nullptr) {
+      std::snprintf(buf, sizeof buf,
+                    "      \"lane_loops\": %llu,\n"
+                    "      \"fibers\": %llu,\n"
+                    "      \"speedup_vs_fiber\": %.2f\n",
+                    static_cast<unsigned long long>(row.lane_loops),
+                    static_cast<unsigned long long>(row.fibers_created +
+                                                    row.fiber_reuses),
+                    fiber->ms_per_launch / row.ms_per_launch);
+      out += buf;
+    }
+    out += "    },\n";
   };
   std::snprintf(buf, sizeof buf,
                 "{\n"
@@ -442,7 +412,8 @@ int emit_json(const std::string& path) {
                 "\"threads\": 4096,\n",
                 switch_ns);
   out += buf;
-  exec_rows(sf_fiber, sf_conv, sync_threads);
+  exec_row("fiber", sf_fiber, sync_threads, nullptr);
+  exec_row("direct", sf_direct, sync_threads, &sf_fiber);
   std::snprintf(
       buf, sizeof buf,
       "    \"fibers_created\": %llu,\n"
@@ -463,37 +434,21 @@ int emit_json(const std::string& path) {
       "    \"grid\": 1, \"block\": 256, \"barriers\": %d, \"threads\": 256,\n",
       sync_free_ms, traced_ms, barriers);
   out += buf;
-  exec_rows(bh_fiber, bh_conv, 256.0);
+  exec_row("fiber", bh_fiber, 256.0, nullptr);
+  out.erase(out.size() - 2, 1);  // the row closes the object: no comma
   std::snprintf(
       buf, sizeof buf,
-      "    \"note\": \"convergent deflates once, learns needs_fibers, then "
-      "matches fiber\"\n"
       "  },\n"
       "  \"atomic_inline\": {\n"
       "    \"grid\": 16, \"block\": 256, \"threads\": 4096,\n"
       "    \"hints_registered\": %d,\n",
       hinted);
   out += buf;
-  exec_rows(at_fiber, at_deflate, sync_threads);
-  std::snprintf(
-      buf, sizeof buf,
-      "    \"convergent_hinted\": {\n"
-      "      \"ms_per_launch\": %.3f,\n"
-      "      \"launches_per_s\": %.0f,\n"
-      "      \"ns_per_thread\": %.1f,\n"
-      "      \"lane_loops\": %llu,\n"
-      "      \"deflations\": %llu,\n"
-      "      \"speedup_vs_fiber\": %.2f\n"
-      "    },\n"
-      "    \"note\": \"hint comes from register_exec_hints over the kernel "
-      "source: atomics run inline, no fibers, no deflations\"\n"
-      "  },\n",
-      at_inline.ms_per_launch, 1000.0 / at_inline.ms_per_launch,
-      at_inline.ms_per_launch * 1e6 / sync_threads,
-      static_cast<unsigned long long>(at_inline.lane_loops),
-      static_cast<unsigned long long>(at_inline.deflations),
-      at_fiber.ms_per_launch / at_inline.ms_per_launch);
-  out += buf;
+  exec_row("fiber", at_fiber, sync_threads, nullptr);
+  exec_row("direct_hinted", at_direct, sync_threads, &at_fiber);
+  out += "    \"note\": \"hint comes from register_exec_hints over the "
+         "kernel source: atomics run in place, no fibers\"\n"
+         "  },\n";
   std::snprintf(
       buf, sizeof buf,
       "  \"san_overhead\": {\n"

@@ -12,8 +12,8 @@
 // anything the rewriter left behind shows up as unported-builtin, and
 // divergence/sync hazards survive the port unchanged. With --analyze,
 // the full ompx-analyze pass runs instead: the same findings plus one
-// exec verdict per ported kernel (convergent / atomics inline-safe /
-// needs fibers), so a port lands together with its lane-exec proof.
+// exec verdict per ported kernel (convergent / convergent with atomics
+// / needs fibers), so a port lands together with its lane-exec proof.
 #include <cstdio>
 #include <cstring>
 #include <iostream>

@@ -10,8 +10,8 @@
 // unsynced shared-memory reads, unported CUDA builtins, and C-ABI
 // contract violations (unchecked ompx_result_t, two-call enumeration)
 // — see rewrite/lint.h and rewrite/analyze.h. `--analyze` additionally
-// prints one exec verdict per kernel region (convergent / atomics
-// inline-safe / needs fibers); `--json[=path]` writes the findings and
+// prints one exec verdict per kernel region (convergent / convergent
+// with atomics / needs fibers); `--json[=path]` writes the findings and
 // verdicts as a SARIF 2.1.0 document. Exits 1 if any finding survives
 // the per-line `ompx-lint-allow(<rule>)` suppressions, 0 on a clean
 // run. CI runs this over the six app ports, bench/, and examples/.

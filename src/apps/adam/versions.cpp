@@ -95,8 +95,7 @@ simt::CompilerProfile profile_for(Version v, const simt::Device& dev) {
 
 std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {
   using namespace kl;
-  check(klSetDevice(dev.config().vendor == simt::Vendor::kNvidia ? 0 : 1),
-        "klSetDevice");
+  use_kl_device(dev);
   const Options o = d.opt;
   float *p = nullptr, *m = nullptr, *vv = nullptr, *g = nullptr;
   check(klMalloc(&p, o.n * sizeof(float)), "klMalloc p");

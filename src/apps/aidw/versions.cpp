@@ -215,8 +215,7 @@ void kernel_body(int q_count, int n_data, int tile, float avg_spacing,
 std::vector<float> run_kl(const SimulationData& d, simt::Device& dev,
                           Version v) {
   using namespace kl;
-  check(klSetDevice(dev.config().vendor == simt::Vendor::kNvidia ? 0 : 1),
-        "klSetDevice");
+  use_kl_device(dev);
   const Options& o = d.opt;
   float *dx = nullptr, *dy = nullptr, *dz = nullptr, *qx = nullptr,
         *qy = nullptr, *out = nullptr;

@@ -1,6 +1,8 @@
 #include "apps/harness.h"
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #include "apps/adam/adam.h"
 #include "apps/aidw/aidw.h"
@@ -8,6 +10,7 @@
 #include "apps/stencil1d/stencil1d.h"
 #include "apps/su3/su3.h"
 #include "apps/xsbench/xsbench.h"
+#include "kl/kl.h"
 
 namespace apps {
 
@@ -34,6 +37,21 @@ std::string bar_label(Version v, const simt::Device& dev) {
 
 double modeled_kernel_ms(simt::Device& dev) {
   return dev.modeled_kernel_ms_total();
+}
+
+void use_kl_device(simt::Device& dev) {
+  const auto& reg = simt::device_registry();
+  for (std::size_t i = 0; i < reg.size(); ++i) {
+    if (reg[i] != &dev) continue;
+    if (kl::klSetDevice(static_cast<int>(i)) != kl::klSuccess)
+      throw std::runtime_error("klSetDevice(" + std::to_string(i) +
+                               ") failed");
+    return;
+  }
+  throw std::invalid_argument(
+      "device '" + dev.config().name +
+      "' is not in the device registry: the CUDA/HIP versions reach "
+      "devices through kl, by registry index");
 }
 
 RunResult run_cell(const AppDesc& app, Version v, simt::Device& dev) {

@@ -59,6 +59,12 @@ const std::vector<AppDesc>& registry();
 /// wall-time measurement around the app's own run function.
 RunResult run_cell(const AppDesc& app, Version v, simt::Device& dev);
 
+/// Makes `dev` the calling thread's kl device, for the CUDA/HIP
+/// versions: kl addresses devices by registry index, so `dev` must be
+/// one of simt::device_registry()'s. Throws std::invalid_argument when
+/// it is not, rather than running the cell on another device.
+void use_kl_device(simt::Device& dev);
+
 /// Utility: sum of modeled kernel time currently in the device log.
 double modeled_kernel_ms(simt::Device& dev);
 

@@ -100,8 +100,7 @@ void xor_into(std::uint64_t* hash, std::uint64_t contrib) {
 
 std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {
   using namespace kl;
-  check(klSetDevice(dev.config().vendor == simt::Vendor::kNvidia ? 0 : 1),
-        "klSetDevice");
+  use_kl_device(dev);
   const VersionTraits t = traits_for(v, dev);
 
   Pole* poles = nullptr;

@@ -23,7 +23,7 @@ struct Options {
   int iterations = 8;        ///< repetitions (paper: 1000, scaled)
   /// Launch mode of the ompx and kl kernels. Direct by default (one
   /// barrier, lanes nested through it); tests flip it to cooperative
-  /// to run the same kernels on fibers or the convergent lane loop.
+  /// to run the same kernels on fibers.
   simt::ExecMode mode = simt::ExecMode::kDirect;
 
   bool operator==(const Options&) const = default;

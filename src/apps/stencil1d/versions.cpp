@@ -84,8 +84,7 @@ simt::CompilerProfile profile_for(Version v, const simt::Device& dev) {
 std::vector<int> run_kl(const SimulationData& d, simt::Device& dev,
                         Version v) {
   using namespace kl;
-  check(klSetDevice(dev.config().vendor == simt::Vendor::kNvidia ? 0 : 1),
-        "klSetDevice");
+  use_kl_device(dev);
   const std::int64_t n = d.opt.n;
   int *din = nullptr, *dout = nullptr;
   check(klMalloc(&din, d.input.size() * sizeof(int)), "klMalloc din");

@@ -101,8 +101,7 @@ simt::CompilerProfile profile_for(Version v, const simt::Device& dev) {
 
 std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {
   using namespace kl;
-  check(klSetDevice(dev.config().vendor == simt::Vendor::kNvidia ? 0 : 1),
-        "klSetDevice");
+  use_kl_device(dev);
   const int sites = d.opt.lattice_sites;
   Matrix *da = nullptr, *db = nullptr, *dc = nullptr;
   check(klMalloc(&da, d.a.size() * sizeof(Matrix)), "klMalloc da");

@@ -75,9 +75,7 @@ constexpr int kBlock = 256;
 
 std::uint64_t run_kl(const SimulationData& d, simt::Device& dev, Version v) {
   using namespace kl;
-  int index = dev.config().vendor == simt::Vendor::kNvidia ? 0 : 1;
-  if (klSetDevice(index) != klSuccess)
-    throw std::runtime_error("xsbench: klSetDevice failed");
+  use_kl_device(dev);
 
   DeviceData dd{};
   check(klMalloc(&dd.energy, d.energy.size() * sizeof(double)),

@@ -22,7 +22,7 @@ struct Options {
   /// Launch mode of the ompx version's event kernel. Direct by default
   /// (sync-free, one plain call per thread); tests flip it to
   /// cooperative to prove the analyzer's convergent verdict routes the
-  /// kernel onto the lane-loop fast path.
+  /// kernel back to direct.
   simt::ExecMode mode = simt::ExecMode::kDirect;
 
   bool operator==(const Options&) const = default;

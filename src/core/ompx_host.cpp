@@ -717,16 +717,8 @@ ompx_result_t ompx_set_exec_hint(const char* kernel, int convergent,
 }
 
 ompx_result_t ompx_set_exec_hint_ex(const char* kernel, int convergent,
-                                    int needs_fibers, int atomics_ok) {
-  return guarded([&] {
-    if (kernel == nullptr)
-      throw std::invalid_argument("ompx_set_exec_hint_ex: null kernel name");
-    simt::ExecHint hint;
-    hint.convergent = convergent != 0;
-    hint.needs_fibers = needs_fibers != 0;
-    hint.atomics_ok = atomics_ok != 0;
-    simt::set_exec_hint(kernel, hint);
-  });
+                                    int needs_fibers, int /*atomics_ok*/) {
+  return ompx_set_exec_hint(kernel, convergent, needs_fibers);
 }
 
 ompx_result_t ompx_register_exec_hints(const char* source, int* registered) {
@@ -784,13 +776,10 @@ ompx_result_t ompx_set_exec_policy(const char* policy) {
       throw std::invalid_argument("ompx_set_exec_policy: null policy");
     const std::string p = policy;
     if (p == "fiber") simt::set_exec_policy(simt::ExecPolicy::kFiber);
-    else if (p == "convergent")
-      simt::set_exec_policy(simt::ExecPolicy::kConvergent);
     else if (p == "auto") simt::set_exec_policy(simt::ExecPolicy::kAuto);
     else
       throw std::invalid_argument(
-          "ompx_set_exec_policy: expected fiber|convergent|auto, got '" + p +
-          "'");
+          "ompx_set_exec_policy: expected fiber|auto, got '" + p + "'");
   });
 }
 

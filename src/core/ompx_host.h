@@ -306,21 +306,22 @@ typedef struct ompx_launch_info_t {
   unsigned long long atomics;
   unsigned long long parallel_handshakes;
   unsigned long long globalized_bytes;
-  /// Resolved lane-execution mode ("fiber"/"convergent"/"direct") and
-  /// the number of threads that ran fiber-free under the convergent
-  /// lane loop (see simt::LaneExec / OMPX_EXEC).
+  /// Resolved execution mode ("fiber"/"direct") and the number of
+  /// threads that ran as fiber-free plain calls (see simt::ExecHint /
+  /// OMPX_EXEC).
   char exec_mode[16];
   unsigned long long lane_loops;
 } ompx_launch_info_t;
 
 /// C view of ompx::launch_hints: registers the execution hint for
-/// `kernel`. `convergent` != 0 opts the kernel into the lane-loop fast
-/// path under OMPX_EXEC=auto; `needs_fibers` != 0 pins the fiber path.
+/// `kernel`. `convergent` != 0 runs its cooperative launches as direct
+/// plain calls under OMPX_EXEC=auto; `needs_fibers` != 0 pins the fiber
+/// path.
 ompx_result_t ompx_set_exec_hint(const char* kernel, int convergent,
                                  int needs_fibers);
-/// ompx_set_exec_hint plus the atomics_ok flag: a convergent kernel
-/// statically proven rendezvous-free may run its atomics inline in the
-/// lane loop instead of deflating (see simt::ExecHint::atomics_ok).
+/// ompx_set_exec_hint, kept for C callers built against its older
+/// signature: `atomics_ok` is ignored, because a direct kernel already
+/// runs its atomics in place before its barrier.
 ompx_result_t ompx_set_exec_hint_ex(const char* kernel, int convergent,
                                     int needs_fibers, int atomics_ok);
 /// Runs the ompx-analyze exec classifier (rewrite/analyze.h) over
@@ -330,8 +331,8 @@ ompx_result_t ompx_set_exec_hint_ex(const char* kernel, int convergent,
 /// rewrite::register_exec_hints: static convergence proofs feed the
 /// launch-time registry directly.
 ompx_result_t ompx_register_exec_hints(const char* source, int* registered);
-/// Overrides the OMPX_EXEC policy at run time: "fiber", "convergent",
-/// or "auto". Anything else is OMPX_ERROR_INVALID_VALUE.
+/// Overrides the OMPX_EXEC policy at run time: "fiber" or "auto".
+/// Anything else is OMPX_ERROR_INVALID_VALUE.
 ompx_result_t ompx_set_exec_policy(const char* policy);
 
 /// OMPX_CHECK's failure sink: prints the failing expression, location

@@ -87,7 +87,6 @@ simt::LaunchParams to_params(const LaunchSpec& spec, const simt::Device& dev) {
   }
   p.dynamic_smem_bytes = spec.dynamic_groupprivate_bytes;
   p.mode = spec.mode;
-  p.lane_exec = spec.exec;
   p.profile = spec.profile;
   p.cost = spec.cost;
   p.name = spec.name;
@@ -136,9 +135,8 @@ LaunchMode launch_mode() {
   return g_launch_mode.load(std::memory_order_relaxed);
 }
 
-void launch_hints(const char* kernel, bool convergent, bool needs_fibers,
-                  bool atomics_ok) {
-  simt::set_exec_hint(kernel, {convergent, needs_fibers, atomics_ok});
+void launch_hints(const char* kernel, bool convergent, bool needs_fibers) {
+  simt::set_exec_hint(kernel, {convergent, needs_fibers});
 }
 
 int register_exec_hints(const std::string& source) {

@@ -61,30 +61,27 @@ struct LaunchSpec {
   /// Code-gen / roofline declarations for the performance model.
   simt::CompilerProfile profile{.name = "ompx-proto"};
   simt::KernelCost cost;
+  /// kCooperative launches of kernels hinted convergent (launch_hints)
+  /// run as kDirect under OMPX_EXEC=auto; see simt::ExecHint.
   simt::ExecMode mode = simt::ExecMode::kCooperative;
-  /// Lane execution strategy (fiber path vs convergent lane loop).
-  /// kDefault defers to the ExecHint registry (launch_hints) and the
-  /// OMPX_EXEC policy; see simt::LaneExec.
-  simt::LaneExec exec = simt::LaneExec::kDefault;
   const char* name = "ompx_kernel";
 };
 
 /// Registers the execution hint for `kernel` (matched against launch
-/// names): `convergent` opts the kernel into the fiber-free lane-loop
-/// fast path under OMPX_EXEC=auto; `needs_fibers` pins it to the fiber
-/// path (kernels whose pre-collective prefix is not replayable). The
-/// hint may also come from the static classifier
-/// (rewrite::classify_exec) or be learned at run time when a convergent
-/// launch deflates.
+/// names): `convergent` runs its cooperative launches as fiber-free
+/// ExecMode::kDirect plain calls under OMPX_EXEC=auto (a second barrier
+/// or a warp op then throws std::logic_error naming the kernel);
+/// `needs_fibers` pins it to the fiber path. Atomics need no hint:
+/// kDirect runs them in place before its barrier. The hint may also
+/// come from the static classifier (rewrite::classify_exec).
 void launch_hints(const char* kernel, bool convergent,
-                  bool needs_fibers = false, bool atomics_ok = false);
+                  bool needs_fibers = false);
 
 /// Runs the static exec classifier (rewrite::register_exec_hints) over
 /// one translation unit's source text and registers a hint per named
-/// kernel region — kernels the analyzer proves rendezvous-free take
-/// the convergent lane loop (atomics inline when atomics_ok) without
-/// any per-kernel launch_hints call. Returns the number of kernels
-/// hinted.
+/// kernel region — kernels the analyzer proves rendezvous-free run
+/// direct without any per-kernel launch_hints call. Returns the number
+/// of kernels hinted.
 int register_exec_hints(const std::string& source);
 
 /// How plain ompx::launch calls execute. kAsync (the default) enqueues

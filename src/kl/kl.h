@@ -194,19 +194,20 @@ klError klSanEnable(const char* checks);
 klError klSanDisable();
 klError klSanReport(unsigned long long* errors);
 
-/// Lane-execution hints (see simt::LaneExec / OMPX_EXEC): registers the
+/// Lane-execution hints (see simt::ExecHint / OMPX_EXEC): registers the
 /// execution classification of `kernel` (matched against launch names).
-/// convergent != 0 opts the kernel into the fiber-free lane-loop fast
-/// path under OMPX_EXEC=auto; needs_fibers != 0 pins the fiber path
-/// (kernels whose pre-collective prefix is not replayable).
+/// convergent != 0 runs its cooperative launches as fiber-free direct
+/// plain calls under OMPX_EXEC=auto (a second barrier or a warp op then
+/// fails the launch with an error naming the kernel); needs_fibers != 0
+/// pins the fiber path.
 klError klSetKernelExecHint(const char* kernel, int convergent,
                             int needs_fibers);
 
 /// Runs the static ompx-analyze exec classifier over `source` (one
 /// translation unit's text) and registers a hint per named kernel
 /// region found; `registered` (optional) receives the count. Kernels
-/// proven rendezvous-free take the convergent lane loop (atomics
-/// inline) with no per-kernel klSetKernelExecHint call.
+/// proven rendezvous-free run direct with no per-kernel
+/// klSetKernelExecHint call.
 klError klRegisterExecHints(const char* source, int* registered);
 
 /// Throwing result check (the cudaCheck idiom for C++ hosts): converts

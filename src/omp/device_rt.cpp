@@ -101,13 +101,9 @@ void critical(const std::function<void()>& body, const char* name) {
     if (!slot) slot = std::make_unique<std::mutex>();
     lock = slot.get();
   }
-  // note_atomic, not a bare counter bump: under the convergent lane
-  // loop the entry into a critical section must deflate like any other
-  // non-idempotent side effect, or a later deflation would replay it.
-  if (simt::in_kernel()) {
-    auto& t = simt::this_thread();
-    t.block->note_atomic(t);
-  }
+  // note_atomic, not a bare counter bump: a kDirect lane past its
+  // block's barrier must not enter a critical section either.
+  if (simt::in_kernel()) simt::this_thread().block->note_atomic();
   std::lock_guard g(*lock);
   body();
 }

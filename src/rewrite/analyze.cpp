@@ -44,7 +44,8 @@ const std::unordered_set<std::string>& sync_tokens() {
 }
 
 /// Warp rendezvous spellings: these force the fiber path — a warp op is
-/// a cross-lane rendezvous the sequential lane loop cannot satisfy.
+/// a cross-lane rendezvous direct lanes, run one after another, cannot
+/// satisfy.
 const std::unordered_set<std::string>& warp_tokens() {
   static const std::unordered_set<std::string> s = {
       "__syncwarp", "__shfl_sync", "__shfl_up_sync", "__shfl_down_sync",
@@ -57,10 +58,9 @@ const std::unordered_set<std::string>& warp_tokens() {
   return s;
 }
 
-/// Atomic spellings. An atomic is a non-idempotent side effect but not
-/// a rendezvous: a region whose only collectives are atomics is still
-/// convergent, and the hint's atomics_ok flag lets the lane loop run
-/// them inline instead of deflating (see BlockState::note_atomic).
+/// Atomic spellings. An atomic is not a rendezvous: a region whose only
+/// collectives are atomics is still convergent, and its direct lanes
+/// run the atomics in place (see BlockState::note_atomic).
 const std::unordered_set<std::string>& atomic_tokens() {
   static const std::unordered_set<std::string> s = {
       "atomicAdd", "atomicSub", "atomicMax", "atomicMin", "atomicExch",
@@ -784,41 +784,90 @@ void run_shared_analysis(const Cfg& cfg, const std::set<std::string>& shared,
 // Exec verdicts
 // ---------------------------------------------------------------------------
 
-ExecVerdict classify_region(const KernelRegion& region) {
+/// The first sync or warp token of `toks` as a verdict reason, or "".
+std::string first_rendezvous(const std::vector<Token>& toks) {
+  for (const bool barrier : {true, false})
+    for (const Token& t : toks)
+      if (t.kind == Token::Kind::kIdent &&
+          (barrier ? sync_tokens() : warp_tokens()).count(t.text) != 0)
+        return (barrier ? "block barrier '" : "warp op '") + t.text +
+               "' (line " + std::to_string(t.line) + ")";
+  return {};
+}
+
+/// The first call `f(` in `toks` whose callee is a key of `why`, or
+/// nullptr.
+const Token* first_call_into(const std::vector<Token>& toks,
+                             const std::map<std::string, std::string>& why) {
+  for (std::size_t i = 0; i + 1 < toks.size(); ++i)
+    if (toks[i].kind == Token::Kind::kIdent && is_punct(toks[i + 1], "(") &&
+        why.count(toks[i].text) != 0)
+      return &toks[i];
+  return nullptr;
+}
+
+/// Why calling each callable of a source may reach a block barrier or
+/// a warp op, keyed by the callables that may: a sync or warp token in
+/// one of its bodies, a `__device__` function whose body is in another
+/// translation unit, or a call into another such callable (followed to
+/// a fixed point, so call chains and recursion resolve).
+std::map<std::string, std::string> rendezvous_callees(const Callables& c) {
+  std::map<std::string, std::string> why;
+  for (const auto& [name, line] : c.bodiless)
+    why.emplace(name, "'" + name + "' declared without a body (line " +
+                          std::to_string(line) + ")");
+  for (const auto& [name, bodies] : c.bodies)
+    for (const std::vector<Token>& body : bodies) {
+      std::string r = first_rendezvous(body);
+      if (r.empty()) continue;
+      why.emplace(name, std::move(r));
+      break;
+    }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const auto& [name, bodies] : c.bodies) {
+      if (why.count(name) != 0) continue;
+      for (const std::vector<Token>& body : bodies)
+        if (const Token* call = first_call_into(body, why)) {
+          why.emplace(name, why.at(call->text));
+          changed = true;
+          break;
+        }
+    }
+  }
+  return why;
+}
+
+/// A region needs fibers when its own tokens hold a block barrier or a
+/// warp op, or when it calls a function of the same source that may
+/// reach one (`rendezvous`, from rendezvous_callees): a convergent
+/// verdict must hold for everything the kernel runs, because a
+/// convergent hint sends its cooperative launches to direct lanes.
+ExecVerdict classify_region(const KernelRegion& region,
+                            const std::map<std::string, std::string>&
+                                rendezvous) {
   ExecVerdict v;
   v.kernel = region.name;
   v.named = region.named;
   v.line = region.line;
-  const Token* first_barrier = nullptr;
-  const Token* first_warp = nullptr;
-  const Token* first_atomic = nullptr;
-  for (const Token& t : region.tokens) {
-    if (t.kind != Token::Kind::kIdent) continue;
-    if (first_barrier == nullptr && sync_tokens().count(t.text) != 0)
-      first_barrier = &t;
-    else if (first_warp == nullptr && warp_tokens().count(t.text) != 0)
-      first_warp = &t;
-    else if (first_atomic == nullptr && atomic_tokens().count(t.text) != 0)
-      first_atomic = &t;
-  }
-  if (first_barrier != nullptr) {
-    v.needs_fibers = true;
-    v.reason = "block barrier '" + first_barrier->text + "' (line " +
-               std::to_string(first_barrier->line) + ")";
-  } else if (first_warp != nullptr) {
-    v.needs_fibers = true;
-    v.reason = "warp op '" + first_warp->text + "' (line " +
-               std::to_string(first_warp->line) + ")";
-  } else if (first_atomic != nullptr) {
-    v.convergent = true;
-    v.atomics_ok = true;
-    v.reason = "atomics only ('" + first_atomic->text + "', line " +
-               std::to_string(first_atomic->line) +
-               ") — inline-safe in the lane loop";
-  } else {
-    v.convergent = true;
-    v.reason = "no collectives";
-  }
+  v.reason = first_rendezvous(region.tokens);
+  const Token* call =
+      v.reason.empty() ? first_call_into(region.tokens, rendezvous) : nullptr;
+  if (call != nullptr)
+    v.reason = "call to '" + call->text + "' (line " +
+               std::to_string(call->line) + "), which may reach " +
+               rendezvous.at(call->text);
+  v.needs_fibers = !v.reason.empty();
+  v.convergent = !v.needs_fibers;
+  if (v.needs_fibers) return v;
+  for (const Token& t : region.tokens)
+    if (t.kind == Token::Kind::kIdent && atomic_tokens().count(t.text) != 0) {
+      v.atomics_ok = true;
+      v.reason = "atomics only ('" + t.text + "', line " +
+                 std::to_string(t.line) + ") — run in place by direct lanes";
+      return v;
+    }
+  v.reason = "no collectives";
   return v;
 }
 
@@ -968,9 +1017,11 @@ AnalysisResult analyze_source(const std::string& source,
   AnalysisResult result;
   const std::vector<Token> toks = lex(source);
   const std::vector<KernelRegion> regions = find_kernel_regions(toks);
+  const std::map<std::string, std::string> rendezvous =
+      rendezvous_callees(find_callables(toks));
 
   for (const KernelRegion& region : regions) {
-    result.kernels.push_back(classify_region(region));
+    result.kernels.push_back(classify_region(region, rendezvous));
     if (!options.check_divergent_sync && !options.check_shared_sync) continue;
     const Cfg cfg = build_cfg(region.stmts);
     const TaintResult taint = run_taint(cfg);
@@ -1047,7 +1098,7 @@ std::string format_analysis(const AnalysisResult& result,
     out += filename + ":" + std::to_string(v.line) + ": kernel '" + v.kernel +
            "': ";
     if (v.needs_fibers) out += "needs fibers";
-    else if (v.atomics_ok) out += "convergent, atomics inline-safe";
+    else if (v.atomics_ok) out += "convergent, with atomics";
     else out += "convergent";
     out += " — " + v.reason + "\n";
   }
@@ -1109,25 +1160,12 @@ std::string analysis_to_sarif(
 int register_exec_hints(const std::string& source) {
   const AnalysisResult result =
       analyze_source(source, AnalyzeOptions{false, false, false, false});
-  struct Merged {
-    bool needs_fibers = false;
-    bool any_atomics = false;
-  };
-  std::map<std::string, Merged> merged;
-  for (const ExecVerdict& v : result.kernels) {
-    if (!v.named) continue;
-    Merged& m = merged[v.kernel];
-    m.needs_fibers = m.needs_fibers || v.needs_fibers;
-    m.any_atomics = m.any_atomics || v.atomics_ok;
-  }
-  for (const auto& [name, m] : merged) {
-    simt::ExecHint hint;
-    hint.needs_fibers = m.needs_fibers;
-    hint.convergent = !m.needs_fibers;
-    hint.atomics_ok = hint.convergent && m.any_atomics;
-    simt::set_exec_hint(name, hint);
-  }
-  return static_cast<int>(merged.size());
+  std::map<std::string, bool> needs_fibers;
+  for (const ExecVerdict& v : result.kernels)
+    if (v.named) needs_fibers[v.kernel] |= v.needs_fibers;
+  for (const auto& [name, fibers] : needs_fibers)
+    simt::set_exec_hint(name, {!fibers, fibers});
+  return static_cast<int>(needs_fibers.size());
 }
 
 ExecClass classify_exec(const std::string& source) {

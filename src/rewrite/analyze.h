@@ -19,9 +19,11 @@
 //    must/may dirtiness apart — the reduction idiom falls out clean,
 //    loop-carried write→read hazards surface via the back edge;
 //  * a region-granular exec verdict: no collectives → convergent;
-//    atomics only → convergent with atomics inline-safe (the lane loop
-//    may run them without deflating — an atomic is not a rendezvous);
-//    any block barrier or warp op → needs fibers;
+//    atomics only → convergent, with atomics (an atomic is not a
+//    rendezvous; direct lanes run it in place); any block barrier or
+//    warp op → needs fibers, also one reached through a call into a
+//    function of the same source or into a `__device__` function only
+//    declared there;
 //  * C-ABI contract rules over the host code: statement-position calls
 //    that discard an ompx_result_t, and ompx_graph_get_nodes without a
 //    prior ompx_graph_node_count (the two-call enumeration protocol).
@@ -44,7 +46,7 @@ struct ExecVerdict {
   int line = 1;
   bool convergent = false;
   bool needs_fibers = false;
-  bool atomics_ok = false;  ///< convergent and atomics may run inline
+  bool atomics_ok = false;  ///< convergent, with atomics
   std::string reason;
 };
 

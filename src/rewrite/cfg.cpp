@@ -523,6 +523,75 @@ std::vector<KernelRegion> find_kernel_regions(const std::vector<Token>& toks) {
   return regions;
 }
 
+namespace {
+
+/// Identifiers that take a parenthesized head before a `{` without
+/// naming a function.
+bool is_control_keyword(const std::string& s) {
+  return s == "if" || s == "for" || s == "while" || s == "switch" ||
+         s == "catch" || s == "return" || s == "sizeof" || s == "alignof" ||
+         s == "decltype" || s == "noexcept";
+}
+
+}  // namespace
+
+Callables find_callables(const std::vector<Token>& toks) {
+  Callables out;
+  std::map<std::string, int> declared;  // `__device__` prototypes
+  const std::size_t n = toks.size();
+  const auto add_body = [&](const std::string& name, std::size_t open) {
+    const std::size_t close = skip_balanced(toks, open, n, "{", "}");
+    out.bodies[name].emplace_back(
+        toks.begin() + static_cast<std::ptrdiff_t>(open) + 1,
+        toks.begin() + static_cast<std::ptrdiff_t>(close) - 1);
+  };
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (toks[i].kind != Token::Kind::kIdent) continue;
+    const std::string& name = toks[i].text;
+    // `__device__ <ret> f(...);` — a device function defined elsewhere.
+    if (name == "__device__") {
+      std::size_t j = i + 1;
+      while (j < n && j < i + 12 && !is_punct(toks[j], "(") &&
+             !is_punct(toks[j], ";") && !is_punct(toks[j], "{") &&
+             !is_punct(toks[j], "="))
+        j++;
+      if (j < n && j > i + 1 && is_punct(toks[j], "(") &&
+          toks[j - 1].kind == Token::Kind::kIdent) {
+        std::size_t k = skip_balanced(toks, j, n, "(", ")");
+        while (k < n && k < j + 16 && toks[k].kind == Token::Kind::kIdent)
+          k++;  // const / noexcept
+        if (k < n && is_punct(toks[k], ";"))
+          declared.emplace(toks[j - 1].text, toks[j - 1].line);
+      }
+      continue;
+    }
+    // `name = [...](...) { ... }`.
+    if (is_punct(toks[i + 1], "=")) {
+      if (i + 2 < n && is_punct(toks[i + 2], "[")) {
+        const std::size_t brace = lambda_body_brace(toks, i + 2, n);
+        if (brace < n) add_body(name, brace);
+      }
+      continue;
+    }
+    // `name(...) [qualifiers] { ... }`.
+    if (!is_punct(toks[i + 1], "(") || is_control_keyword(name)) continue;
+    std::size_t k = skip_balanced(toks, i + 1, n, "(", ")");
+    std::size_t guard = 0;
+    while (k < n && !is_punct(toks[k], "{")) {
+      if (is_punct(toks[k], ";") || is_punct(toks[k], "=") ||
+          is_punct(toks[k], ",") || is_punct(toks[k], ")") || ++guard > 8) {
+        k = n;
+        break;
+      }
+      k++;
+    }
+    if (k < n) add_body(name, k);
+  }
+  for (const auto& [name, line] : declared)
+    if (out.bodies.count(name) == 0) out.bodiless.emplace(name, line);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // CFG construction + postdominators + control dependence
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,18 @@ struct KernelRegion {
 ///  4. when the source has no function at all (bare fragments), the
 ///     whole token stream as one region.
 std::vector<KernelRegion> find_kernel_regions(const std::vector<Token>& toks);
+
+/// The named callables of a token stream, for following a kernel
+/// region's calls: every definition `name(...) [qualifiers] { ... }` at
+/// any depth (control keywords excluded; overloads share one entry) and
+/// every lambda bound as `name = [...](...) { ... }`, plus the
+/// `__device__` functions only declared here — defined in another
+/// translation unit, so their bodies cannot be seen.
+struct Callables {
+  std::map<std::string, std::vector<std::vector<Token>>> bodies;
+  std::map<std::string, int> bodiless;  ///< name -> line of declaration
+};
+Callables find_callables(const std::vector<Token>& toks);
 
 /// CFG node. kStmt nodes carry one kSimple/kBreak/kContinue/kReturn
 /// statement; kBranch nodes carry the condition of an if/loop/switch.

@@ -91,15 +91,16 @@ std::string format_lint(const std::vector<LintFinding>& findings,
 /// ompx-analyze rework this is region-granular: each kernel region is
 /// classified separately and the result is the union. A source with no
 /// collectives is convergent; atomics alone keep it convergent with
-/// `atomics_ok` set (an atomic is not a rendezvous — the lane loop can
-/// run it inline, see BlockState::note_atomic); a block barrier or
-/// warp op anywhere in a region forces fibers. Feed the result to
+/// `atomics_ok` set (an atomic is not a rendezvous — direct lanes run
+/// it in place, see BlockState::note_atomic); a block barrier or
+/// warp op anywhere in a region, or in a function of the source it
+/// calls, forces fibers. Feed the result to
 /// ompx::launch_hints / simt::set_exec_hint, or use
 /// rewrite::register_exec_hints (analyze.h) to do it in one step.
 struct ExecClass {
   bool convergent = false;    ///< no barrier / warp op found
   bool needs_fibers = false;  ///< barrier or warp op present
-  bool atomics_ok = false;    ///< convergent, atomics inline-safe
+  bool atomics_ok = false;    ///< convergent, with atomics
   std::string reason;         ///< first token that decided the verdict
 };
 

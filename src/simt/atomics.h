@@ -16,13 +16,9 @@ namespace simt {
 
 namespace detail {
 inline void count_atomic() {
-  // note_atomic also doubles as the convergent lane-loop deflation
-  // trigger (atomics are non-idempotent; see BlockState::note_atomic) —
-  // it must run before the RMW below executes.
-  if (in_kernel()) {
-    ThreadCtx& t = this_thread();
-    t.block->note_atomic(t);
-  }
+  // Before the RMW below executes: a kDirect lane past its block's
+  // barrier throws instead (see BlockState::note_atomic).
+  if (in_kernel()) this_thread().block->note_atomic();
 }
 }  // namespace detail
 

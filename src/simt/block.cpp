@@ -67,65 +67,63 @@ BlockState::BlockState(Device& device, const LaunchParams& params,
       kernel_(kernel), fiber_pool_(fibers),
       nthreads_(static_cast<std::uint32_t>(params.block.count())),
       live_(nthreads_),
-      arena_(device.config().smem_per_block_max, params.dynamic_smem_bytes),
-      convergent_(params.lane_exec == LaneExec::kConvergent &&
-                  params.mode == ExecMode::kCooperative) {
+      arena_(device.config().smem_per_block_max, params.dynamic_smem_bytes) {
   const std::uint32_t ws = device.config().warp_size;
   const std::uint32_t nwarps = static_cast<std::uint32_t>(ceil_div(nthreads_, ws));
   warps_.reserve(nwarps);
   for (std::uint32_t w = 0; w < nwarps; ++w)
     warps_.emplace_back(*this, w, std::min(ws, nthreads_ - w * ws));
-  // waits_ stays empty here: only the fiber scheduler reads it, and the
-  // convergent fast path never does — they size it on entry instead.
-  // Under the convergent lane loop the ctx array itself is also
-  // deferred: one thread runs at a time, on a scratch ThreadCtx the
-  // loop advances in place, so the array only materializes if the
-  // block deflates to fibers.
   shared_alloc_ordinal_.assign(nthreads_, 0);
-  if (!convergent_) {
+  // Only the fiber scheduler keeps a context per thread (waits_ it
+  // sizes on entry); direct lanes run on one context advanced in place.
+  if (params.mode == ExecMode::kCooperative) {
     ctxs_.resize(nthreads_);
-    setup_ctxs();
+    ThreadCtx ctx = first_ctx();
+    const NextLane next = next_lane();
+    for (ThreadCtx& c : ctxs_) {
+      c = ctx;
+      next(ctx);
+    }
   }
 }
 
-void BlockState::setup_ctxs() {
-  const std::uint32_t ws = device_.config().warp_size;
-  const Dim3 bd = params_.block;
+ThreadCtx BlockState::first_ctx() {
+  ThreadCtx ctx;
+  ctx.thread_idx = {0, 0, 0};
+  ctx.block_idx = block_idx_;
+  ctx.block_dim = params_.block;
   // A shard of a multi-device launch reports the full logical grid, so
   // gridDim-based indexing (global_thread_id, grid-stride loops) sees
   // the same geometry as the unsharded launch.
-  const Dim3 gd = params_.logical_grid.count() != 0 ? params_.logical_grid
-                                                    : params_.grid;
-  // Incremental carry arithmetic instead of per-thread delinearize /
-  // div/mod: context setup is per-thread work on every launch path, so
-  // the ~6 integer divisions it saves per thread are visible in
-  // launches/s.
-  Dim3 t{0, 0, 0};
-  std::uint32_t lane = 0, warp = 0;
-  for (std::uint32_t flat = 0; flat < nthreads_; ++flat) {
-    ThreadCtx& ctx = ctxs_[flat];
-    ctx.thread_idx = t;
-    ctx.block_idx = block_idx_;
-    ctx.block_dim = bd;
-    ctx.grid_dim = gd;
-    ctx.flat_tid = flat;
-    ctx.warp_id = warp;
-    ctx.lane = lane;
-    ctx.block = this;
-    ctx.warp = &warps_[warp];
-    ctx.device = &device_;
-    ctx.fiber = nullptr;
-    if (++t.x == bd.x) {
-      t.x = 0;
-      if (++t.y == bd.y) {
-        t.y = 0;
-        ++t.z;
-      }
+  ctx.grid_dim = params_.logical_grid.count() != 0 ? params_.logical_grid
+                                                   : params_.grid;
+  ctx.block = this;
+  ctx.warp = &warps_[0];
+  ctx.device = &device_;
+  return ctx;
+}
+
+// Incremental carry arithmetic instead of per-thread delinearize /
+// div/mod: context setup is per-thread work on every launch path, so
+// the ~6 integer divisions it saves per thread are visible in
+// launches/s.
+BlockState::NextLane BlockState::next_lane() {
+  return {params_.block, device_.config().warp_size, nthreads_,
+          warps_.data()};
+}
+
+void BlockState::NextLane::operator()(ThreadCtx& ctx) const {
+  if (++ctx.thread_idx.x == block_dim.x) {
+    ctx.thread_idx.x = 0;
+    if (++ctx.thread_idx.y == block_dim.y) {
+      ctx.thread_idx.y = 0;
+      ++ctx.thread_idx.z;
     }
-    if (++lane == ws) {
-      lane = 0;
-      ++warp;
-    }
+  }
+  ++ctx.flat_tid;
+  if (++ctx.lane == warp_size && ctx.flat_tid < nthreads) {
+    ctx.lane = 0;
+    ctx.warp = &warps[++ctx.warp_id];
   }
 }
 
@@ -141,7 +139,6 @@ void BlockState::reset_for_replay() {
   if (params_.mode != ExecMode::kDirect)
     throw std::logic_error(
         "BlockState::reset_for_replay: direct-mode blocks only");
-  live_ = nthreads_;
   counters_.reset();
   arena_.reset();
   shared_vars_.clear();
@@ -152,15 +149,20 @@ void BlockState::reset_for_replay() {
   barrier_arrived_ = 0;
 }
 
+// pocl's work-item loop: one context, advanced in place. A lane that
+// reaches the barrier runs every later lane nested inside it, so the
+// loop ends after that lane returns.
 void BlockState::run_direct() {
+  ThreadCtx ctx = first_ctx();
+  const NextLane next = next_lane();
   CtxRestore restore{nullptr};
-  while (direct_next_ < nthreads_) run_direct_lane(direct_next_++);
-}
-
-void BlockState::run_direct_lane(std::uint32_t i) {
-  t_ctx = &ctxs_[i];
-  kernel_();
-  live_--;
+  t_ctx = &ctx;
+  while (direct_next_ < next.nthreads) {
+    direct_next_++;
+    kernel_();
+    next(ctx);
+  }
+  counters_.sched_lane_loops += nthreads_;
 }
 
 // Direct mode's one barrier, without fibers: the arriving lane runs
@@ -171,13 +173,19 @@ void BlockState::run_direct_lane(std::uint32_t i) {
 // innermost call therefore releases, exactly once; the calls then
 // return one by one and each lane's post-barrier code runs, in
 // descending lane order. Prefix accesses carry barrier epoch e and
-// post-barrier ones e+1, as under the fiber scheduler.
+// post-barrier ones e+1, as under the fiber scheduler. The nested lanes
+// run on one context of this frame, carried from the caller's (the lane
+// before them), so the caller's own stays intact for its post-barrier
+// code.
 void BlockState::direct_barrier(ThreadCtx& ctx) {
   if (in_run_lanes_) direct_error("block barrier inside run_lanes");
   if (direct_released_) direct_error("second block barrier");
   barrier_arrived_++;
-  {
+  if (direct_next_ < nthreads_) {
+    ThreadCtx lane = ctx;
+    const NextLane next = next_lane();
     CtxRestore restore{&ctx};
+    t_ctx = &lane;
     while (direct_next_ < nthreads_) {
       // The frame address, not a local's: ASan may move locals off
       // the real stack.
@@ -190,7 +198,9 @@ void BlockState::direct_barrier(ThreadCtx& ctx) {
                      std::to_string(nthreads_) + " with less than " +
                      std::to_string(kNestStackReserve >> 10) +
                      " KiB of OS-thread stack left");
-      run_direct_lane(direct_next_++);
+      next(lane);
+      direct_next_++;
+      kernel_();
     }
   }
   if (direct_released_) return;
@@ -277,110 +287,13 @@ Fiber* BlockState::acquire_fiber() {
 
 void BlockState::recycle_fiber(Fiber* f) { free_fibers_.push_back(f); }
 
-// Convergent lane loop: run each thread as a plain sequential call on
-// the worker — zero context switches, no ready-queue traffic, no
-// per-thread exit bookkeeping — betting none of them blocks. The bet
-// is settled by DeflateSignal, thrown by the first blocking primitive
-// *before* it mutates any engine state (require_fiber / note_atomic
-// fire ahead of the barrier counter, rendezvous slots, and the atomic
-// RMW itself): the deflating thread's prefix only performed idempotent
-// work (plain writes, shared allocs replayed by ordinal, san shadow
-// re-recorded same-tid), so restarting it on a fiber re-executes the
-// prefix with identical effects. Kernels whose prefix hides a
-// plain-memory read-modify-write are the one shape this cannot replay;
-// they must be pinned via ExecHint needs_fibers (launch_hints / the
-// lint classifier). Returns the number of threads that completed
-// inline: nthreads_ means the whole block ran fiber-free, anything
-// less is the index of the deflating thread, which the fiber
-// scheduler must run first.
-std::uint32_t BlockState::run_lane_loop() {
-  const std::uint32_t ws = device_.config().warp_size;
-  const Dim3 bd = params_.block;
-  // One scratch context, advanced in place per lane (only one thread
-  // exists at a time here): the invariant fields are written once, the
-  // per-lane ones by carry updates — no ctx array, no divisions.
-  ThreadCtx ctx;
-  ctx.thread_idx = {0, 0, 0};
-  ctx.block_idx = block_idx_;
-  ctx.block_dim = bd;
-  ctx.grid_dim = params_.logical_grid.count() != 0 ? params_.logical_grid
-                                                   : params_.grid;
-  ctx.flat_tid = 0;
-  ctx.warp_id = 0;
-  ctx.lane = 0;
-  ctx.block = this;
-  ctx.warp = &warps_[0];
-  ctx.device = &device_;
-  ctx.fiber = nullptr;
-  std::uint32_t i = 0;
-  bool deflated = false;
-  inline_phase_ = true;
-  t_ctx = &ctx;
-  try {
-    for (; i < nthreads_; ++i) {
-      inline_atomic_done_ = false;  // per-lane: each lane's own prefix
-      kernel_();
-      if (++ctx.thread_idx.x == bd.x) {
-        ctx.thread_idx.x = 0;
-        if (++ctx.thread_idx.y == bd.y) {
-          ctx.thread_idx.y = 0;
-          ++ctx.thread_idx.z;
-        }
-      }
-      ctx.flat_tid = i + 1;
-      if (++ctx.lane == ws && i + 1 < nthreads_) {
-        ctx.lane = 0;
-        ctx.warp = &warps_[++ctx.warp_id];
-      }
-    }
-  } catch (const detail::DeflateSignal&) {
-    deflated = true;
-  } catch (...) {
-    t_ctx = nullptr;
-    inline_phase_ = false;
-    throw;
-  }
-  t_ctx = nullptr;
-  inline_phase_ = false;
-  counters_.sched_lane_loops += i;
-  if (!deflated) return nthreads_;
-  // Thread i's kernel does synchronize: remember the verdict so future
-  // launches of this name skip the probe, reset its shared-alloc
-  // cursor for the replay, and materialize the ctx array the fiber
-  // scheduler needs. The completed prefix threads' exits are settled
-  // by run_cooperative once the scheduler state exists.
-  counters_.sched_deflations++;
-  shared_alloc_ordinal_[i] = 0;
-  convergent_ = false;
-  note_exec_deflation(params_.name);
-  ctxs_.resize(nthreads_);
-  setup_ctxs();
-  return i;
-}
-
 void BlockState::run_cooperative() {
-  std::uint32_t first = 0;
-  if (convergent_) {
-    first = run_lane_loop();
-    // The whole block ran inline: skip the scheduler (and its ring /
-    // waitmap / slot / fiber-array setup) entirely. Nothing downstream
-    // reads the per-thread exit state of a completed block — run_range
-    // only merges counters_.
-    if (first == nthreads_) return;
-  }
   waits_.resize(nthreads_);
-  // Settle the deflation prefix's deferred exits (threads 0..first-1
-  // completed inline; barrier_arrived_ is still 0, so no barrier
-  // release can fire from these).
-  for (std::uint32_t j = 0; j < first; ++j) {
-    waits_[j] = Wait::kDone;
-    on_thread_exit(j);
-  }
   ready_.resize(std::bit_ceil(nthreads_));
   rq_mask_ = static_cast<std::uint32_t>(ready_.size()) - 1;
   rq_head_ = 0;
-  rq_count_ = nthreads_ - first;
-  for (std::uint32_t i = first; i < nthreads_; ++i) ready_[i - first] = i;
+  rq_count_ = nthreads_;
+  for (std::uint32_t i = 0; i < nthreads_; ++i) ready_[i] = i;
   barrier_waitmap_.assign((nthreads_ + 63) / 64, 0);
   drain_map_.assign(barrier_waitmap_.size(), 0);
   // Pointer arrays only (the fibers themselves stay lazy): reserving up
@@ -388,7 +301,7 @@ void BlockState::run_cooperative() {
   fibers_.reserve(nthreads_);
   free_fibers_.reserve(nthreads_);
 
-  std::uint32_t finished = first;
+  std::uint32_t finished = 0;
   while (finished < nthreads_) {
     std::uint32_t i;
     if (!next_runnable(i)) deadlock("block scheduler");
@@ -437,9 +350,12 @@ void BlockState::run_lanes(ThreadCtx& caller, std::uint32_t n,
     }
   } restore{&caller, in_run_lanes_, in_run_lanes_};
   in_run_lanes_ = true;
+  ThreadCtx ctx = first_ctx();
+  const NextLane next = next_lane();
+  t_ctx = &ctx;
   for (std::uint32_t tid = 0; tid < n; ++tid) {
-    t_ctx = &ctxs_[tid];
     lane(static_cast<int>(tid));
+    next(ctx);
   }
 }
 
@@ -492,9 +408,6 @@ void BlockState::sync_threads(ThreadCtx& ctx) {
     direct_barrier(ctx);
     return;
   }
-  // Deflation fires before barrier_arrived_ moves: a deflating
-  // thread's prefix must leave no trace.
-  require_fiber(ctx, "block barrier");
   barrier_arrived_++;
   if (barrier_arrived_ >= live_) {
     release_barrier();

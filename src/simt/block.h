@@ -14,13 +14,17 @@
 // synchronization surfaces as an error instead of a hang.
 //
 // In direct mode threads are plain calls — ~3x less host overhead —
-// and a block may pass one barrier: the lane that reaches it runs every
-// lane not yet started nested on the same OS-thread stack, the
-// innermost call releases the barrier once every lane has arrived or
-// exited, and the post-barrier code then runs as the calls return (in
-// descending lane order, no context switch). A second barrier, a warp
-// collective, an atomic after the release, a barrier inside run_lanes
-// or too little stack left to nest throws std::logic_error.
+// run on one ThreadCtx the lane loop advances in place (pocl's
+// work-item loop), so a direct block builds no per-thread context
+// array. A block may pass one barrier: the lane that reaches it runs
+// every lane not yet started nested on the same OS-thread stack, on a
+// context of the barrier call's own frame, the innermost call releases
+// the barrier once every lane has arrived or exited, and the
+// post-barrier code then runs as the calls return (in descending lane
+// order, no context switch; each lane's context survives in its
+// caller's frame). A second barrier, a warp collective, an atomic after
+// the release, a barrier inside run_lanes or too little stack left to
+// nest throws std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +44,6 @@ namespace simt {
 
 class Device;
 
-namespace detail {
-/// Thrown by a blocking primitive (barrier / warp op / atomic) when the
-/// executing thread is running inline under LaneExec::kConvergent: the
-/// scheduler catches it, discards the thread's prefix (counters and
-/// shared-alloc cursor restored; the prefix performed no engine-visible
-/// mutation because the signal fires *before* any), and restarts the
-/// thread on a fiber. Never escapes BlockState::run_cooperative.
-struct DeflateSignal {};
-}  // namespace detail
-
 class BlockState {
  public:
   BlockState(Device& device, const LaunchParams& params, Dim3 block_idx,
@@ -61,10 +55,10 @@ class BlockState {
   /// Runs every thread of the block to completion.
   void run();
 
-  /// Rewinds per-run state (live count, counters, shared arena, shared
+  /// Rewinds per-run state (counters, shared arena, shared
   /// variable funnel, direct-mode barrier cursor) so run() can execute
-  /// again over the same construction. Graph replay caches direct-mode BlockStates across
-  /// replays because construction — warps, thread contexts, ordinal
+  /// again over the same construction. Graph replay caches direct-mode
+  /// BlockStates across replays because construction — warps, ordinal
   /// vectors — dominates the per-launch cost of a launch-bound graph.
   /// Only valid for ExecMode::kDirect: cooperative runs retire fiber
   /// and scheduler state that a reset does not restore.
@@ -83,7 +77,8 @@ class BlockState {
   void count_barrier();
 
   /// Runs `lane(tid)` for tid in [0, n) in ascending order, each as a
-  /// plain call with thread tid's own ThreadCtx current, and makes
+  /// plain call with thread tid's identity current (one context of this
+  /// call's frame, advanced in place), and makes
   /// `caller` current again on return or on an exception. Direct-mode
   /// blocks only; the lanes cannot nest, so a barrier or warp
   /// collective reached inside a lane raises std::logic_error.
@@ -116,7 +111,6 @@ class BlockState {
   [[nodiscard]] std::uint32_t num_warps() const {
     return static_cast<std::uint32_t>(warps_.size());
   }
-  [[nodiscard]] std::uint32_t live_threads() const { return live_; }
   [[nodiscard]] Device& device() { return device_; }
   [[nodiscard]] const LaunchParams& params() const { return params_; }
   [[nodiscard]] Dim3 block_index() const { return block_idx_; }
@@ -133,38 +127,16 @@ class BlockState {
   void wait_warp(ThreadCtx& ctx);
 
   /// Gate every warp collective passes before touching engine state:
-  /// a fiberless thread either deflates (convergent lane loop — restart
-  /// this thread on a fiber) or is an ExecMode::kDirect error. Called
-  /// with the fiber present it is a no-op.
+  /// a fiberless (ExecMode::kDirect) thread is an error.
   void require_fiber(ThreadCtx& ctx, const char* what) {
-    if (ctx.fiber != nullptr) return;
-    if (inline_phase_) {
-      if (inline_atomic_done_)
-        throw std::logic_error(
-            std::string(what) +
-            " after an inline atomic in a kernel hinted atomics_ok — the "
-            "lane's prefix is no longer replayable; the atomics_ok exec "
-            "hint is wrong for this kernel");
-      throw detail::DeflateSignal{};
-    }
-    direct_error(what);
+    if (ctx.fiber == nullptr) direct_error(what);
   }
 
-  /// Atomic accounting + the convergent-mode deflation trigger. An
-  /// atomic is not a rendezvous, but it is a non-idempotent side effect:
-  /// deflating *before* the first one executes keeps every inline-run
-  /// prefix replayable. Fiber threads and direct-mode threads before
-  /// the barrier just count; after a direct-mode release the lanes run
-  /// in descending order, so an atomic there is an error.
-  /// With the launch's inline_atomics set (statically proven
-  /// rendezvous-free, see ExecHint::atomics_ok) the lane loop runs the
-  /// atomic in place instead — a later rendezvous on the same lane is
-  /// then a hard error, caught by require_fiber above.
-  void note_atomic(ThreadCtx& ctx) {
-    if (ctx.fiber == nullptr && inline_phase_) {
-      if (!params_.inline_atomics) throw detail::DeflateSignal{};
-      inline_atomic_done_ = true;
-    }
+  /// Atomic accounting, called before the RMW runs. Fiber threads and
+  /// direct-mode threads before the barrier just count; after a
+  /// direct-mode release the lanes run in descending order, so an
+  /// atomic there is an error.
+  void note_atomic() {
     if (direct_released_) direct_error("atomic after the block barrier");
     counters_.atomics++;
   }
@@ -186,18 +158,24 @@ class BlockState {
 
   void run_cooperative();
   void run_direct();
-  /// Runs thread i's kernel body as a plain call (direct mode).
-  void run_direct_lane(std::uint32_t i);
   /// sync_threads under ExecMode::kDirect: nests the lanes not yet
   /// started, then releases the block's one barrier.
   void direct_barrier(ThreadCtx& ctx);
   /// The ExecMode::kDirect std::logic_error for `what`, naming the kernel.
   [[noreturn]] void direct_error(const std::string& what) const;
-  /// Convergent inline fast path: runs threads 0..n as plain calls
-  /// until one deflates. Returns the count that completed inline
-  /// (nthreads_ = whole block done fiber-free).
-  std::uint32_t run_lane_loop();
-  void setup_ctxs();
+  /// Thread 0's context.
+  [[nodiscard]] ThreadCtx first_ctx();
+  /// Advances a context to the block's next thread: carry arithmetic,
+  /// no divisions. It copies the block's shape, so a lane loop keeps
+  /// it in registers across the opaque kernel calls.
+  struct NextLane {
+    Dim3 block_dim;
+    std::uint32_t warp_size;
+    std::uint32_t nthreads;
+    WarpState* warps;
+    void operator()(ThreadCtx& ctx) const;
+  };
+  [[nodiscard]] NextLane next_lane();
   void on_thread_exit(std::uint32_t flat);
   void release_barrier();
   [[noreturn]] void deadlock(const char* where) const;
@@ -224,7 +202,7 @@ class BlockState {
   const KernelFn& kernel_;
   FiberPool& fiber_pool_;
   std::uint32_t nthreads_;
-  std::uint32_t live_;
+  std::uint32_t live_;  // fiber scheduler only
 
   SharedArena arena_;
   std::vector<WarpState> warps_;  // one allocation, never resized
@@ -265,7 +243,7 @@ class BlockState {
   static constexpr std::uint32_t kManyReaders = ~0u;
   std::vector<SanShadowCell> san_shadow_;
 
-  std::vector<ThreadCtx> ctxs_;
+  std::vector<ThreadCtx> ctxs_;  // cooperative blocks only
   std::vector<Wait> waits_;
 
   // Ready queue (ring buffer of thread ids, power-of-two capacity
@@ -274,20 +252,6 @@ class BlockState {
   std::uint32_t rq_mask_ = 0;
   std::uint32_t rq_head_ = 0;
   std::uint32_t rq_count_ = 0;
-
-  // Convergent lane-loop state. convergent_ arms the inline fast path
-  // for threads that have not acquired a fiber yet; the first deflation
-  // clears it so the rest of the block pays for fibers only once the
-  // kernel has proven it synchronizes. inline_phase_ is true exactly
-  // while a thread body runs inline (it routes require_fiber /
-  // note_atomic to DeflateSignal instead of the kDirect error).
-  bool convergent_ = false;
-  bool inline_phase_ = false;
-  // True while the inline lane currently running has already executed
-  // an atomic in place (params_.inline_atomics launches only). Reset
-  // per lane by run_lane_loop; turns a subsequent rendezvous into a
-  // hard error instead of an (unsound) deflation-and-replay.
-  bool inline_atomic_done_ = false;
 
   // Bitmap of threads suspended at the current block barrier (one bit
   // per thread). Released by scanning set bits low-to-high, which gives

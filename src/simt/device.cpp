@@ -295,14 +295,13 @@ BlockCost& block_cost(const char* name) {
 
 // --- lane-execution policy + per-kernel hint registry --------------------
 
-/// OMPX_EXEC=fiber|convergent|auto, parsed once at first use. Unknown
-/// values fall back to auto (forward compatibility, like OMPX_SAN).
+/// OMPX_EXEC=fiber|auto, parsed once at first use. Unknown values fall
+/// back to auto (forward compatibility, like OMPX_SAN).
 ExecPolicy env_exec_policy() {
   const char* spec = std::getenv("OMPX_EXEC");
-  if (spec == nullptr) return ExecPolicy::kAuto;
-  if (std::strcmp(spec, "fiber") == 0) return ExecPolicy::kFiber;
-  if (std::strcmp(spec, "convergent") == 0) return ExecPolicy::kConvergent;
-  return ExecPolicy::kAuto;
+  return spec != nullptr && std::strcmp(spec, "fiber") == 0
+             ? ExecPolicy::kFiber
+             : ExecPolicy::kAuto;
 }
 
 std::atomic<ExecPolicy> g_exec_policy{env_exec_policy()};
@@ -344,12 +343,6 @@ void clear_exec_hints() {
   r.hints.clear();
 }
 
-void note_exec_deflation(const char* kernel) {
-  ExecHintRegistry& r = ExecHintRegistry::instance();
-  std::lock_guard lock(r.mu);
-  r.hints[kernel].needs_fibers = true;
-}
-
 void set_exec_policy(ExecPolicy policy) {
   g_exec_policy.store(policy, std::memory_order_relaxed);
 }
@@ -358,9 +351,8 @@ ExecPolicy exec_policy() {
   return g_exec_policy.load(std::memory_order_relaxed);
 }
 
-const char* exec_mode_name(ExecMode mode, LaneExec lane_exec) {
-  if (mode == ExecMode::kDirect) return "direct";
-  return lane_exec == LaneExec::kConvergent ? "convergent" : "fiber";
+const char* exec_mode_name(ExecMode mode) {
+  return mode == ExecMode::kDirect ? "direct" : "fiber";
 }
 
 Device::Device(DeviceConfig cfg, EngineOptions opts)
@@ -475,35 +467,13 @@ void Device::validate(const LaunchParams& p) const {
 
 void Device::resolve_launch(LaunchParams& params) const {
   validate(params);
-  // Stamp the resolved lane-execution mode once per launch; every block
-  // of this launch (and the record/trace span) sees the same decision.
-  LaneExec want = params.lane_exec;
-  params.lane_exec = LaneExec::kFiber;
-  // The lane loop is an optimization of the cooperative scheduler only:
-  // direct mode already runs plain calls.
-  if (params.mode != ExecMode::kCooperative) return;
-  // Precedence: per-launch request > OMPX_EXEC policy.
-  bool hinted_only = false;
-  if (want == LaneExec::kDefault) {
-    switch (exec_policy()) {
-      case ExecPolicy::kFiber: return;
-      case ExecPolicy::kConvergent: want = LaneExec::kConvergent; break;
-      case ExecPolicy::kAuto:
-        // Conservative default: only kernels hinted convergent take the
-        // lane loop; everything unhinted keeps the proven fiber path.
-        want = LaneExec::kConvergent;
-        hinted_only = true;
-        break;
-    }
-  }
-  if (want != LaneExec::kConvergent) return;
+  // Resolved once per launch: every block of this launch (and the
+  // record/trace span) sees the same mode.
+  if (params.mode != ExecMode::kCooperative ||
+      exec_policy() == ExecPolicy::kFiber)
+    return;
   const ExecHint hint = exec_hint(params.name);  // the launch's one lookup
-  // A kernel known (declared or learned) to hit a collective would
-  // deflate and replay its prefix — skip straight to fibers. Same
-  // results either way; this is the parity fast path.
-  if ((hinted_only && !hint.convergent) || hint.needs_fibers) return;
-  params.lane_exec = LaneExec::kConvergent;
-  if (hint.atomics_ok) params.inline_atomics = true;
+  if (hint.convergent && !hint.needs_fibers) params.mode = ExecMode::kDirect;
 }
 
 double Device::run_resolved(const LaunchParams& params, const KernelFn& kernel,
@@ -541,7 +511,7 @@ double Device::run_resolved(const LaunchParams& params, const KernelFn& kernel,
     rec->name = params.name;
     rec->grid = params.grid;
     rec->block = params.block;
-    rec->exec_mode = exec_mode_name(params.mode, params.lane_exec);
+    rec->exec_mode = exec_mode_name(params.mode);
     rec->stats = stats;
     rec->time = time;
     rec->wall_ms = std::chrono::duration<double, std::milli>(

@@ -56,28 +56,25 @@ struct DeviceConfig {
 };
 
 /// Per-kernel execution classification, keyed by kernel name in a
-/// process-wide registry. `convergent` marks a kernel safe and
-/// profitable for the lane-loop fast path (no collectives expected);
-/// `needs_fibers` pins it to the fiber path — set explicitly (via
-/// ompx::launch_hints / the lint classifier) or learned when a launch
-/// deflates, so subsequent launches skip the doomed convergent probe.
+/// process-wide registry. `convergent` marks a kernel that reaches no
+/// warp collective and at most one block barrier (the static analyzer
+/// proves "no barrier, no warp op"): under OMPX_EXEC=auto its
+/// cooperative launches run as ExecMode::kDirect plain calls. A
+/// convergent kernel that does reach a second barrier or a warp op
+/// throws kDirect's std::logic_error naming it. `needs_fibers` pins a
+/// kernel to fibers whatever `convergent` says.
 struct ExecHint {
   bool convergent = false;
   bool needs_fibers = false;
-  /// Convergent AND its atomics are inline-safe: the lane loop may run
-  /// atomics in place instead of deflating (no barrier can follow one —
-  /// the static analyzer proves the kernel rendezvous-free before
-  /// setting this, see rewrite::register_exec_hints).
-  bool atomics_ok = false;
 };
 
 /// Process-wide lane-execution policy, initialized from the OMPX_EXEC
-/// environment variable (fiber | convergent | auto; default auto).
-/// kAuto consults the ExecHint registry per kernel and falls back to
-/// fibers for unhinted kernels; kConvergent tries the lane loop on
-/// every cooperative launch (deflation keeps it correct); kFiber
-/// disables the fast path entirely.
-enum class ExecPolicy : std::uint8_t { kAuto, kFiber, kConvergent };
+/// environment variable (fiber | auto; default auto, and any other
+/// value reads as auto). kAuto runs cooperative launches of kernels
+/// hinted convergent as kDirect and every other cooperative launch on
+/// fibers; kFiber ignores the hints. Launches that ask for kDirect run
+/// direct under either policy.
+enum class ExecPolicy : std::uint8_t { kAuto, kFiber };
 
 /// Registers/overwrites the hint for `kernel` (launch-time names).
 void set_exec_hint(const std::string& kernel, ExecHint hint);
@@ -85,18 +82,14 @@ void set_exec_hint(const std::string& kernel, ExecHint hint);
 [[nodiscard]] ExecHint exec_hint(const std::string& kernel);
 /// Drops every registered hint (benchmarks/tests isolation).
 void clear_exec_hints();
-/// Records that a convergent launch of `kernel` deflated: pins
-/// needs_fibers so later launches take the fiber path directly.
-/// Called by the block runner; safe from any worker thread.
-void note_exec_deflation(const char* kernel);
 
 /// Overrides the OMPX_EXEC policy at run time (tests/benchmarks).
 void set_exec_policy(ExecPolicy policy);
 [[nodiscard]] ExecPolicy exec_policy();
 
-/// Stable display name of a resolved lane-execution mode: "fiber",
-/// "convergent", or "direct" (ExecMode::kDirect launches).
-const char* exec_mode_name(ExecMode mode, LaneExec lane_exec);
+/// Stable display name of a resolved execution mode: "fiber"
+/// (kCooperative) or "direct" (kDirect).
+const char* exec_mode_name(ExecMode mode);
 
 /// Runs `task` on the process's one host thread pool, on an idle task
 /// thread or a new one: never queues, never blocks. Task threads are
@@ -132,8 +125,8 @@ struct LaunchRecord {
   LaunchStats stats;
   ModeledTime time;
   double wall_ms = 0.0;
-  /// Resolved lane-execution mode this launch ran under: "fiber",
-  /// "convergent", or "direct" (see exec_mode_name).
+  /// Resolved execution mode this launch ran under: "fiber" or
+  /// "direct" (see exec_mode_name).
   std::string exec_mode = "fiber";
 };
 
@@ -282,11 +275,11 @@ class Device {
   friend class Graph;
 
   void validate(const LaunchParams& params) const;
-  /// Per-launch setup, in place: validates `params`, then resolves its
-  /// LaneExec request (per-launch > engine options > OMPX_EXEC policy +
-  /// hint registry) to kFiber or kConvergent and stamps it and inline
-  /// atomics, with at most one hint-registry lookup. Live launches pay
-  /// it on every launch; graph kernel nodes once, at instantiate.
+  /// Per-launch setup, in place: validates `params`, then, under
+  /// OMPX_EXEC=auto, turns a cooperative launch of a kernel hinted
+  /// convergent (and not needs_fibers) into ExecMode::kDirect, with one
+  /// hint-registry lookup. Live launches pay it on every launch; graph
+  /// kernel nodes once, at instantiate.
   void resolve_launch(LaunchParams& params) const;
   /// The one run -> model -> watchdog -> record path for a resolved
   /// launch (launch_sync, stream kernels, graph replay). Runs the

@@ -55,26 +55,15 @@ using BlockCache = std::vector<std::unique_ptr<BlockState>>;
 ///
 /// kCooperative runs every GPU thread as a fiber so the kernel may use
 /// barriers and warp collectives anywhere. kDirect runs threads as
-/// plain calls (no suspension): ~3x faster host-side. It allows one
-/// block barrier per thread, run by nesting the block's remaining lanes
-/// on the OS-thread stack (see BlockState); a second barrier, a warp
-/// collective or an atomic after the barrier throws std::logic_error.
-/// Results are identical when both are legal.
+/// plain calls (no suspension) on one context advanced in place: ~3x
+/// less host overhead. It allows one block barrier per thread, run by
+/// nesting the block's remaining lanes on the OS-thread stack (see
+/// BlockState); a second barrier, a warp collective or an atomic after
+/// the barrier throws std::logic_error naming the kernel. Results are
+/// identical when both are legal. Device::resolve_launch runs a
+/// cooperative launch of a kernel hinted convergent (ExecHint) as
+/// kDirect under OMPX_EXEC=auto.
 enum class ExecMode { kCooperative, kDirect };
-
-/// How a cooperative launch executes its lanes.
-///
-/// kFiber is the classic path: every GPU thread runs on a fiber from
-/// the start, so it may suspend anywhere. kConvergent is the pocl-style
-/// lane-loop fast path: threads run as plain sequential calls on the
-/// worker thread (zero context switches) until one reaches its first
-/// collective — block barrier, warp op, or atomic — at which point the
-/// thread "deflates" onto a fiber and the rest of the block takes the
-/// fiber path (see BlockState). kDefault defers the choice to the
-/// per-kernel ExecHint registry and the OMPX_EXEC environment policy
-/// (device.h). Results are identical in both modes; only host overhead
-/// differs.
-enum class LaneExec : std::uint8_t { kDefault, kFiber, kConvergent };
 
 /// Execution-model flags the OpenMP runtime emulation sets on its
 /// launches; bare/native launches leave them all false (that absence of
@@ -91,18 +80,6 @@ struct LaunchParams {
   Dim3 block;
   std::uint64_t dynamic_smem_bytes = 0;
   ExecMode mode = ExecMode::kCooperative;
-  /// Lane execution strategy for cooperative launches (see LaneExec).
-  /// kDefault resolves through the hint registry / OMPX_EXEC policy at
-  /// launch time; Device::resolve_launch stamps the resolved value
-  /// before blocks run.
-  LaneExec lane_exec = LaneExec::kDefault;
-  /// Stamped alongside lane_exec from the hint registry's atomics_ok:
-  /// a convergent lane loop may run atomics inline (count them, keep
-  /// going) instead of deflating to fibers. Only meaningful when the
-  /// kernel is statically proven rendezvous-free — a barrier after an
-  /// inline atomic is unrecoverable (the lane's prefix is no longer
-  /// idempotent) and raises std::logic_error.
-  bool inline_atomics = false;
   CompilerProfile profile;  ///< code-gen attributes of this version
   KernelCost cost;          ///< roofline characterization (see perf.h)
   RuntimeModeFlags rt;

@@ -91,10 +91,10 @@ struct LaunchStats {
   std::uint64_t fiber_reuses = 0;    ///< threads served by a recycled fiber
   std::uint64_t sched_steals = 0;    ///< block chunks grabbed beyond each
                                      ///< worker's first (dynamic rebalance)
-  std::uint64_t sched_lane_loops = 0;  ///< threads run inline, fiber-free
-                                       ///< (LaneExec::kConvergent fast path)
-  std::uint64_t sched_deflations = 0;  ///< convergent probes that hit a
-                                       ///< collective and restarted on a fiber
+  std::uint64_t sched_lane_loops = 0;  ///< threads run as plain calls
+                                       ///< (ExecMode::kDirect), fiber-free
+  std::uint64_t sched_deflations = 0;  ///< always 0: kept for readers of
+                                       ///< the retired lane loop's count
 
   void reset() { *this = LaunchStats{}; }
   bool operator==(const LaunchStats&) const = default;

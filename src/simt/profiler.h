@@ -71,7 +71,7 @@ struct TraceSpan {
   // --- kernels only
   Dim3 grid{0, 0, 0};
   Dim3 block{0, 0, 0};
-  std::string exec_mode;          ///< "fiber" / "convergent" / "direct"
+  std::string exec_mode;          ///< "fiber" / "direct"
   LaunchStats stats;
   ModeledTime time;
 };
@@ -100,7 +100,7 @@ struct ProfilerCounters {
   std::uint64_t atomics = 0;
   std::uint64_t parallel_handshakes = 0;
   std::uint64_t globalized_bytes = 0;
-  std::uint64_t lane_loops = 0;  ///< threads run fiber-free (convergent mode)
+  std::uint64_t lane_loops = 0;  ///< threads run as plain calls (kDirect)
   double modeled_kernel_ms = 0.0;
   double modeled_memcpy_ms = 0.0;
   double host_wall_ms = 0.0;

@@ -44,8 +44,7 @@ WarpState::WarpState(BlockState& block, std::uint32_t warp_id, std::uint32_t wid
 std::uint64_t WarpState::collective(ThreadCtx& ctx, WarpOp op,
                                     std::uint64_t value, std::uint64_t param,
                                     LaneMask mask) {
-  // Deflation (or the kDirect error) fires before any rendezvous state
-  // moves: a deflating thread's prefix must leave no trace.
+  // The kDirect error fires before any rendezvous state moves.
   block_.require_fiber(ctx, "warp collective");
   // Rendezvous lanes materialize on the warp's first collective: a
   // block that never uses warp ops pays nothing for them.

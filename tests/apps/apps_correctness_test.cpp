@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "apps/adam/adam.h"
@@ -137,6 +138,28 @@ TEST(AppsHarness, RunCellFillsBookkeeping) {
   EXPECT_EQ(r.device, "sim-a100");
   EXPECT_GT(r.wall_ms, 0.0);
   EXPECT_TRUE(r.valid);
+}
+
+TEST(AppsHarness, NativeCellOnANonRegistryDeviceFailsLoudly) {
+  // The CUDA/HIP versions reach their device through kl, by registry
+  // index. On a device outside the registry a cell must fail, not run
+  // on a registry device and report this one's empty log as a valid
+  // 0-ms cell.
+  simt::DeviceConfig cfg = simt::make_sim_a100_config();
+  cfg.name = "unregistered";
+  simt::Device fresh(cfg);
+  for (const apps::AppDesc& app : apps::registry()) {
+    try {
+      const apps::RunResult r = apps::run_cell(app, Version::kNative, fresh);
+      ADD_FAILURE() << app.name << " ran: kernel_ms " << r.kernel_ms
+                    << ", valid " << r.valid;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'unregistered'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(fresh.launch_log().empty()) << app.name;
+  }
 }
 
 // Golden for the Stencil-1D omp cell (§4.2.6, the generic-mode

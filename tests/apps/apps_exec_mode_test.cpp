@@ -1,10 +1,12 @@
 // Exec-mode differential: every fig8 benchmark must be bit-identical
-// under OMPX_EXEC=fiber and OMPX_EXEC=convergent — same checksum, same
+// under OMPX_EXEC=fiber and under OMPX_EXEC=auto with the analyzer's
+// hints for its own source registered (which runs its convergent
+// kernels' cooperative launches direct) — same checksum, same
 // validity, and the same engine op counts (barriers, collectives,
 // atomics, handshakes, globalized bytes). Modeled kernel time is
-// compared *exactly*: the lane loop only changes host-side scheduling
-// diagnostics (sched_lane_loops / sched_deflations), which never feed
-// the performance model, so any drift here is a real modeling bug.
+// compared *exactly*: the executor only changes host-side scheduling
+// diagnostics (fibers, sched_lane_loops), which never feed the
+// performance model, so any drift here is a real modeling bug.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,8 +39,8 @@ struct ExecCell {
   simt::ProfilerCounters ops;
 };
 
-/// Saves/restores the process-wide exec policy and clears learned hints
-/// around every test, so a deflation in one cell cannot steer the next.
+/// Saves/restores the process-wide exec policy and clears hints around
+/// every test, so one cell's hints cannot steer the next.
 class AppsExecMode : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -51,10 +53,20 @@ class AppsExecMode : public ::testing::Test {
     simt::Profiler::instance().stop();
   }
 
+  /// One run under `policy`, with the exec hints the analyzer derives
+  /// from `hint_source` (a file under the source tree) registered.
   static ExecCell run_cell(simt::ExecPolicy policy,
-                           const std::function<apps::RunResult()>& run) {
+                           const std::function<apps::RunResult()>& run,
+                           const char* hint_source = nullptr) {
     simt::set_exec_policy(policy);
     simt::clear_exec_hints();
+    if (hint_source != nullptr) {
+      std::ifstream in(std::string(OMPX_SOURCE_DIR) + hint_source);
+      EXPECT_TRUE(in.good()) << hint_source;
+      std::ostringstream src;
+      src << in.rdbuf();
+      EXPECT_GE(ompx::register_exec_hints(src.str()), 1) << hint_source;
+    }
     auto& prof = simt::Profiler::instance();
     prof.start();
     prof.reset();
@@ -65,28 +77,35 @@ class AppsExecMode : public ::testing::Test {
     return cell;
   }
 
-  /// The differential itself: fiber is the reference; convergent must
-  /// reproduce its checksum, validity, op counts, and modeled time.
-  static void expect_exec_equivalent(const std::function<apps::RunResult()>& run,
-                                     const char* what,
-                                     std::uint64_t* conv_lane_loops = nullptr) {
+  /// The differential itself: fiber is the reference; the run with the
+  /// app's own hints routed direct must reproduce its checksum,
+  /// validity, op counts, and modeled time. Returns the number of
+  /// threads the routing moved off fibers, which every caller pins:
+  /// 0 where the app's launches are direct already or its kernel needs
+  /// fibers (those arms show only that the policy changes nothing),
+  /// more where a hinted cooperative launch was routed.
+  static std::uint64_t routed_off_fibers(
+      const char* source, const std::function<apps::RunResult()>& run,
+      const char* what) {
     const ExecCell fib = run_cell(simt::ExecPolicy::kFiber, run);
-    const ExecCell conv = run_cell(simt::ExecPolicy::kConvergent, run);
-    EXPECT_EQ(fib.result.checksum, conv.result.checksum) << what;
-    EXPECT_EQ(fib.result.valid, conv.result.valid) << what;
-    EXPECT_EQ(fib.ops.launches, conv.ops.launches) << what;
-    EXPECT_EQ(fib.ops.blocks, conv.ops.blocks) << what;
-    EXPECT_EQ(fib.ops.threads, conv.ops.threads) << what;
-    EXPECT_EQ(fib.ops.block_barriers, conv.ops.block_barriers) << what;
-    EXPECT_EQ(fib.ops.warp_collectives, conv.ops.warp_collectives) << what;
-    EXPECT_EQ(fib.ops.atomics, conv.ops.atomics) << what;
-    EXPECT_EQ(fib.ops.parallel_handshakes, conv.ops.parallel_handshakes)
+    const ExecCell dir = run_cell(simt::ExecPolicy::kAuto, run, source);
+    EXPECT_EQ(fib.result.checksum, dir.result.checksum) << what;
+    EXPECT_EQ(fib.result.valid, dir.result.valid) << what;
+    EXPECT_EQ(fib.ops.launches, dir.ops.launches) << what;
+    EXPECT_EQ(fib.ops.blocks, dir.ops.blocks) << what;
+    EXPECT_EQ(fib.ops.threads, dir.ops.threads) << what;
+    EXPECT_EQ(fib.ops.block_barriers, dir.ops.block_barriers) << what;
+    EXPECT_EQ(fib.ops.warp_collectives, dir.ops.warp_collectives) << what;
+    EXPECT_EQ(fib.ops.atomics, dir.ops.atomics) << what;
+    EXPECT_EQ(fib.ops.parallel_handshakes, dir.ops.parallel_handshakes)
         << what;
-    EXPECT_EQ(fib.ops.globalized_bytes, conv.ops.globalized_bytes) << what;
+    EXPECT_EQ(fib.ops.globalized_bytes, dir.ops.globalized_bytes) << what;
     // Bit-identical, not approximately: see the header comment.
-    EXPECT_EQ(fib.ops.modeled_kernel_ms, conv.ops.modeled_kernel_ms) << what;
-    EXPECT_EQ(fib.ops.lane_loops, 0u) << what;  // fiber mode never inlines
-    if (conv_lane_loops != nullptr) *conv_lane_loops = conv.ops.lane_loops;
+    EXPECT_EQ(fib.ops.modeled_kernel_ms, dir.ops.modeled_kernel_ms) << what;
+    // Under fiber only launches that asked for kDirect run as plain
+    // calls; routing only ever adds to them.
+    EXPECT_LE(fib.ops.lane_loops, dir.ops.lane_loops) << what;
+    return dir.ops.lane_loops - fib.ops.lane_loops;
   }
 
  private:
@@ -98,10 +117,24 @@ TEST_F(AppsExecMode, XSBenchAllVersions) {
   o.lookups = 5000;
   o.n_gridpoints = 256;
   for (Version v : kAllVersions) {
-    expect_exec_equivalent(
-        [&] { return apps::xsbench::run(v, simt::sim_a100(), o); },
-        apps::version_name(v));
+    EXPECT_EQ(routed_off_fibers(
+                  "/src/apps/xsbench/versions.cpp",
+                  [&] { return apps::xsbench::run(v, simt::sim_a100(), o); },
+                  apps::version_name(v)),
+              0u);
   }
+  // Every version above launches its event kernel direct already; the
+  // ompx one launched cooperatively is where the hint moves threads
+  // off fibers, and the differential must hold there too.
+  o.mode = simt::ExecMode::kCooperative;
+  EXPECT_GT(routed_off_fibers(
+                "/src/apps/xsbench/versions.cpp",
+                [&] {
+                  return apps::xsbench::run(Version::kOmpx, simt::sim_a100(),
+                                            o);
+                },
+                "ompx cooperative"),
+            0u);
 }
 
 TEST_F(AppsExecMode, RSBenchAllVersions) {
@@ -110,9 +143,11 @@ TEST_F(AppsExecMode, RSBenchAllVersions) {
   o.n_poles = 128;
   o.n_windows = 16;
   for (Version v : kAllVersions) {
-    expect_exec_equivalent(
-        [&] { return apps::rsbench::run(v, simt::sim_a100(), o); },
-        apps::version_name(v));
+    EXPECT_EQ(routed_off_fibers(
+                  "/src/apps/rsbench/versions.cpp",
+                  [&] { return apps::rsbench::run(v, simt::sim_a100(), o); },
+                  apps::version_name(v)),
+              0u);
   }
 }
 
@@ -121,9 +156,11 @@ TEST_F(AppsExecMode, Su3AllVersions) {
   o.lattice_sites = 2048;
   o.iterations = 2;
   for (Version v : kAllVersions) {
-    expect_exec_equivalent(
-        [&] { return apps::su3::run(v, simt::sim_a100(), o); },
-        apps::version_name(v));
+    EXPECT_EQ(routed_off_fibers(
+                  "/src/apps/su3/versions.cpp",
+                  [&] { return apps::su3::run(v, simt::sim_a100(), o); },
+                  apps::version_name(v)),
+              0u);
   }
 }
 
@@ -133,9 +170,11 @@ TEST_F(AppsExecMode, AidwAllVersions) {
   o.n_query = 512;
   o.tile = 128;
   for (Version v : kAllVersions) {
-    expect_exec_equivalent(
-        [&] { return apps::aidw::run(v, simt::sim_a100(), o); },
-        apps::version_name(v));
+    EXPECT_EQ(routed_off_fibers(
+                  "/src/apps/aidw/versions.cpp",
+                  [&] { return apps::aidw::run(v, simt::sim_a100(), o); },
+                  apps::version_name(v)),
+              0u);
   }
 }
 
@@ -144,15 +183,18 @@ TEST_F(AppsExecMode, AdamAllVersions) {
   o.n = 2000;
   o.steps = 10;
   for (Version v : kAllVersions) {
-    expect_exec_equivalent(
-        [&] { return apps::adam::run(v, simt::sim_a100(), o); },
-        apps::version_name(v));
+    EXPECT_EQ(routed_off_fibers(
+                  "/src/apps/adam/versions.cpp",
+                  [&] { return apps::adam::run(v, simt::sim_a100(), o); },
+                  apps::version_name(v)),
+              0u);
   }
 }
 
 TEST_F(AppsExecMode, StencilAllVersionsBothDevices) {
-  // Cooperative, so the ompx and kl kernels take the fiber and lane-loop
-  // paths through their barrier (by default they launch kDirect).
+  // Cooperative, so the ompx and kl kernels take the fiber path through
+  // their barrier in both arms (by default they launch kDirect; the
+  // analyzer pins the barrier kernel to fibers).
   apps::stencil1d::Options o;
   o.n = 1 << 14;
   o.iterations = 2;
@@ -160,9 +202,11 @@ TEST_F(AppsExecMode, StencilAllVersionsBothDevices) {
   simt::Device* devices[] = {&simt::sim_a100(), &simt::sim_mi250()};
   for (simt::Device* dev : devices) {
     for (Version v : kAllVersions) {
-      expect_exec_equivalent(
-          [&] { return apps::stencil1d::run(v, *dev, o); },
-          apps::version_name(v));
+      EXPECT_EQ(routed_off_fibers(
+                    "/src/apps/stencil1d/versions.cpp",
+                    [&] { return apps::stencil1d::run(v, *dev, o); },
+                    apps::version_name(v)),
+                0u);
     }
   }
 }
@@ -216,13 +260,12 @@ TEST_F(AppsExecMode, StencilDirectMatchesFiber) {
   }
 }
 
-TEST_F(AppsExecMode, AnalyzerVerdictRoutesXSBenchOntoTheLaneLoop) {
+TEST_F(AppsExecMode, AnalyzerVerdictRoutesXSBenchDirect) {
   // End-to-end over a real app kernel: the static analyzer reads
-  // xsbench's versions.cpp, proves xsbench_event convergent with
-  // inline-safe atomics, registers the hint — and a cooperative run
-  // under the default kAuto policy takes the lane-loop fast path
-  // (fiber-free, atomics inline, zero deflations), with the checksum
-  // still matching the fiber reference.
+  // xsbench's versions.cpp, proves xsbench_event convergent (atomics
+  // only), registers the hint — and a cooperative run under the
+  // default kAuto policy runs every thread as a plain call, atomics in
+  // place, with the checksum still matching the fiber reference.
   apps::xsbench::Options o;
   o.lookups = 5000;
   o.n_gridpoints = 256;
@@ -231,41 +274,26 @@ TEST_F(AppsExecMode, AnalyzerVerdictRoutesXSBenchOntoTheLaneLoop) {
     return apps::xsbench::run(Version::kOmpx, simt::sim_a100(), o);
   };
   const ExecCell fib = run_cell(simt::ExecPolicy::kFiber, run);
-
-  simt::set_exec_policy(simt::ExecPolicy::kAuto);
-  simt::clear_exec_hints();
-  std::ifstream in(std::string(OMPX_SOURCE_DIR) +
-                   "/src/apps/xsbench/versions.cpp");
-  ASSERT_TRUE(in.good());
-  std::ostringstream src;
-  src << in.rdbuf();
-  ASSERT_GE(ompx::register_exec_hints(src.str()), 1);
+  EXPECT_EQ(fib.ops.lane_loops, 0u);
+  const ExecCell dir =
+      run_cell(simt::ExecPolicy::kAuto, run, "/src/apps/xsbench/versions.cpp");
   const simt::ExecHint h = simt::exec_hint("xsbench_event");
   ASSERT_TRUE(h.convergent);
-  ASSERT_TRUE(h.atomics_ok);
-
-  auto& prof = simt::Profiler::instance();
-  prof.start();
-  prof.reset();
-  const apps::RunResult conv = run();
-  const auto ops = prof.counters();
-  prof.stop();
-  EXPECT_EQ(conv.checksum, fib.result.checksum);
-  EXPECT_TRUE(conv.valid);
-  EXPECT_GT(ops.lane_loops, 0u)
-      << "statically-proven-convergent kernel never took the lane loop";
-  EXPECT_EQ(ops.atomics, fib.ops.atomics);
+  EXPECT_EQ(dir.result.checksum, fib.result.checksum);
+  EXPECT_TRUE(dir.result.valid);
+  EXPECT_EQ(dir.ops.lane_loops, dir.ops.threads)
+      << "statically-proven-convergent kernel did not run direct";
+  EXPECT_GT(dir.ops.atomics, 0u);
+  EXPECT_EQ(dir.ops.atomics, fib.ops.atomics);
 }
 
-TEST_F(AppsExecMode, ConvergentPolicyActuallyInlinesSomewhere) {
-  // The six fig8 apps either launch their sync-free kernels in direct
-  // mode (plain calls, fiber-free by construction) or synchronize and
-  // deflate — so the app table alone would let the lane loop pass
-  // vacuously. A sync-free *cooperative* launch through the same
-  // layered API the apps use proves the policy engages: every thread
-  // of the launch runs inline.
-  simt::set_exec_policy(simt::ExecPolicy::kConvergent);
+TEST_F(AppsExecMode, HintRoutesALayeredLaunchDirect) {
+  // A sync-free *cooperative* launch through the same layered API the
+  // apps use, hinted convergent: every thread of the launch runs as a
+  // plain call.
+  simt::set_exec_policy(simt::ExecPolicy::kAuto);
   simt::clear_exec_hints();
+  ompx::launch_hints("exec_mode_probe", /*convergent=*/true);
   auto& prof = simt::Profiler::instance();
   prof.start();
   prof.reset();
@@ -282,8 +310,7 @@ TEST_F(AppsExecMode, ConvergentPolicyActuallyInlinesSomewhere) {
   const auto ops = prof.counters();
   prof.stop();
   ompx::free_on(simt::sim_a100(), out);
-  EXPECT_EQ(ops.lane_loops, 1024u)
-      << "convergent policy never engaged the lane loop";
+  EXPECT_EQ(ops.lane_loops, 1024u) << "the hint never routed the launch";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -279,7 +280,10 @@ TEST(CApiHost, ExecHintAndPolicyRoundTrip) {
   const simt::ExecPolicy saved = simt::exec_policy();
   EXPECT_EQ(ompx_set_exec_policy(nullptr), OMPX_ERROR_INVALID_VALUE);
   EXPECT_EQ(ompx_set_exec_policy("bogus"), OMPX_ERROR_INVALID_VALUE);
-  ASSERT_EQ(ompx_set_exec_policy("convergent"), OMPX_SUCCESS);
+  // The retired lane-loop policy is no longer a value.
+  EXPECT_EQ(ompx_set_exec_policy("convergent"), OMPX_ERROR_INVALID_VALUE);
+  ASSERT_EQ(ompx_set_exec_policy("auto"), OMPX_SUCCESS);
+  EXPECT_EQ(simt::exec_policy(), simt::ExecPolicy::kAuto);
   simt::clear_exec_hints();
 
   ompx::LaunchSpec spec;
@@ -287,20 +291,74 @@ TEST(CApiHost, ExecHintAndPolicyRoundTrip) {
   spec.thread_limit = {32};
   spec.mode = simt::ExecMode::kCooperative;
   spec.name = "capi_exec_kernel";
-  ompx::launch(spec, [] {}).wait();
   ompx_launch_info_t info;
-  ASSERT_EQ(ompx_get_last_launch_info(&info), 0);
-  EXPECT_STREQ(info.exec_mode, "convergent");
-  EXPECT_EQ(info.lane_loops, 64ull);  // every thread ran fiber-free
-
-  // needs_fibers pins the fiber path even under the convergent policy.
-  ASSERT_EQ(ompx_set_exec_hint("capi_exec_kernel", 0, 1), OMPX_SUCCESS);
+  // Unhinted: fibers.
   ompx::launch(spec, [] {}).wait();
   ASSERT_EQ(ompx_get_last_launch_info(&info), 0);
   EXPECT_STREQ(info.exec_mode, "fiber");
   EXPECT_EQ(info.lane_loops, 0ull);
 
+  // Hinted convergent: every thread a plain call.
+  ASSERT_EQ(ompx_set_exec_hint("capi_exec_kernel", 1, 0), OMPX_SUCCESS);
+  ompx::launch(spec, [] {}).wait();
+  ASSERT_EQ(ompx_get_last_launch_info(&info), 0);
+  EXPECT_STREQ(info.exec_mode, "direct");
+  EXPECT_EQ(info.lane_loops, 64ull);
+
+  // atomics_ok is accepted and changes nothing.
+  ASSERT_EQ(ompx_set_exec_hint_ex("capi_exec_kernel", 1, 0, 1), OMPX_SUCCESS);
+  ompx::launch(spec, [] {}).wait();
+  ASSERT_EQ(ompx_get_last_launch_info(&info), 0);
+  EXPECT_STREQ(info.exec_mode, "direct");
+  EXPECT_EQ(info.lane_loops, 64ull);
+
+  // needs_fibers pins the fiber path even when hinted convergent.
+  ASSERT_EQ(ompx_set_exec_hint("capi_exec_kernel", 1, 1), OMPX_SUCCESS);
+  ompx::launch(spec, [] {}).wait();
+  ASSERT_EQ(ompx_get_last_launch_info(&info), 0);
+  EXPECT_STREQ(info.exec_mode, "fiber");
+  EXPECT_EQ(info.lane_loops, 0ull);
+
+  // OMPX_EXEC=fiber ignores the hints.
+  ASSERT_EQ(ompx_set_exec_hint("capi_exec_kernel", 1, 0), OMPX_SUCCESS);
+  ASSERT_EQ(ompx_set_exec_policy("fiber"), OMPX_SUCCESS);
+  ompx::launch(spec, [] {}).wait();
+  ASSERT_EQ(ompx_get_last_launch_info(&info), 0);
+  EXPECT_STREQ(info.exec_mode, "fiber");
+
   EXPECT_EQ(ompx_set_exec_hint(nullptr, 1, 0), OMPX_ERROR_INVALID_VALUE);
+  EXPECT_EQ(ompx_set_exec_hint_ex(nullptr, 1, 0, 1), OMPX_ERROR_INVALID_VALUE);
+  simt::clear_exec_hints();
+  simt::set_exec_policy(saved);
+}
+
+TEST(CApiHost, HintedKernelReachingASecondBarrierFailsNamingIt) {
+  // A kernel hinted convergent runs direct, which passes one barrier;
+  // the second is a launch error naming the kernel, not a silent
+  // fallback to fibers.
+  const simt::ExecPolicy saved = simt::exec_policy();
+  const ompx::LaunchMode saved_mode = ompx::launch_mode();
+  ompx::set_launch_mode(ompx::LaunchMode::kSync);  // the launch throws
+  ASSERT_EQ(ompx_set_exec_policy("auto"), OMPX_SUCCESS);
+  ASSERT_EQ(ompx_set_exec_hint("capi_two_barriers", 1, 0), OMPX_SUCCESS);
+  ompx::LaunchSpec spec;
+  spec.num_teams = {1};
+  spec.thread_limit = {32};
+  spec.mode = simt::ExecMode::kCooperative;
+  spec.name = "capi_two_barriers";
+  spec.device = &simt::sim_a100();
+  try {
+    ompx::launch(spec, [] {
+      ompx::sync_thread_block();
+      ompx::sync_thread_block();
+    });
+    ADD_FAILURE() << "a second barrier in a direct kernel must throw";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("second block barrier"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'capi_two_barriers'"), std::string::npos) << msg;
+  }
+  ompx::set_launch_mode(saved_mode);
   simt::clear_exec_hints();
   simt::set_exec_policy(saved);
 }

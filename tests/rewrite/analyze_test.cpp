@@ -6,7 +6,9 @@
 // dogfood gate enforces stay finding-free.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,7 +16,7 @@
 
 #include "rewrite/analyze.h"
 #include "rewrite/lint.h"
-#include "simt/device.h"
+#include "simt/simt.h"
 
 namespace {
 
@@ -480,9 +482,17 @@ __global__ void reduce(double* a) {
   EXPECT_NE(r.kernels[0].reason.find("__syncthreads"), std::string::npos);
 }
 
+/// The analyzer's verdict for the region launched as `kernel`.
+const rewrite::ExecVerdict* verdict_of(const AnalysisResult& r,
+                                       const std::string& kernel) {
+  for (const rewrite::ExecVerdict& v : r.kernels)
+    if (v.kernel == kernel) return &v;
+  return nullptr;
+}
+
 TEST(AnalyzeVerdict, RegisterExecHintsFeedsTheSimtRegistry) {
   simt::clear_exec_hints();
-  const int n = rewrite::register_exec_hints(R"(
+  const char* src = R"(
 void run(simt::Device& dev) {
   simt::LaunchParams p;
   p.name = "rt_atomic";
@@ -490,11 +500,17 @@ void run(simt::Device& dev) {
   p.name = "rt_barrier";
   dev.launch_sync(p, [&] { __syncthreads(); });
 }
-)");
+)";
+  const int n = rewrite::register_exec_hints(src);
   EXPECT_EQ(n, 2);
+  // The atomics-only region is convergent, and the analyzer reports
+  // its atomics; the engine hint carries no atomics flag.
+  const AnalysisResult r = analyze_source(src);
+  const rewrite::ExecVerdict* v = verdict_of(r, "rt_atomic");
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->atomics_ok);
   const simt::ExecHint a = simt::exec_hint("rt_atomic");
   EXPECT_TRUE(a.convergent);
-  EXPECT_TRUE(a.atomics_ok);
   EXPECT_FALSE(a.needs_fibers);
   const simt::ExecHint b = simt::exec_hint("rt_barrier");
   EXPECT_TRUE(b.needs_fibers);
@@ -515,7 +531,162 @@ void run(simt::Device& dev) {
 )");
   const simt::ExecHint h = simt::exec_hint("merged");
   EXPECT_TRUE(h.needs_fibers);
-  EXPECT_FALSE(h.atomics_ok);
+  EXPECT_FALSE(h.convergent);
+  simt::clear_exec_hints();
+}
+
+// --- verdicts follow calls into the same source ---------------------
+//
+// A convergent verdict sends the kernel's cooperative launches to
+// direct lanes, which run one barrier and no warp op, so it must hold
+// for every function the kernel calls, not only its own body.
+
+TEST(AnalyzeVerdict, BarrierInADeviceHelperNeedsFibers) {
+  const auto r = analyze_source(R"(
+__device__ void tile_reduce(float* a) {
+  __syncthreads();
+  a[0] += 1.0f;
+  __syncthreads();
+}
+__global__ void k(float* a) { tile_reduce(a); }
+)");
+  const rewrite::ExecVerdict* v = verdict_of(r, "k");
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->needs_fibers);
+  EXPECT_FALSE(v->convergent);
+  EXPECT_NE(v->reason.find("'tile_reduce'"), std::string::npos) << v->reason;
+  EXPECT_NE(v->reason.find("__syncthreads"), std::string::npos) << v->reason;
+}
+
+TEST(AnalyzeVerdict, WarpOpTwoCallsDeepNeedsFibers) {
+  const auto r = analyze_source(R"(
+__device__ float lane_sum(float x) { return __shfl_xor_sync(~0u, x, 1); }
+__device__ float scale(float x) { return 2.0f * lane_sum(x); }
+__global__ void k(float* a) { a[0] = scale(a[0]); }
+)");
+  const rewrite::ExecVerdict* v = verdict_of(r, "k");
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->needs_fibers);
+  EXPECT_NE(v->reason.find("'scale'"), std::string::npos) << v->reason;
+  EXPECT_NE(v->reason.find("__shfl_xor_sync"), std::string::npos)
+      << v->reason;
+}
+
+TEST(AnalyzeVerdict, BarrierInABoundLambdaNeedsFibers) {
+  const auto r = analyze_source(R"(
+void run(simt::Device& dev) {
+  auto stage = [&](int i) { sh[i] = i; __syncthreads(); };
+  simt::LaunchParams p;
+  p.name = "lambda_helper";
+  dev.launch_sync(p, [&] { stage(kl::threadIdx().x); });
+}
+)");
+  const rewrite::ExecVerdict* v = verdict_of(r, "lambda_helper");
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->needs_fibers);
+  EXPECT_NE(v->reason.find("'stage'"), std::string::npos) << v->reason;
+}
+
+TEST(AnalyzeVerdict, DeviceFunctionDefinedElsewhereNeedsFibers) {
+  // Its body is in another translation unit: the analyzer cannot see
+  // whether it synchronizes, so the caller keeps fibers.
+  const auto r = analyze_source(R"(
+__device__ float block_sum(float x);
+__global__ void k(float* a) { a[0] = block_sum(a[0]); }
+)");
+  const rewrite::ExecVerdict* v = verdict_of(r, "k");
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->needs_fibers);
+  EXPECT_NE(v->reason.find("declared without a body"), std::string::npos)
+      << v->reason;
+}
+
+TEST(AnalyzeVerdict, CollectiveFreeHelpersKeepTheKernelConvergent) {
+  const auto r = analyze_source(R"(
+__device__ float sq(float x) { return x * x; }
+__device__ float norm(float x, float y) { return sq(x) + sq(y); }
+__global__ void k(float* a) {
+  if (a[0] > 0.0f) a[1] = norm(a[0], a[1]);
+  atomicAdd(&a[2], 1.0f);
+}
+)");
+  const rewrite::ExecVerdict* v = verdict_of(r, "k");
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->convergent);
+  EXPECT_FALSE(v->needs_fibers);
+  EXPECT_TRUE(v->atomics_ok);
+}
+
+/// Two block barriers, both reached through a helper: the reduction
+/// stages one word per lane, then sums the block's words.
+void helper_two_barriers(std::uint64_t* out) {
+  auto& t = simt::this_thread();
+  const std::uint64_t n = t.block_dim.count();
+  auto* sh = static_cast<std::uint64_t*>(
+      t.block->shared_alloc(t, n * sizeof(std::uint64_t), 8));
+  sh[t.flat_tid] = t.flat_tid + 1;
+  t.block->sync_threads(t);
+  std::uint64_t sum = 0;
+  for (std::uint64_t i = 0; i < n; ++i) sum += sh[i];
+  t.block->sync_threads(t);
+  out[t.grid_dim.linear(t.block_idx) * n + t.flat_tid] = sum;
+}
+
+simt::LaunchRecord launch_helper_kernel(simt::ExecPolicy policy,
+                                        std::vector<std::uint64_t>& out) {
+  const simt::ExecPolicy saved = simt::exec_policy();
+  simt::set_exec_policy(policy);
+  simt::DeviceConfig c = simt::make_sim_a100_config();
+  c.name = "analyze-test";
+  simt::Device dev(c, simt::EngineOptions{});
+  out.assign(3 * 32, 0);
+  simt::LaunchParams p;
+  p.grid = {3};
+  p.block = {32};
+  p.name = "helper_barrier_kernel";
+  std::uint64_t* o = out.data();
+  try {
+    const simt::LaunchRecord rec =
+        dev.launch_sync(p, [o] { helper_two_barriers(o); });
+    simt::set_exec_policy(saved);
+    return rec;
+  } catch (...) {
+    simt::set_exec_policy(saved);
+    throw;
+  }
+}
+
+TEST(AnalyzeVerdict, HelperBarrierKernelStaysOnFibersUnderAuto) {
+  simt::clear_exec_hints();
+  EXPECT_EQ(rewrite::register_exec_hints(R"(
+__device__ void tile_reduce(unsigned long long* out) {
+  __syncthreads();
+  out[threadIdx.x] += 1;
+  __syncthreads();
+}
+__global__ void helper_barrier_kernel(unsigned long long* out) {
+  tile_reduce(out);
+}
+)"),
+            1);
+  EXPECT_TRUE(simt::exec_hint("helper_barrier_kernel").needs_fibers);
+  std::vector<std::uint64_t> ref, got;
+  const simt::LaunchRecord fiber =
+      launch_helper_kernel(simt::ExecPolicy::kFiber, ref);
+  const simt::LaunchRecord routed =
+      launch_helper_kernel(simt::ExecPolicy::kAuto, got);
+  EXPECT_EQ(routed.exec_mode, "fiber");
+  EXPECT_EQ(got, ref);
+  EXPECT_EQ(got[0], 32u * 33u / 2u);
+  EXPECT_EQ(routed.stats.block_barriers, fiber.stats.block_barriers);
+  EXPECT_EQ(routed.time.total_ms, fiber.time.total_ms);
+
+  // The same kernel wrongly hinted convergent would be routed direct
+  // and stop at its second barrier: the verdict above is what keeps
+  // it on fibers.
+  simt::set_exec_hint("helper_barrier_kernel", {true, false});
+  EXPECT_THROW(launch_helper_kernel(simt::ExecPolicy::kAuto, got),
+               std::logic_error);
   simt::clear_exec_hints();
 }
 
@@ -590,7 +761,9 @@ TEST(AnalyzeGolden, SixAppPortsAreFindingFreeWithPinnedVerdicts) {
     const simt::ExecHint h = simt::exec_hint(app.kernel);
     EXPECT_EQ(h.needs_fibers, app.needs_fibers) << app.kernel;
     EXPECT_EQ(h.convergent, !app.needs_fibers) << app.kernel;
-    EXPECT_EQ(h.atomics_ok, app.atomics_ok) << app.kernel;
+    const rewrite::ExecVerdict* v = verdict_of(r, app.kernel);
+    ASSERT_NE(v, nullptr) << app.kernel;
+    EXPECT_EQ(v->atomics_ok, app.atomics_ok) << app.kernel;
   }
   simt::clear_exec_hints();
 }

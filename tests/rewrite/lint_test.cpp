@@ -250,7 +250,7 @@ TEST(LintFormat, OneLinePerFindingWithRuleName) {
   EXPECT_NE(text.find("[unported-builtin]"), std::string::npos) << text;
 }
 
-// --- classify_exec: the static side of the convergent lane loop ------
+// --- classify_exec: the static side of direct routing ----------------
 
 TEST(ClassifyExec, PureElementwiseKernelIsConvergent) {
   const auto c = rewrite::classify_exec(R"(
@@ -293,8 +293,8 @@ TEST(ClassifyExec, EverySpellingLayerCounts) {
 
 TEST(ClassifyExec, AtomicsAloneStayConvergentWithAtomicsOk) {
   // An atomic is a side effect, not a rendezvous: a kernel whose only
-  // collectives are atomics is proven convergent, and atomics_ok lets
-  // the lane loop run them inline instead of deflating.
+  // collectives are atomics is proven convergent, and atomics_ok
+  // reports that its direct lanes run atomics in place.
   for (const char* frag : {"atomicAdd(&x, 1);", "simt::atomic_add(&x, 1);",
                            "atomicCAS(&x, a, b);"}) {
     const auto c = rewrite::classify_exec(std::string("void k() { ") + frag +

@@ -283,10 +283,6 @@ TEST(FiberRecycling, SyncFreeBlockConstructsFarFewerFibersThanThreads) {
   p.grid = {1};
   p.block = {256};
   p.name = "sync_free_recycling";
-  // Pin the fiber path: under OMPX_EXEC=convergent a sync-free block
-  // runs fiber-free entirely, which is a different (stronger) property
-  // than the recycling this test asserts.
-  p.lane_exec = simt::LaneExec::kFiber;
   const simt::LaunchRecord rec = dev.launch_sync(p, [] {});
   EXPECT_EQ(rec.stats.fibers_created + rec.stats.fiber_reuses, 256u);
   EXPECT_LE(rec.stats.fibers_created, 4u) << "sync-free block should run "

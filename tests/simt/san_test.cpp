@@ -420,72 +420,78 @@ TEST_F(SanTest, ReportAlwaysCarriesCountLine) {
 
 // --- exec-mode compatibility ---------------------------------------------
 //
-// The convergent lane loop must be invisible to ompxsan: the racecheck
-// shadow records the same accesses against the same barrier epochs
-// whether threads run inline or on fibers, so every seeded defect keeps
-// its diagnostic (same kind, same pair, same epoch) and every guard
-// test stays silent. Kernels that synchronize deflate to fibers and
-// must land in exactly the fiber-mode state.
+// Routing a hinted kernel to ExecMode::kDirect must be invisible to
+// ompxsan: the racecheck shadow records the same accesses against the
+// same barrier epochs whether threads run as plain calls or on fibers,
+// so every seeded defect keeps its diagnostic and every guard test
+// stays silent.
 
-/// Diagnostic fingerprint of one launch of `kernel` under `exec`:
-/// sanitizer reset, exec hints cleared (a prior deflation must not leak
-/// into the next run), one launch, diagnostics of `kind` returned with
-/// the launch record.
+/// Diagnostic fingerprint of one launch of `kernel`, hinted convergent,
+/// under `policy` (kAuto runs it direct, kFiber on fibers): sanitizer
+/// reset, one launch, diagnostics of `kind` returned with the launch
+/// record. The policy and hints are restored on return.
 struct SanExecRun {
   LaunchRecord rec;
   std::vector<SanDiag> diags;
 };
 
 template <typename Kernel>
-SanExecRun run_san_exec(LaneExec exec, unsigned checks, SanKind kind,
+SanExecRun run_san_exec(ExecPolicy policy, unsigned checks, SanKind kind,
                         const char* name, unsigned threads,
                         const Kernel& kernel) {
   San::instance().reset();
   San::instance().enable(checks);
-  clear_exec_hints();
-  LaunchParams p;
-  p.grid = {1};
-  p.block = {threads};
-  p.name = name;
-  p.lane_exec = exec;
+  struct Restore {
+    ExecPolicy saved = exec_policy();
+    ~Restore() {
+      set_exec_policy(saved);
+      clear_exec_hints();
+    }
+  } restore;
+  set_exec_policy(policy);
+  set_exec_hint(name, {true, false});
   SanExecRun out;
-  out.rec = dev().launch_sync(p, kernel);
+  out.rec = dev().launch_sync(one_block(name, threads), kernel);
   for (const auto& d : San::instance().diagnostics())
     if (d.kind == kind) out.diags.push_back(d);
   return out;
 }
 
-TEST_F(SanTest, SeededRaceReportsIdenticallyUnderLaneLoop) {
+TEST_F(SanTest, SeededRaceReportsIdenticallyUnderDirect) {
   const auto kernel = [] {
     auto& t = this_thread();
     ompx::san::Shared<int> cell;
     cell = static_cast<int>(t.flat_tid);  // every thread writes: WAW race
   };
-  const SanExecRun fib = run_san_exec(LaneExec::kFiber, kSanRace,
+  const SanExecRun fib = run_san_exec(ExecPolicy::kFiber, kSanRace,
                                       SanKind::kSharedRace, "exec_waw", 64,
                                       kernel);
-  const SanExecRun conv = run_san_exec(LaneExec::kConvergent, kSanRace,
-                                       SanKind::kSharedRace, "exec_waw", 64,
-                                       kernel);
-  // The seeded race is sync-free, so the convergent run stays inline...
-  EXPECT_EQ(conv.rec.exec_mode, "convergent");
-  EXPECT_EQ(conv.rec.stats.sched_lane_loops, 64u);
-  EXPECT_EQ(conv.rec.stats.sched_deflations, 0u);
+  const SanExecRun dir = run_san_exec(ExecPolicy::kAuto, kSanRace,
+                                      SanKind::kSharedRace, "exec_waw", 64,
+                                      kernel);
+  // The seeded race is sync-free, so the hinted run is direct...
+  EXPECT_EQ(fib.rec.exec_mode, "fiber");
+  EXPECT_EQ(dir.rec.exec_mode, "direct");
+  EXPECT_EQ(dir.rec.stats.sched_lane_loops, 64u);
+  EXPECT_EQ(dir.rec.stats.fibers_created + dir.rec.stats.fiber_reuses, 0u);
   // ...and the shadow cells see the identical access history.
-  ASSERT_EQ(fib.diags.size(), conv.diags.size());
+  ASSERT_EQ(fib.diags.size(), dir.diags.size());
   ASSERT_FALSE(fib.diags.empty());
   for (std::size_t i = 0; i < fib.diags.size(); ++i) {
-    EXPECT_EQ(fib.diags[i].message, conv.diags[i].message);
-    EXPECT_EQ(fib.diags[i].tid_a, conv.diags[i].tid_a);
-    EXPECT_EQ(fib.diags[i].tid_b, conv.diags[i].tid_b);
-    EXPECT_EQ(fib.diags[i].epoch, conv.diags[i].epoch);
+    EXPECT_EQ(fib.diags[i].message, dir.diags[i].message);
+    EXPECT_EQ(fib.diags[i].tid_a, dir.diags[i].tid_a);
+    EXPECT_EQ(fib.diags[i].tid_b, dir.diags[i].tid_b);
+    EXPECT_EQ(fib.diags[i].epoch, dir.diags[i].epoch);
   }
 }
 
-TEST_F(SanTest, SeededRawRaceKeepsEpochAcrossDeflation) {
-  // Seeds a RAW race *after* a barrier (epoch 1): the barrier deflates
-  // the convergent run, and the post-deflation shadow state must still
-  // attribute the conflict to the same epoch and thread pair.
+TEST_F(SanTest, SeededRawRaceKeepsEpochAcrossTheDirectBarrier) {
+  // Seeds a race *after* the barrier (epoch 1) between threads 0 and 1.
+  // Direct lanes run their post-barrier code in descending order, so
+  // thread 1's read comes before thread 0's write there: the same
+  // conflict, reported from the other side of the pair (write-after-
+  // read by thread 0 instead of read-after-write by thread 1), in the
+  // same epoch.
   const auto kernel = [] {
     auto& t = this_thread();
     auto tile = ompx::san::shared_array<int>(64);
@@ -495,26 +501,40 @@ TEST_F(SanTest, SeededRawRaceKeepsEpochAcrossDeflation) {
     int v = tile[t.flat_tid];             // tid 1 reads it: RAW in epoch 1
     (void)v;
   };
-  const SanExecRun fib = run_san_exec(LaneExec::kFiber, kSanRace,
+  const SanExecRun fib = run_san_exec(ExecPolicy::kFiber, kSanRace,
                                       SanKind::kSharedRace, "exec_raw", 64,
                                       kernel);
-  const SanExecRun conv = run_san_exec(LaneExec::kConvergent, kSanRace,
-                                       SanKind::kSharedRace, "exec_raw", 64,
-                                       kernel);
-  EXPECT_EQ(conv.rec.stats.sched_deflations, 1u);
-  ASSERT_EQ(fib.diags.size(), conv.diags.size());
-  ASSERT_FALSE(fib.diags.empty());
-  for (std::size_t i = 0; i < fib.diags.size(); ++i) {
-    EXPECT_EQ(fib.diags[i].message, conv.diags[i].message);
-    EXPECT_EQ(fib.diags[i].epoch, conv.diags[i].epoch);
-  }
-  EXPECT_GE(fib.diags.front().epoch, 1u);
+  const SanExecRun dir = run_san_exec(ExecPolicy::kAuto, kSanRace,
+                                      SanKind::kSharedRace, "exec_raw", 64,
+                                      kernel);
+  EXPECT_EQ(dir.rec.exec_mode, "direct");
+  ASSERT_EQ(fib.diags.size(), 1u) << San::instance().report();
+  ASSERT_EQ(dir.diags.size(), 1u) << San::instance().report();
+  EXPECT_EQ(fib.diags[0].epoch, 1u);
+  EXPECT_EQ(dir.diags[0].epoch, 1u);
+  EXPECT_EQ(fib.diags[0].tid_a, 1u);
+  EXPECT_EQ(fib.diags[0].tid_b, 0u);
+  EXPECT_EQ(dir.diags[0].tid_a, 0u);
+  EXPECT_EQ(dir.diags[0].tid_b, 1u);
+  // The same shared-memory byte (the arenas of the two launches differ,
+  // so compare the offset each report names).
+  const auto offset = [](const std::string& msg) {
+    const std::size_t at = msg.find("shared+");
+    return at == std::string::npos ? std::string()
+                                   : msg.substr(at, msg.find(' ', at) - at);
+  };
+  EXPECT_EQ(offset(fib.diags[0].message), "shared+4") << fib.diags[0].message;
+  EXPECT_EQ(offset(fib.diags[0].message), offset(dir.diags[0].message));
+  EXPECT_NE(fib.diags[0].message.find("read-after-write"), std::string::npos)
+      << fib.diags[0].message;
+  EXPECT_NE(dir.diags[0].message.find("write-after-read"), std::string::npos)
+      << dir.diags[0].message;
 }
 
-TEST_F(SanTest, RacecheckGuardsStaySilentUnderLaneLoop) {
-  // The false-positive boundaries must not move: same-thread reuse
-  // (pure lane loop), barrier-separated handoff (deflates), and atomics
-  // (deflate before the RMW) are all silent in both modes.
+TEST_F(SanTest, RacecheckGuardsStaySilentUnderDirect) {
+  // The false-positive boundaries must not move: same-thread reuse,
+  // barrier-separated handoff and atomics are all silent on fibers and
+  // direct.
   const auto same_thread = [] {
     auto& t = this_thread();
     auto tile = ompx::san::shared_array<double>(64);
@@ -534,69 +554,41 @@ TEST_F(SanTest, RacecheckGuardsStaySilentUnderLaneLoop) {
     ompx::san::Shared<int> sum;
     sum.atomic_add(1);
   };
-  for (const LaneExec exec : {LaneExec::kFiber, LaneExec::kConvergent}) {
-    const auto a = run_san_exec(exec, kSanRace, SanKind::kSharedRace,
+  for (const ExecPolicy policy : {ExecPolicy::kFiber, ExecPolicy::kAuto}) {
+    const char* mode = policy == ExecPolicy::kAuto ? "direct" : "fiber";
+    const auto a = run_san_exec(policy, kSanRace, SanKind::kSharedRace,
                                 "exec_same_thread", 64, same_thread);
+    EXPECT_EQ(a.rec.exec_mode, mode);
     EXPECT_EQ(a.diags.size(), 0u) << San::instance().report();
-    const auto b = run_san_exec(exec, kSanRace, SanKind::kSharedRace,
+    const auto b = run_san_exec(policy, kSanRace, SanKind::kSharedRace,
                                 "exec_handoff", 64, handoff);
+    EXPECT_EQ(b.rec.exec_mode, mode);
     EXPECT_EQ(b.diags.size(), 0u) << San::instance().report();
-    const auto c = run_san_exec(exec, kSanRace, SanKind::kSharedRace,
+    const auto c = run_san_exec(policy, kSanRace, SanKind::kSharedRace,
                                 "exec_atomics", 64, atomics);
+    EXPECT_EQ(c.rec.exec_mode, mode);
     EXPECT_EQ(c.diags.size(), 0u) << San::instance().report();
   }
 }
 
 TEST_F(SanTest, MemcheckOobDiagnosedAndPoisonedInline) {
   // memcheck runs entirely in the global-pointer accessors — no engine
-  // rendezvous — so a convergent run diagnoses and poisons the bad load
-  // without ever leaving the lane loop.
+  // rendezvous — so a direct run diagnoses and poisons the bad load
+  // in the lane's plain call.
   ompx::DeviceBuffer<int> buf(8, &dev());
   buf.fill_bytes(0);
   int seen = 0;
-  const auto r = run_san_exec(LaneExec::kConvergent, kSanMem,
+  const auto r = run_san_exec(ExecPolicy::kAuto, kSanMem,
                               SanKind::kGlobalOob, "exec_oob", 1, [&] {
                                 auto a = buf.checked();
                                 seen = a[8];  // one past the end
                               });
-  EXPECT_EQ(r.rec.exec_mode, "convergent");
+  EXPECT_EQ(r.rec.exec_mode, "direct");
   EXPECT_EQ(r.rec.stats.sched_lane_loops, 1u);
   ASSERT_FALSE(r.diags.empty());
   int poison;
   std::memset(&poison, kFreePattern, sizeof poison);
   EXPECT_EQ(seen, poison);
-}
-
-TEST_F(SanTest, SyncCheckDeadlockCensusIdenticalUnderConvergent) {
-  // Barrier divergence: the convergent probe deflates at the first
-  // barrier/collective, so the deadlock diagnosis (and its kSanSync
-  // record) must come out of the fiber scheduler verbatim.
-  const auto kernel = [] {
-    auto& t = this_thread();
-    if (t.flat_tid == 0) {
-      t.warp->collective(t, WarpOp::kSync, 0, 0, 0b11);
-    } else {
-      t.block->sync_threads(t);
-    }
-  };
-  std::string msgs[2];
-  int i = 0;
-  for (const LaneExec exec : {LaneExec::kFiber, LaneExec::kConvergent}) {
-    San::instance().reset();
-    San::instance().enable(kSanSync);
-    clear_exec_hints();
-    LaunchParams p = one_block("exec_bdiv", 64);
-    p.lane_exec = exec;
-    try {
-      dev().launch_sync(p, kernel);
-      FAIL() << "expected a deadlock diagnosis";
-    } catch (const std::runtime_error& e) {
-      msgs[i++] = e.what();
-    }
-    EXPECT_GE(San::instance().count(SanKind::kBarrierDivergence), 1u);
-  }
-  EXPECT_EQ(msgs[0], msgs[1]);
-  EXPECT_NE(msgs[0].find("barrier divergence"), std::string::npos) << msgs[0];
 }
 
 TEST_F(SanTest, AccessorsWorkWithSanitizerOff) {

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -170,8 +172,23 @@ TEST(SchedulerDifferential, EarlyExitWavesReleaseBarriers) {
       {0xde52a4a2ab5982c3ull, 35, 0, 0x1.d29dc725c3defp-11});
 }
 
-RunResult run_exec(LaneExec exec, unsigned workers, const KernelMaker& mk,
+/// Sets the process-wide exec policy for a scope and restores the
+/// previous one on exit, also when the launch inside throws.
+struct ScopedPolicy {
+  explicit ScopedPolicy(ExecPolicy p) : saved(exec_policy()) {
+    set_exec_policy(p);
+  }
+  ~ScopedPolicy() { set_exec_policy(saved); }
+  ExecPolicy saved;
+};
+
+/// One cooperative launch of `mk`, its kernel hinted convergent, under
+/// `policy`: kAuto routes it to ExecMode::kDirect, kFiber keeps it on
+/// fibers.
+RunResult run_exec(ExecPolicy policy, unsigned workers, const KernelMaker& mk,
                    const char* name) {
+  const ScopedPolicy scoped(policy);
+  set_exec_hint(name, {true, false});
   Device dev = make_dev(workers);
   RunResult r;
   r.out.assign(kBlocks * kThreads, 0);
@@ -179,93 +196,45 @@ RunResult run_exec(LaneExec exec, unsigned workers, const KernelMaker& mk,
   p.grid = {kBlocks};
   p.block = {kThreads};
   p.name = name;
-  p.lane_exec = exec;
   r.rec = dev.launch_sync(p, mk(r.out.data()));
   return r;
 }
 
-/// Runs `mk` under the fiber path and the convergent lane loop and
-/// checks outputs, semantic counters, and modeled time are identical.
-/// Modeled time is *bit*-identical by construction: the lane-loop
-/// counters (sched_lane_loops / sched_deflations) live in the
-/// host-diagnostics section of LaunchStats, which never feeds the
-/// performance model — execution strategy changes wall time only.
+/// `s` without the counters that describe how the host ran the launch
+/// (fibers, lane loops, deflations, steals), which differ by design.
+LaunchStats modeled_counts(LaunchStats s) {
+  s.fibers_created = s.fiber_reuses = s.sched_steals = 0;
+  s.sched_lane_loops = s.sched_deflations = 0;
+  return s;
+}
+
+/// Runs hinted `mk` on fibers (OMPX_EXEC=fiber) and routed direct
+/// (OMPX_EXEC=auto) and checks outputs, LaunchStats and modeled time
+/// are identical. Modeled time is *bit*-identical by construction: the
+/// host-engine counters never feed the performance model — the
+/// executor changes wall time only. The direct runs must really have
+/// been direct: every thread a plain call, no fiber.
 void expect_identical_across_exec_modes(const KernelMaker& mk,
                                         const char* name) {
-  clear_exec_hints();
-  const RunResult ref = run_exec(LaneExec::kFiber, 1, mk, name);
-  for (const unsigned workers : {1u, 3u}) {
-    clear_exec_hints();  // each run re-probes instead of inheriting verdicts
-    const RunResult r = run_exec(LaneExec::kConvergent, workers, mk, name);
-    EXPECT_EQ(r.out, ref.out)
-        << name << ": outputs diverged (exec=convergent, workers=" << workers
-        << ")";
-    EXPECT_EQ(r.rec.stats.block_barriers, ref.rec.stats.block_barriers);
-    EXPECT_EQ(r.rec.stats.warp_collectives, ref.rec.stats.warp_collectives);
-    EXPECT_EQ(r.rec.stats.warp_syncs, ref.rec.stats.warp_syncs);
-    EXPECT_EQ(r.rec.stats.atomics, ref.rec.stats.atomics);
-    EXPECT_EQ(r.rec.stats.globalized_bytes, ref.rec.stats.globalized_bytes);
-    EXPECT_EQ(r.rec.time.total_ms, ref.rec.time.total_ms);
-    EXPECT_EQ(r.rec.exec_mode, "convergent");
-  }
+  const RunResult ref = run_exec(ExecPolicy::kFiber, 1, mk, name);
   EXPECT_EQ(ref.rec.exec_mode, "fiber");
   EXPECT_EQ(ref.rec.stats.sched_lane_loops, 0u);
+  for (const unsigned workers : {1u, 3u}) {
+    const RunResult r = run_exec(ExecPolicy::kAuto, workers, mk, name);
+    EXPECT_EQ(r.out, ref.out)
+        << name << ": outputs diverged (exec=direct, workers=" << workers
+        << ")";
+    EXPECT_EQ(modeled_counts(r.rec.stats), modeled_counts(ref.rec.stats))
+        << name << " workers=" << workers;
+    EXPECT_EQ(r.rec.time.total_ms, ref.rec.time.total_ms);
+    EXPECT_EQ(r.rec.exec_mode, "direct");
+    EXPECT_EQ(r.rec.stats.sched_lane_loops, kBlocks * kThreads);
+    EXPECT_EQ(r.rec.stats.fibers_created + r.rec.stats.fiber_reuses, 0u);
+  }
+  clear_exec_hints();
 }
 
 TEST(ExecModeDifferential, SyncFreeKernelRunsEveryThreadInline) {
-  const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
-    return [out] {
-      auto& t = this_thread();
-      const std::uint64_t flat =
-          t.grid_dim.linear(t.block_idx) * t.block_dim.count() + t.flat_tid;
-      out[flat] = flat * 7 + 3;
-    };
-  };
-  expect_identical_across_exec_modes(mk, "exec_sync_free");
-  // The convergent run must actually have taken the fiber-free path:
-  // every thread inline, zero fibers, zero deflations.
-  clear_exec_hints();
-  const RunResult r = run_exec(LaneExec::kConvergent, 1, mk, "exec_sync_free");
-  EXPECT_EQ(r.rec.stats.sched_lane_loops, kBlocks * kThreads);
-  EXPECT_EQ(r.rec.stats.sched_deflations, 0u);
-  EXPECT_EQ(r.rec.stats.fibers_created + r.rec.stats.fiber_reuses, 0u);
-}
-
-TEST(ExecModeDifferential, BarrierTreeDeflatesOncePerBlockThenMatches) {
-  const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
-    return [out] {
-      auto& t = this_thread();
-      const std::uint64_t n = t.block_dim.count();
-      const std::uint64_t flat = t.grid_dim.linear(t.block_idx) * n +
-                                 t.flat_tid;
-      auto* sh = static_cast<std::uint64_t*>(
-          t.block->shared_alloc(t, n * sizeof(std::uint64_t), 8));
-      sh[t.flat_tid] = flat * 3 + 1;
-      t.block->sync_threads(t);
-      for (std::uint64_t s = n / 2; s > 0; s /= 2) {
-        if (t.flat_tid < s) sh[t.flat_tid] += sh[t.flat_tid + s];
-        t.block->sync_threads(t);
-      }
-      out[flat] = sh[0] + t.flat_tid;
-    };
-  };
-  expect_identical_across_exec_modes(mk, "exec_barrier_tree");
-  // Thread 0 of the first block probes, deflates at its first barrier,
-  // and note_exec_deflation pins needs_fibers — so only the first block
-  // of the launch pays a probe, and the next launch pays none.
-  clear_exec_hints();
-  const RunResult probe =
-      run_exec(LaneExec::kConvergent, 1, mk, "exec_barrier_tree");
-  EXPECT_EQ(probe.rec.stats.sched_deflations, kBlocks);
-  EXPECT_EQ(probe.rec.stats.sched_lane_loops, 0u);
-  EXPECT_TRUE(exec_hint("exec_barrier_tree").needs_fibers);
-  const RunResult learned =
-      run_exec(LaneExec::kConvergent, 1, mk, "exec_barrier_tree");
-  EXPECT_EQ(learned.rec.stats.sched_deflations, 0u);
-  EXPECT_EQ(learned.rec.exec_mode, "fiber");
-}
-
-TEST(ExecModeDifferential, WarpButterflyAndEarlyExitWaves) {
   expect_identical_across_exec_modes(
       [](std::uint64_t* out) -> KernelFn {
         return [out] {
@@ -273,46 +242,40 @@ TEST(ExecModeDifferential, WarpButterflyAndEarlyExitWaves) {
           const std::uint64_t flat =
               t.grid_dim.linear(t.block_idx) * t.block_dim.count() +
               t.flat_tid;
-          std::uint64_t v = flat + 1;
-          for (std::uint64_t d = 1; d < 32; d <<= 1)
-            v += t.warp->collective(t, WarpOp::kShflXor, v, d, ~0ull);
-          const std::uint64_t ballot = t.warp->collective(
-              t, WarpOp::kBallot, t.lane & 1, 0, ~0ull);
-          t.block->sync_threads(t);
-          out[flat] = v ^ ballot;
+          out[flat] = flat * 7 + 3;
         };
       },
-      "exec_warp_butterfly");
+      "exec_sync_free");
+}
+
+TEST(ExecModeDifferential, OneBarrierWithEarlyExitsMatchesFiber) {
+  // A shared tile staged before the block's one barrier and read
+  // across lanes after it; every fifth lane leaves before the barrier,
+  // so the release must count exited lanes as the fiber scheduler does.
   expect_identical_across_exec_modes(
       [](std::uint64_t* out) -> KernelFn {
         return [out] {
           auto& t = this_thread();
+          const std::uint64_t n = t.block_dim.count();
           const std::uint64_t flat =
-              t.grid_dim.linear(t.block_idx) * t.block_dim.count() +
-              t.flat_tid;
+              t.grid_dim.linear(t.block_idx) * n + t.flat_tid;
           auto* sh = static_cast<std::uint64_t*>(
-              t.block->shared_alloc(t, sizeof(std::uint64_t), 8));
-          if (t.flat_tid == 0) *sh = 0;
-          t.block->sync_threads(t);
-          for (std::uint32_t round = 0; round < 4; ++round) {
-            if (t.flat_tid % 4 == round && t.flat_tid != 0) {
-              out[flat] = 100 + round;
-              return;
-            }
-            *sh += 1;
-            t.block->sync_threads(t);
+              t.block->shared_alloc(t, n * sizeof(std::uint64_t), 8));
+          sh[t.flat_tid] = flat * 3 + 1;
+          if (t.flat_tid % 5 == 4) {
+            out[flat] = 100 + flat;
+            return;
           }
-          out[flat] = *sh;
+          t.block->sync_threads(t);
+          out[flat] = sh[(t.flat_tid + 1) % n] + sh[n - 1 - t.flat_tid];
         };
       },
-      "exec_early_exit");
+      "exec_one_barrier");
 }
 
-TEST(ExecModeDifferential, AtomicsDeflateBeforeExecutingTheRmw) {
-  // The kernel's only collective-ish operation is a global atomic: the
-  // convergent probe must deflate *before* the RMW executes, so the
-  // replayed thread adds exactly once and the final sum matches fiber
-  // mode exactly.
+TEST(ExecModeDifferential, AtomicsRunInPlaceAndMatchFiber) {
+  // Every lane's RMW runs once, in place: the sum is exact and the
+  // atomic count matches the fiber run.
   const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
     return [out] {
       auto& t = this_thread();
@@ -323,146 +286,230 @@ TEST(ExecModeDifferential, AtomicsDeflateBeforeExecutingTheRmw) {
     };
   };
   expect_identical_across_exec_modes(mk, "exec_atomic_sum");
-  clear_exec_hints();
-  const RunResult r = run_exec(LaneExec::kConvergent, 1, mk, "exec_atomic_sum");
+  const RunResult r = run_exec(ExecPolicy::kAuto, 1, mk, "exec_atomic_sum");
   EXPECT_EQ(r.out[0], kBlocks * kThreads);
   EXPECT_EQ(r.rec.stats.atomics, kBlocks * kThreads);
-  EXPECT_GE(r.rec.stats.sched_deflations, 1u);
+  clear_exec_hints();
 }
 
-TEST(ExecModeDifferential, AtomicsOkHintRunsAtomicsInlineNoDeflation) {
-  // With the analyzer's atomics_ok verdict registered, the lane loop
-  // runs the RMW in place: every lane completes fiber-free, nothing
-  // deflates, and the sum is exact (each lane adds exactly once).
+TEST(ExecModeDifferential, AtomicBeforeTheOneBarrierRunsInPlace) {
+  // A hinted kernel may mix atomics with its one barrier: each lane's
+  // RMW runs once, before the barrier releases, so every lane reads
+  // its block's full count after it.
   const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
-    return [out] { atomic_add(out, std::uint64_t{1}); };
+    return [out] {
+      auto& t = this_thread();
+      const std::uint64_t base =
+          t.grid_dim.linear(t.block_idx) * t.block_dim.count();
+      atomic_add(&out[base], std::uint64_t{1});
+      t.block->sync_threads(t);
+      if (t.flat_tid != 0)
+        out[base + t.flat_tid] = out[base] * 1000 + t.flat_tid;
+    };
   };
-  clear_exec_hints();
-  set_exec_hint("exec_atomic_inline", {true, false, true});
+  expect_identical_across_exec_modes(mk, "exec_atomic_then_barrier");
   const RunResult r =
-      run_exec(LaneExec::kConvergent, 1, mk, "exec_atomic_inline");
-  EXPECT_EQ(r.out[0], kBlocks * kThreads);
-  EXPECT_EQ(r.rec.stats.sched_deflations, 0u);
-  EXPECT_EQ(r.rec.stats.sched_lane_loops, kBlocks * kThreads);
+      run_exec(ExecPolicy::kAuto, 1, mk, "exec_atomic_then_barrier");
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    EXPECT_EQ(r.out[b * kThreads], kThreads) << "block " << b;
+    EXPECT_EQ(r.out[b * kThreads + 5], kThreads * 1000 + 5) << "block " << b;
+  }
   EXPECT_EQ(r.rec.stats.atomics, kBlocks * kThreads);
   clear_exec_hints();
 }
 
-TEST(ExecModeDifferential, BarrierAfterInlineAtomicIsALogicError) {
-  // atomics_ok promises no rendezvous after an atomic — once the RMW
-  // ran inline the lane's prefix is not replayable, so a barrier must
-  // fail loudly (wrong hint) instead of deflating into corruption.
-  clear_exec_hints();
-  set_exec_hint("exec_atomic_then_sync", {true, false, true});
-  Device dev = make_dev(1);
-  LaunchParams p;
-  p.grid = {1};
-  p.block = {kThreads};
-  p.name = "exec_atomic_then_sync";
-  p.lane_exec = LaneExec::kConvergent;
-  std::uint64_t cell = 0;
+/// The std::logic_error a hinted kernel raises when it synchronizes
+/// beyond what ExecMode::kDirect runs.
+std::string hinted_direct_error(const KernelMaker& mk, const char* name) {
   try {
-    dev.launch_sync(p, [&cell] {
-      auto& t = this_thread();
-      atomic_add(&cell, std::uint64_t{1});
-      t.block->sync_threads(t);
-    });
-    FAIL() << "barrier after an inline atomic must throw";
+    run_exec(ExecPolicy::kAuto, 1, mk, name);
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("atomics_ok"), std::string::npos)
-        << e.what();
+    clear_exec_hints();
+    return e.what();
   }
   clear_exec_hints();
+  ADD_FAILURE() << name << ": expected a std::logic_error";
+  return "";
 }
 
-TEST(ExecModeDifferential, UnhintedAtomicStillDeflatesSafely) {
-  // Without the hint the old conservative behavior is untouched: the
-  // probe deflates before the RMW executes and the result is exact.
-  const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
-    return [out] { atomic_add(out, std::uint64_t{1}); };
+TEST(ExecModeDifferential, HintedKernelAtASecondBarrierThrowsNamingIt) {
+  const std::string msg = hinted_direct_error(
+      [](std::uint64_t* out) -> KernelFn {
+        return [out] {
+          auto& t = this_thread();
+          const std::uint64_t n = t.block_dim.count();
+          auto* sh = static_cast<std::uint64_t*>(
+              t.block->shared_alloc(t, n * sizeof(std::uint64_t), 8));
+          sh[t.flat_tid] = t.flat_tid;
+          t.block->sync_threads(t);
+          for (std::uint64_t s = n / 2; s > 0; s /= 2) {
+            if (t.flat_tid < s) sh[t.flat_tid] += sh[t.flat_tid + s];
+            t.block->sync_threads(t);
+          }
+          out[t.flat_tid] = sh[0];
+        };
+      },
+      "exec_barrier_tree");
+  EXPECT_NE(msg.find("second block barrier"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'exec_barrier_tree'"), std::string::npos) << msg;
+}
+
+TEST(ExecModeDifferential, HintedKernelAtAWarpShuffleThrowsNamingIt) {
+  const std::string msg = hinted_direct_error(
+      [](std::uint64_t* out) -> KernelFn {
+        return [out] {
+          auto& t = this_thread();
+          out[t.flat_tid] =
+              t.warp->collective(t, WarpOp::kShflXor, t.flat_tid, 1, ~0ull);
+        };
+      },
+      "exec_warp_shuffle");
+  EXPECT_NE(msg.find("warp collective"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'exec_warp_shuffle'"), std::string::npos) << msg;
+}
+
+TEST(ExecPolicy, LaunchesNeverRewriteTheHintRegistry) {
+  // Hints come only from registration. An unhinted atomic kernel runs
+  // on fibers, exactly, and leaves no hint behind; a hinted kernel
+  // that throws at a second barrier keeps its hint, so the next
+  // launch under that name runs direct again.
+  clear_exec_hints();
+  {
+    const ScopedPolicy scoped(ExecPolicy::kAuto);
+    Device dev = make_dev(1);
+    LaunchParams p;
+    p.grid = {kBlocks};
+    p.block = {kThreads};
+    p.name = "exec_atomic_unhinted";
+    std::uint64_t sum = 0;
+    const LaunchRecord rec =
+        dev.launch_sync(p, [&sum] { atomic_add(&sum, std::uint64_t{1}); });
+    EXPECT_EQ(sum, kBlocks * kThreads);
+    EXPECT_EQ(rec.exec_mode, "fiber");
+    EXPECT_EQ(rec.stats.sched_lane_loops, 0u);
+    EXPECT_FALSE(exec_hint("exec_atomic_unhinted").convergent);
+    EXPECT_FALSE(exec_hint("exec_atomic_unhinted").needs_fibers);
+  }
+  const KernelMaker two_barriers = [](std::uint64_t* out) -> KernelFn {
+    return [out] {
+      auto& t = this_thread();
+      t.block->sync_threads(t);
+      t.block->sync_threads(t);
+      out[t.flat_tid] = 1;
+    };
   };
-  clear_exec_hints();
-  const RunResult r =
-      run_exec(LaneExec::kConvergent, 1, mk, "exec_atomic_unhinted");
-  EXPECT_EQ(r.out[0], kBlocks * kThreads);
-  EXPECT_GE(r.rec.stats.sched_deflations, 1u);
-  EXPECT_TRUE(exec_hint("exec_atomic_unhinted").needs_fibers);
-  clear_exec_hints();
-}
-
-TEST(ExecModeDifferential, CensusMessageShapeIdenticalUnderConvergent) {
-  // The deflation probe must not distort the deadlock census: thread 0
-  // deflates at its warp collective, the block restarts on fibers, and
-  // the report reads exactly as in fiber mode.
-  clear_exec_hints();
-  for (const LaneExec exec : {LaneExec::kFiber, LaneExec::kConvergent}) {
+  set_exec_hint("exec_relaunch", {true, false});
+  {
+    const ScopedPolicy scoped(ExecPolicy::kAuto);
     Device dev = make_dev(1);
     LaunchParams p;
     p.grid = {1};
     p.block = {kThreads};
-    p.name = "census_exec";
-    p.lane_exec = exec;
-    clear_exec_hints();
-    try {
-      dev.launch_sync(p, [] {
-        auto& t = this_thread();
-        if (t.flat_tid == 0) {
-          t.warp->collective(t, WarpOp::kSync, 0, 0, 0b11);
-        } else {
-          t.block->sync_threads(t);
-        }
-      });
-      FAIL() << "expected a deadlock diagnosis";
-    } catch (const std::runtime_error& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("SIMT deadlock in block scheduler"),
-                std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("(kernel 'census_exec', block (0,0,0))"),
-                std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("64 live threads, 63 at block barrier, "
-                         "1 in warp collectives"),
-                std::string::npos)
-          << msg;
-    }
+    p.name = "exec_relaunch";
+    std::vector<std::uint64_t> out(kThreads, 0);
+    EXPECT_THROW(dev.launch_sync(p, two_barriers(out.data())),
+                 std::logic_error);
+    EXPECT_TRUE(exec_hint("exec_relaunch").convergent);
+    EXPECT_FALSE(exec_hint("exec_relaunch").needs_fibers);
+    const LaunchRecord rec = dev.launch_sync(p, [&out] {
+      out[this_thread().flat_tid] = 2;
+    });
+    EXPECT_EQ(rec.exec_mode, "direct");
+    EXPECT_EQ(rec.stats.sched_lane_loops, kThreads);
+    EXPECT_EQ(out, std::vector<std::uint64_t>(kThreads, 2));
   }
+  clear_exec_hints();
 }
 
-TEST(ExecPolicy, AutoConsultsHintsAndDeflationLearns) {
-  const ExecPolicy saved = exec_policy();
+TEST(ExecModeDifferential, GraphReplayOfAHintedKernelMatchesItsLiveLaunch) {
+  // Graph instantiate resolves the hinted node to kDirect once and
+  // caches its blocks; each replay must compute what a live launch
+  // computes, with the same counts and modeled time.
+  const ScopedPolicy scoped(ExecPolicy::kAuto);
+  set_exec_hint("exec_graph", {true, false});
+  const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
+    return [out] {
+      auto& t = this_thread();
+      const std::uint64_t n = t.block_dim.count();
+      const std::uint64_t flat = t.grid_dim.linear(t.block_idx) * n +
+                                 t.flat_tid;
+      auto* sh = static_cast<std::uint64_t*>(
+          t.block->shared_alloc(t, n * sizeof(std::uint64_t), 8));
+      sh[t.flat_tid] = flat;
+      t.block->sync_threads(t);
+      out[flat] += sh[n - 1 - t.flat_tid] + 1;
+    };
+  };
+  Device dev = make_dev(1);
+  LaunchParams p;
+  p.grid = {kBlocks};
+  p.block = {kThreads};
+  p.name = "exec_graph";
+  auto& prof = Profiler::instance();
+  Stream& s = dev.default_stream();
+  const auto counters_of = [&](const std::function<void()>& run) {
+    prof.start();
+    prof.reset();
+    run();
+    s.synchronize();
+    const ProfilerCounters c = prof.counters();
+    prof.stop();
+    prof.reset();
+    return c;
+  };
+  std::vector<std::uint64_t> live(kBlocks * kThreads, 0);
+  const ProfilerCounters lc =
+      counters_of([&] { s.launch(p, mk(live.data())); });
+  std::vector<std::uint64_t> replayed(kBlocks * kThreads, 0);
+  s.begin_capture();
+  s.launch(p, mk(replayed.data()));
+  std::unique_ptr<Graph> g = s.end_capture();
+  g->instantiate();
+  const ProfilerCounters rc = counters_of([&] { s.launch_graph(*g); });
+  EXPECT_EQ(replayed, live);
+  EXPECT_EQ(dev.last_launch().exec_mode, "direct");
+  EXPECT_EQ(lc.lane_loops, kBlocks * kThreads);
+  EXPECT_EQ(rc.lane_loops, kBlocks * kThreads);
+  EXPECT_EQ(rc.threads, lc.threads);
+  EXPECT_EQ(rc.block_barriers, lc.block_barriers);
+  EXPECT_EQ(rc.block_barriers, kBlocks);
+  EXPECT_EQ(rc.modeled_kernel_ms, lc.modeled_kernel_ms);
   clear_exec_hints();
-  set_exec_policy(ExecPolicy::kAuto);
+}
+
+TEST(ExecPolicy, AutoRoutesHintedKernelsDirect) {
+  const ScopedPolicy scoped(ExecPolicy::kAuto);
+  clear_exec_hints();
   Device dev = make_dev(1);
   LaunchParams p;
   p.grid = {2};
   p.block = {32};
   p.name = "auto_kernel";
-  // Unhinted kernels stay on fibers under auto (conservative default).
+  // Unhinted kernels stay on fibers under auto.
   LaunchRecord rec = dev.launch_sync(p, [] {});
   EXPECT_EQ(rec.exec_mode, "fiber");
-  // A convergent hint opts the kernel in...
+  EXPECT_EQ(rec.stats.sched_lane_loops, 0u);
+  // A convergent hint runs the launch as plain calls...
   set_exec_hint("auto_kernel", {true, false});
   rec = dev.launch_sync(p, [] {});
-  EXPECT_EQ(rec.exec_mode, "convergent");
+  EXPECT_EQ(rec.exec_mode, "direct");
   EXPECT_EQ(rec.stats.sched_lane_loops, 64u);
-  // ...and a hint that was wrong about synchronization is corrected by
-  // the first deflation: auto routes back to fibers from then on.
-  set_exec_hint("auto_sync_kernel", {true, false});
-  p.name = "auto_sync_kernel";
-  rec = dev.launch_sync(p, [] {
-    auto& t = this_thread();
-    t.block->sync_threads(t);
-  });
-  EXPECT_EQ(rec.exec_mode, "convergent");
-  EXPECT_GE(rec.stats.sched_deflations, 1u);
-  EXPECT_TRUE(exec_hint("auto_sync_kernel").needs_fibers);
-  rec = dev.launch_sync(p, [] {
-    auto& t = this_thread();
-    t.block->sync_threads(t);
-  });
+  EXPECT_EQ(rec.stats.fibers_created + rec.stats.fiber_reuses, 0u);
+  // ...needs_fibers pins fibers whatever convergent says...
+  set_exec_hint("auto_kernel", {true, true});
+  rec = dev.launch_sync(p, [] {});
   EXPECT_EQ(rec.exec_mode, "fiber");
-  set_exec_policy(saved);
+  // ...and OMPX_EXEC=fiber ignores the hints.
+  set_exec_hint("auto_kernel", {true, false});
+  set_exec_policy(ExecPolicy::kFiber);
+  rec = dev.launch_sync(p, [] {});
+  EXPECT_EQ(rec.exec_mode, "fiber");
+  EXPECT_EQ(rec.stats.sched_lane_loops, 0u);
+  // A launch that asks for kDirect runs direct under either policy.
+  p.mode = ExecMode::kDirect;
+  rec = dev.launch_sync(p, [] {});
+  EXPECT_EQ(rec.exec_mode, "direct");
+  EXPECT_EQ(rec.stats.sched_lane_loops, 64u);
   clear_exec_hints();
 }
 
