@@ -74,17 +74,6 @@ BlockState::BlockState(Device& device, const LaunchParams& params,
   for (std::uint32_t w = 0; w < nwarps; ++w)
     warps_.emplace_back(*this, w, std::min(ws, nthreads_ - w * ws));
   shared_alloc_ordinal_.assign(nthreads_, 0);
-  // Only the fiber scheduler keeps a context per thread (waits_ it
-  // sizes on entry); direct lanes run on one context advanced in place.
-  if (params.mode == ExecMode::kCooperative) {
-    ctxs_.resize(nthreads_);
-    ThreadCtx ctx = first_ctx();
-    const NextLane next = next_lane();
-    for (ThreadCtx& c : ctxs_) {
-      c = ctx;
-      next(ctx);
-    }
-  }
 }
 
 ThreadCtx BlockState::first_ctx() {
@@ -144,24 +133,39 @@ void BlockState::reset_for_replay() {
   shared_vars_.clear();
   std::fill(shared_alloc_ordinal_.begin(), shared_alloc_ordinal_.end(), 0);
   san_shadow_.clear();
-  direct_next_ = 0;
+  next_thread_ = 0;
   direct_released_ = false;
   barrier_arrived_ = 0;
 }
 
-// pocl's work-item loop: one context, advanced in place. A lane that
-// reaches the barrier runs every later lane nested inside it, so the
-// loop ends after that lane returns.
-void BlockState::run_direct() {
-  ThreadCtx ctx = first_ctx();
+// pocl's work-item loop, the one both executors run: thread
+// next_thread_ runs on `ctx`, and each thread after it runs on the same
+// context advanced in place, as a plain call, until no thread is left
+// that no call has started. In direct mode a lane that reaches the
+// barrier runs every later lane nested inside it, so the loop ends
+// after that lane returns. On a fiber the loop is the fiber's body: a
+// thread that parks suspends the whole loop with it, and a thread not
+// yet started is always the scheduler's next pick (wakeups queue
+// behind every one of them), so running it here, without a switch,
+// keeps the scheduling order. A fiber therefore returns to the
+// scheduler only when its thread parks or when every thread has
+// started.
+template <bool kOnFiber>
+void BlockState::lane_loop(ThreadCtx& ctx) {
   const NextLane next = next_lane();
-  CtxRestore restore{nullptr};
   t_ctx = &ctx;
-  while (direct_next_ < next.nthreads) {
-    direct_next_++;
+  while (next_thread_ < next.nthreads) {
+    next_thread_++;
     kernel_();
+    if constexpr (kOnFiber) on_thread_exit(ctx);
     next(ctx);
   }
+}
+
+void BlockState::run_direct() {
+  ThreadCtx ctx = first_ctx();
+  CtxRestore restore{nullptr};
+  lane_loop<false>(ctx);
   counters_.sched_lane_loops += nthreads_;
 }
 
@@ -181,12 +185,12 @@ void BlockState::direct_barrier(ThreadCtx& ctx) {
   if (in_run_lanes_) direct_error("block barrier inside run_lanes");
   if (direct_released_) direct_error("second block barrier");
   barrier_arrived_++;
-  if (direct_next_ < nthreads_) {
+  if (next_thread_ < nthreads_) {
     ThreadCtx lane = ctx;
     const NextLane next = next_lane();
     CtxRestore restore{&ctx};
     t_ctx = &lane;
-    while (direct_next_ < nthreads_) {
+    while (next_thread_ < nthreads_) {
       // The frame address, not a local's: ASan may move locals off
       // the real stack.
       const StackBounds& stack = thread_stack();
@@ -194,12 +198,12 @@ void BlockState::direct_barrier(ThreadCtx& ctx) {
           reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
       if (sp < stack.lo + kNestStackReserve || sp >= stack.hi)
         direct_error("block barrier nesting lane " +
-                     std::to_string(direct_next_) + " of " +
+                     std::to_string(next_thread_) + " of " +
                      std::to_string(nthreads_) + " with less than " +
                      std::to_string(kNestStackReserve >> 10) +
                      " KiB of OS-thread stack left");
       next(lane);
-      direct_next_++;
+      next_thread_++;
       kernel_();
     }
   }
@@ -217,19 +221,24 @@ void BlockState::direct_error(const std::string& what) const {
 // ---------------------------------------------------------------------------
 // Ready-queue scheduler.
 //
-// The queue holds exactly the runnable threads: every thread starts
-// enqueued (ascending), and a blocked thread is re-enqueued only by the
-// event that wakes it — barrier release enqueues the barrier's waiters,
-// a warp-epoch advance enqueues that warp's waiters, both in ascending
-// thread order. Scheduling work is therefore O(threads woken), not
-// O(nthreads) per round. An empty queue with unfinished threads is a
-// deadlock by construction (threads only leave the queue by finishing
-// or recording a wait state), so the census fires exactly when no
-// thread can make progress.
+// Threads start in ascending order, and every one not yet started is
+// runnable ahead of any woken thread: next_thread_ is the next pick
+// until all have started. After that the picks come off the ready
+// queue, which holds exactly the woken threads: a parked thread is
+// enqueued only by the event that wakes it — barrier release enqueues
+// the barrier's waiters, a warp-epoch advance enqueues that warp's
+// waiters, both in ascending thread order. Scheduling work is
+// therefore O(threads woken), not O(nthreads) per round. An empty queue
+// with every thread started and some unfinished is a deadlock by
+// construction (threads only leave the queue by finishing or recording
+// a wait state), so the census fires exactly when no thread can make
+// progress.
 //
-// Fibers are acquired lazily at a thread's first resume and recycled
-// through free_fibers_ the moment the thread finishes: a sync-free
-// block executes all nthreads_ threads on a single fiber.
+// Only a thread that parks keeps a fiber of its own: the threads that
+// start after it run on a new fiber's lane loop, and a fiber whose
+// threads have all finished is recycled through free_fibers_. A
+// sync-free block executes all nthreads_ threads on a single fiber,
+// one plain call each.
 // ---------------------------------------------------------------------------
 
 void BlockState::rq_push(std::uint32_t flat) {
@@ -277,7 +286,15 @@ Fiber* BlockState::acquire_fiber() {
     return f;
   }
   const bool pooled = fiber_pool_.cached() > 0;
-  fibers_.push_back(fiber_pool_.acquire([this] { kernel_(); }));
+  // A new fiber's lane loop starts at thread next_thread_, on a copy of
+  // the context of the thread before it, which has just parked.
+  fibers_.push_back(fiber_pool_.acquire([this] {
+    ThreadCtx ctx =
+        next_thread_ == 0 ? first_ctx() : *parked_[next_thread_ - 1].ctx;
+    if (next_thread_ > 0) next_lane()(ctx);
+    ctx.fiber = Fiber::current();
+    lane_loop<true>(ctx);
+  }));
   if (pooled)
     counters_.fiber_reuses++;
   else
@@ -289,37 +306,25 @@ void BlockState::recycle_fiber(Fiber* f) { free_fibers_.push_back(f); }
 
 void BlockState::run_cooperative() {
   waits_.resize(nthreads_);
-  ready_.resize(std::bit_ceil(nthreads_));
-  rq_mask_ = static_cast<std::uint32_t>(ready_.size()) - 1;
-  rq_head_ = 0;
-  rq_count_ = nthreads_;
-  for (std::uint32_t i = 0; i < nthreads_; ++i) ready_[i] = i;
   barrier_waitmap_.assign((nthreads_ + 63) / 64, 0);
   drain_map_.assign(barrier_waitmap_.size(), 0);
-  // Pointer arrays only (the fibers themselves stay lazy): reserving up
-  // front avoids ~2 log2(nthreads) growth reallocations per block.
-  fibers_.reserve(nthreads_);
-  free_fibers_.reserve(nthreads_);
-
-  std::uint32_t finished = 0;
-  while (finished < nthreads_) {
-    std::uint32_t i;
-    if (!next_runnable(i)) deadlock("block scheduler");
-    // waits_[i] is already kNone: threads start that way and every
-    // wakeup clears it at enqueue time.
-    ThreadCtx& ctx = ctxs_[i];
-    if (ctx.fiber == nullptr) ctx.fiber = acquire_fiber();
-    t_ctx = &ctx;
-    ctx.fiber->resume();
-    t_ctx = nullptr;
-    if (ctx.fiber->done()) {
-      finished++;
-      Fiber* f = ctx.fiber;
-      ctx.fiber = nullptr;
-      waits_[i] = Wait::kDone;
-      on_thread_exit(i);
-      recycle_fiber(f);
+  // A kernel's exception reaches here through resume(): the launching
+  // thread must not stay "inside" this block once it unwinds.
+  CtxRestore restore{nullptr};
+  while (live_ > 0) {
+    Fiber* f;
+    if (next_thread_ < nthreads_) {
+      f = acquire_fiber();
+    } else {
+      // waits_[i] is already kNone: every wakeup clears it at enqueue
+      // time.
+      std::uint32_t i;
+      if (!next_runnable(i)) deadlock("block scheduler");
+      t_ctx = parked_[i].ctx;
+      f = parked_[i].fiber;
     }
+    f->resume();
+    if (f->done()) recycle_fiber(f);
   }
   // All fibers are finished here: donate them to the cross-launch pool
   // (an exception unwinds past this instead, destroying any suspended
@@ -363,13 +368,14 @@ void BlockState::release_barrier() {
   barrier_arrived_ = 0;
   count_barrier();
   if (rq_count_ == 0) {
-    // Nothing else is runnable: snapshot the waiters and drain them
-    // straight off the bitmap (ascending) instead of round-tripping
-    // them through the ring. The snapshot is a buffer swap, not a copy:
-    // next_runnable zeroes each drain word as it loads it, and a drain
-    // always completes before the next release (a release needs every
-    // live thread at the barrier, and drain-pending threads are still
-    // suspended at this one), so the swapped-in buffer is all zeroes.
+    // Nothing else is runnable (a release needs every live thread at
+    // the barrier, so every thread has started): snapshot the waiters
+    // and drain them straight off the bitmap (ascending) instead of
+    // round-tripping them through the ring. The snapshot is a buffer
+    // swap, not a copy: next_runnable zeroes each drain word as it
+    // loads it, and a drain always completes before the next release
+    // (drain-pending threads are still suspended at this one), so the
+    // swapped-in buffer is all zeroes.
     drain_map_.swap(barrier_waitmap_);
     drain_active_ = true;
     drain_word_ = 0;
@@ -394,9 +400,9 @@ void BlockState::release_barrier() {
   }
 }
 
-void BlockState::on_thread_exit(std::uint32_t flat) {
+void BlockState::on_thread_exit(const ThreadCtx& ctx) {
   live_--;
-  ctxs_[flat].warp->on_lane_exit(ctxs_[flat].lane);
+  ctx.warp->on_lane_exit(ctx.lane);
   // A barrier waiting only on now-exited threads releases (kernel-language
   // behaviour: exited threads no longer participate in __syncthreads).
   if (live_ > 0 && barrier_arrived_ >= live_ && barrier_arrived_ > 0)
@@ -420,7 +426,7 @@ void BlockState::wait_barrier(ThreadCtx& ctx) {
   // The bitmap alone records the wait (the wait state stays kNone), and
   // release_barrier wakes by bit scan.
   barrier_waitmap_[ctx.flat_tid / 64] |= 1ull << (ctx.flat_tid % 64);
-  ctx.fiber->yield();
+  park(ctx);
 }
 
 void BlockState::notify_warp_release(WarpState& warp) {
@@ -439,6 +445,19 @@ void BlockState::notify_warp_release(WarpState& warp) {
 
 void BlockState::wait_warp(ThreadCtx& ctx) {
   waits_[ctx.flat_tid] = Wait::kWarp;
+  park(ctx);
+}
+
+void BlockState::park(ThreadCtx& ctx) {
+  if (parked_.empty()) {
+    // The block's first parked thread: size what only parking uses.
+    parked_.resize(nthreads_);
+    ready_.resize(std::bit_ceil(nthreads_));
+    rq_mask_ = static_cast<std::uint32_t>(ready_.size()) - 1;
+    fibers_.reserve(nthreads_);
+    free_fibers_.reserve(nthreads_);
+  }
+  parked_[ctx.flat_tid] = {&ctx, ctx.fiber};
   ctx.fiber->yield();
 }
 

@@ -1,22 +1,26 @@
 // Block runner: executes one thread block of a launch.
 //
-// In cooperative mode every GPU thread runs on a fiber; a
-// single-threaded ready-queue scheduler resumes runnable threads until
-// all finish. Fibers are allocated lazily and recycled: a thread that
-// runs to completion without ever suspending hands its fiber straight
-// to the next thread, so a sync-free block needs O(live-suspended)
-// fibers instead of O(block-size). Threads suspend at block barriers
-// and warp rendezvous; barrier release and warp-epoch advance enqueue
-// exactly their waiters, in ascending thread order within each wakeup
-// (warp rendezvous semantics depend on deterministic arrival order).
-// An empty ready queue with threads remaining is a deadlock — reported
-// with a census of who waits where, which is how invalid divergent
+// Both modes run threads as plain calls from one lane loop, on one
+// ThreadCtx it advances in place (pocl's work-item loop), in ascending
+// thread order; no block builds a per-thread context array.
+//
+// In cooperative mode the lane loop runs on a fiber, and only a thread
+// that blocks keeps one: a thread that suspends at a block barrier or
+// a warp rendezvous parks the fiber with its context in the fiber's
+// frame, and the threads after it start on a new fiber. A sync-free
+// block thus runs on one fiber. A single-threaded scheduler starts
+// threads until all have started, then resumes parked threads as they
+// wake; barrier release and warp-epoch advance enqueue exactly their
+// waiters, in ascending thread order within each wakeup (warp
+// rendezvous semantics depend on deterministic arrival order), behind
+// every thread not yet started. Finished fibers are recycled. An empty
+// ready queue with threads remaining is a deadlock — reported with a
+// census of who waits where, which is how invalid divergent
 // synchronization surfaces as an error instead of a hang.
 //
-// In direct mode threads are plain calls — ~3x less host overhead —
-// run on one ThreadCtx the lane loop advances in place (pocl's
-// work-item loop), so a direct block builds no per-thread context
-// array. A block may pass one barrier: the lane that reaches it runs
+// In direct mode no thread may suspend, so the lane loop runs on the
+// OS thread's own stack, with no fiber and no scheduler. A block may
+// pass one barrier: the lane that reaches it runs
 // every lane not yet started nested on the same OS-thread stack, on a
 // context of the barrier call's own frame, the innermost call releases
 // the barrier once every lane has arrived or exited, and the
@@ -121,7 +125,7 @@ class BlockState {
     return arena_.high_water();
   }
 
-  /// Yields the calling fiber marked as waiting on the block barrier /
+  /// Parks the calling thread marked as waiting on the block barrier /
   /// its warp. Internal to the engine's blocking primitives.
   void wait_barrier(ThreadCtx& ctx);
   void wait_warp(ThreadCtx& ctx);
@@ -151,13 +155,19 @@ class BlockState {
 
  private:
   // A thread's wait state. Barrier waits are not recorded here but in
-  // barrier_waitmap_. kDone doubles as the thread-lifecycle terminal
-  // state so the deadlock census can skip finished threads without
-  // consulting a (possibly recycled) fiber.
-  enum class Wait : std::uint8_t { kNone, kWarp, kDone };
+  // barrier_waitmap_.
+  enum class Wait : std::uint8_t { kNone, kWarp };
 
   void run_cooperative();
   void run_direct();
+  /// The lane loop both modes run (see block.cpp): threads from
+  /// next_thread_ on, as plain calls on `ctx` advanced in place. On a
+  /// fiber (kOnFiber) it also retires each thread as it returns.
+  template <bool kOnFiber>
+  void lane_loop(ThreadCtx& ctx);
+  /// Suspends a thread whose wait is recorded until a wakeup resumes
+  /// its fiber.
+  void park(ThreadCtx& ctx);
   /// sync_threads under ExecMode::kDirect: nests the lanes not yet
   /// started, then releases the block's one barrier.
   void direct_barrier(ThreadCtx& ctx);
@@ -176,23 +186,23 @@ class BlockState {
     void operator()(ThreadCtx& ctx) const;
   };
   [[nodiscard]] NextLane next_lane();
-  void on_thread_exit(std::uint32_t flat);
+  void on_thread_exit(const ThreadCtx& ctx);
   void release_barrier();
   [[noreturn]] void deadlock(const char* where) const;
 
   // Ready-queue plumbing. The queue is a fixed ring of nthreads_ slots:
-  // a thread is enqueued only on the blocked->runnable transition (or at
-  // start), so it can appear at most once and the ring never overflows.
+  // a thread is enqueued only on the blocked->runnable transition, so it
+  // can appear at most once and the ring never overflows.
   void rq_push(std::uint32_t flat);
   [[nodiscard]] std::uint32_t rq_pop();
-  /// Next runnable thread (drain batch first, then the ring); false
-  /// when nothing is runnable — the deadlock condition.
+  /// Next woken thread (drain batch first, then the ring); false when
+  /// none is — with every thread started, the deadlock condition.
   [[nodiscard]] bool next_runnable(std::uint32_t& flat);
 
-  // Fiber recycling: lazily acquire, reuse through a block-local free
-  // list backed by fibers_ (which owns every fiber this block holds);
-  // finished fibers are donated to the cross-launch FiberPool at the
-  // end of a clean run.
+  // Fiber recycling: acquire one per lane loop, reuse through a
+  // block-local free list backed by fibers_ (which owns every fiber this
+  // block holds); finished fibers are donated to the cross-launch
+  // FiberPool at the end of a clean run.
   [[nodiscard]] Fiber* acquire_fiber();
   void recycle_fiber(Fiber* f);
 
@@ -211,10 +221,13 @@ class BlockState {
   std::uint32_t barrier_arrived_ = 0;
   std::uint64_t barrier_epoch_ = 0;
 
-  // Direct-mode barrier state: the next lane no call has started yet,
-  // whether the block's one barrier has released, and whether run_lanes
-  // is running lanes (which cannot nest).
-  std::uint32_t direct_next_ = 0;
+  // The next thread no call has started yet (both modes: threads start
+  // in ascending order).
+  std::uint32_t next_thread_ = 0;
+
+  // Direct-mode barrier state: whether the block's one barrier has
+  // released, and whether run_lanes is running lanes (which cannot
+  // nest).
   bool direct_released_ = false;
   bool in_run_lanes_ = false;
 
@@ -243,8 +256,16 @@ class BlockState {
   static constexpr std::uint32_t kManyReaders = ~0u;
   std::vector<SanShadowCell> san_shadow_;
 
-  std::vector<ThreadCtx> ctxs_;  // cooperative blocks only
+  // Fiber scheduler state. waits_ is per thread; parked_ and the ready
+  // ring are sized when the block's first thread parks. A parked
+  // thread's context lives in its fiber's frame; parked_ keeps the
+  // fiber pointer beside it so a resume reads no other fiber's stack.
   std::vector<Wait> waits_;
+  struct Parked {
+    ThreadCtx* ctx;
+    Fiber* fiber;
+  };
+  std::vector<Parked> parked_;
 
   // Ready queue (ring buffer of thread ids, power-of-two capacity
   // >= nthreads_ so wraparound is a mask, not a division).

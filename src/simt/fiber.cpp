@@ -35,14 +35,17 @@
 #endif
 
 #if SIMT_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #define SIMT_ASAN_START_SWITCH(save, bottom, size) \
   __sanitizer_start_switch_fiber(save, bottom, size)
 #define SIMT_ASAN_FINISH_SWITCH(fake, bottom, size) \
   __sanitizer_finish_switch_fiber(fake, bottom, size)
+#define SIMT_ASAN_UNPOISON(addr, size) __asan_unpoison_memory_region(addr, size)
 #else
 #define SIMT_ASAN_START_SWITCH(save, bottom, size) ((void)0)
 #define SIMT_ASAN_FINISH_SWITCH(fake, bottom, size) ((void)0)
+#define SIMT_ASAN_UNPOISON(addr, size) ((void)0)
 #endif
 
 // TSan has the same blind spot: it models one synchronization clock per
@@ -118,13 +121,22 @@ Fiber::Fiber(FiberStackPool& pool, EntryFn entry)
 }
 
 void Fiber::arm() {
+  // Every stack top is page-aligned, so without an offset the hot top
+  // frames of all fibers (saved registers, a parked thread's context)
+  // share the same L1 sets and evict each other at every switch. A
+  // per-stack offset of 0-63 cache lines, hashed from the stack address,
+  // spreads them over every set.
+  const std::size_t color =
+      (((reinterpret_cast<std::uintptr_t>(stack_) >> 12) * 0x9E3779B1u >> 26) &
+       63) * 64;
   // Seed the stack so the restore path of simt_fiber_swap "returns" into
   // simt_fiber_entry_thunk with this Fiber parked in r12. Layout must
   // mirror the save frame in fiber_switch_x86_64.S exactly.
   auto* top = reinterpret_cast<std::uint64_t*>(
-      reinterpret_cast<std::uint8_t*>(stack_) + stack_size_);
-  // `top` is page-aligned, hence 16-byte aligned; the thunk runs with
-  // rsp == top, satisfying the call-site alignment rule.
+      reinterpret_cast<std::uint8_t*>(stack_) + stack_size_ - color);
+  // `top` is page-aligned less a multiple of 64, hence 16-byte aligned;
+  // the thunk runs with rsp == top, satisfying the call-site alignment
+  // rule.
   std::uint64_t* sp = top - 8;  // 64-byte seed frame
   const std::uint32_t mxcsr = _mm_getcsr();
   std::uint16_t fcw = 0;
@@ -291,6 +303,10 @@ void Fiber::reset(EntryFn entry) {
 
 Fiber::~Fiber() {
   SIMT_TSAN_DESTROY_FIBER(tsan_fiber_);
+  // A fiber destroyed while suspended never unwound its frames, so the
+  // ASan shadow of their redzones and out-of-scope locals outlives
+  // them; clear it, or the next fiber to lease the stack trips on it.
+  if (started_ && !done_) SIMT_ASAN_UNPOISON(stack_, stack_size_);
   if (stack_ != nullptr) pool_.release(stack_);
 }
 

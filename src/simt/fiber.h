@@ -1,9 +1,10 @@
 // Cooperative fibers: the execution vehicle for simulated GPU threads.
 //
-// Every GPU thread in a resident block is a fiber. Fibers are scheduled
-// cooperatively by the block runner on a single OS thread; a fiber
-// suspends (yields back to its scheduler) whenever the thread it models
-// blocks at a barrier or a warp collective. This gives arbitrary kernel
+// A resident block's GPU threads run on fibers, one after another on a
+// fiber until one blocks. Fibers are scheduled cooperatively by the
+// block runner on a single OS thread; a fiber suspends (yields back to
+// its scheduler) whenever the thread it is running blocks at a barrier
+// or a warp collective, and keeps that thread until it finishes. This gives arbitrary kernel
 // code — including `__syncthreads()` in divergent-looking positions —
 // the same suspension semantics real SIMT hardware provides.
 //
@@ -99,7 +100,7 @@ class Fiber {
 /// Recycles whole Fiber objects (and the stacks they lease) across
 /// launches on one OS thread. Constructing a Fiber costs several heap
 /// allocations (the object, two machine contexts, a stack lease); at
-/// one fiber per simulated thread per launch that overhead dominates
+/// one fiber per blocking thread per launch that overhead dominates
 /// barrier-heavy kernels, so the block runner re-arms pooled fibers
 /// with Fiber::reset(entry) instead. Only finished fibers are cached;
 /// anything else handed to recycle() is simply destroyed (releasing

@@ -53,10 +53,11 @@ using BlockCache = std::vector<std::unique_ptr<BlockState>>;
 
 /// Execution mode for a launch.
 ///
-/// kCooperative runs every GPU thread as a fiber so the kernel may use
-/// barriers and warp collectives anywhere. kDirect runs threads as
-/// plain calls (no suspension) on one context advanced in place: ~3x
-/// less host overhead. It allows one block barrier per thread, run by
+/// kCooperative runs threads as plain calls on fibers, one fiber per
+/// thread that blocks, so the kernel may use barriers and warp
+/// collectives anywhere. kDirect runs threads as plain calls (no
+/// suspension) on one context advanced in place, with no fiber and no
+/// scheduler. It allows one block barrier per thread, run by
 /// nesting the block's remaining lanes on the OS-thread stack (see
 /// BlockState); a second barrier, a warp collective or an atomic after
 /// the barrier throws std::logic_error naming the kernel. Results are

@@ -88,7 +88,8 @@ struct LaunchStats {
   // simulator ran (fiber recycling, work stealing), never feed
   // model_time(), and have no effect on modeled GPU time.
   std::uint64_t fibers_created = 0;  ///< Fiber objects constructed
-  std::uint64_t fiber_reuses = 0;    ///< threads served by a recycled fiber
+  std::uint64_t fiber_reuses = 0;    ///< fibers re-armed, not constructed
+                                     ///< (fibers acquired: created + reuses)
   std::uint64_t sched_steals = 0;    ///< block chunks grabbed beyond each
                                      ///< worker's first (dynamic rebalance)
   std::uint64_t sched_lane_loops = 0;  ///< threads run as plain calls

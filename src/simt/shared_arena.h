@@ -6,6 +6,7 @@
 // high-water mark is reported to the occupancy model.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -39,8 +40,10 @@ class SharedArena {
   /// Rewinds the allocation cursor to the start of the static segment
   /// for another run over the same block (graph replay reuses
   /// BlockStates instead of rebuilding them). The backing store, if
-  /// already materialized, is kept.
+  /// already materialized, is kept, and the bytes the last run used are
+  /// zeroed, so the next run starts from what a fresh arena holds.
   void reset() {
+    if (!buf_.empty()) std::fill_n(buf_.begin(), high_water_, 0);
     offset_ = dynamic_bytes_;
     high_water_ = dynamic_bytes_;
   }

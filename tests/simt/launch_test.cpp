@@ -419,6 +419,35 @@ TEST(Launch, DirectBarrierGraphReplayResetsCachedBlocks) {
           << "block " << b << " lane " << i;
 }
 
+TEST(Launch, GraphReplayStartsFromZeroedSharedMemory) {
+  // Each lane reads its shared slot before writing it. A live launch
+  // reads a fresh arena's zeroes, and so must every replay of a graph
+  // that caches the block, not the bytes the previous replay left.
+  Device dev(tiny_config());
+  std::vector<int> reads(3 * 32, -1);
+  int pass = 0;
+  const auto kernel = [&reads, &pass] {
+    auto& t = this_thread();
+    auto* tile = static_cast<int*>(
+        t.block->shared_alloc(t, 32 * sizeof(int), alignof(int)));
+    reads[pass * 32 + t.flat_tid] = tile[t.flat_tid];
+    tile[t.flat_tid] = 100 + static_cast<int>(t.flat_tid);
+  };
+  const LaunchParams p = direct_block({32}, "replayed_tile");
+  dev.launch_sync(p, kernel);
+  Stream& s = dev.default_stream();
+  s.begin_capture();
+  s.launch(p, kernel);
+  std::unique_ptr<Graph> g = s.end_capture();
+  g->instantiate();
+  for (pass = 1; pass < 3; ++pass) {
+    s.launch_graph(*g);
+    s.synchronize();
+  }
+  for (int i = 0; i < 3 * 32; ++i)
+    EXPECT_EQ(reads[i], 0) << "pass " << i / 32 << " lane " << i % 32;
+}
+
 TEST(Launch, DirectBarrierLaneExceptionPropagates) {
   Device dev(tiny_config());
   EXPECT_THROW(dev.launch_sync(direct_block({32}, "throws_nested"),

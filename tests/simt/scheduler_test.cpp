@@ -172,6 +172,201 @@ TEST(SchedulerDifferential, EarlyExitWavesReleaseBarriers) {
       {0xde52a4a2ab5982c3ull, 35, 0, 0x1.d29dc725c3defp-11});
 }
 
+/// `s` without the counters that describe how the host ran the launch
+/// (fibers, lane loops, deflations, steals), which differ by design.
+LaunchStats modeled_counts(LaunchStats s) {
+  s.fibers_created = s.fiber_reuses = s.sched_steals = 0;
+  s.sched_lane_loops = s.sched_deflations = 0;
+  return s;
+}
+
+// --- threads that finish inline before others block ----------------------
+//
+// The fiber scheduler runs a thread that never suspends on the fiber of
+// the thread before it, so these kernels mix threads that run to the
+// end with threads that park at a barrier or a warp collective, on 2-D
+// and 3-D blocks with partial warps. Their goldens (output hash, every
+// LaunchStats field but the host-execution ones, modeled time) were
+// captured while every thread still ran on a fiber of its own.
+
+/// Everything a thread's context says about it, packed into one word
+/// (bit 63: its warp pointer disagrees with its warp id).
+std::uint64_t identity(const ThreadCtx& t) {
+  std::uint64_t id = t.thread_idx.x | std::uint64_t{t.thread_idx.y} << 8 |
+                     std::uint64_t{t.thread_idx.z} << 16 |
+                     std::uint64_t{t.lane} << 24 |
+                     std::uint64_t{t.warp_id} << 32 |
+                     std::uint64_t{t.flat_tid} << 40 |
+                     std::uint64_t{t.block_idx.x} << 52 |
+                     std::uint64_t{t.block_idx.y} << 58;
+  if (t.warp != &t.block->warp(t.warp_id)) id |= 1ull << 63;
+  return id;
+}
+
+std::uint64_t global_flat(const ThreadCtx& t) {
+  return t.grid_dim.linear(t.block_idx) * t.block_dim.count() + t.flat_tid;
+}
+
+struct InlineGolden {
+  std::uint64_t out_hash;
+  LaunchStats counts;  ///< as modeled_counts() leaves them
+  double total_ms;
+  std::uint64_t fibers_per_block;  ///< fibers acquired, block by block
+};
+
+/// Runs `mk` over `grid` x `block` at one and three workers and checks
+/// each run against `golden`.
+void expect_inline_golden(const KernelMaker& mk, const char* name, Dim3 grid,
+                          Dim3 block, const InlineGolden& golden) {
+  for (const unsigned workers : {1u, 3u}) {
+    Device dev = make_dev(workers);
+    std::vector<std::uint64_t> out(grid.count() * block.count(), 0);
+    LaunchParams p;
+    p.grid = grid;
+    p.block = block;
+    p.name = name;
+    const LaunchRecord rec = dev.launch_sync(p, mk(out.data()));
+    EXPECT_EQ(hash_out(out), golden.out_hash)
+        << name << ": outputs differ from the golden (workers=" << workers
+        << ")";
+    EXPECT_EQ(modeled_counts(rec.stats), golden.counts)
+        << name << " workers=" << workers;
+    EXPECT_EQ(rec.time.total_ms, golden.total_ms)
+        << name << " workers=" << workers;
+    EXPECT_EQ(rec.stats.fibers_created + rec.stats.fiber_reuses,
+              golden.fibers_per_block * grid.count())
+        << name << " workers=" << workers;
+  }
+}
+
+TEST(SchedulerInline, EarlyExitsAheadOfTwoBarriers) {
+  // Threads 0-4 and every 7th leave before the first barrier, every
+  // 11th between the two; the rest stage a 2-D tile and count
+  // themselves with a shared atomic.
+  expect_inline_golden(
+      [](std::uint64_t* out) -> KernelFn {
+        return [out] {
+          auto& t = this_thread();
+          const std::uint64_t n = t.block_dim.count();
+          const std::uint64_t flat = global_flat(t);
+          auto* sh = static_cast<std::uint64_t*>(
+              t.block->shared_alloc(t, (n + 1) * sizeof(std::uint64_t), 8));
+          const std::uint64_t id = identity(t);
+          if (t.flat_tid < 5 || t.flat_tid % 7 == 3) {
+            out[flat] = id ^ 0xdead;
+            return;
+          }
+          sh[t.flat_tid] = id;
+          atomic_add(&sh[n], std::uint64_t{1});
+          t.block->sync_threads(t);
+          const std::uint64_t v = sh[(t.flat_tid + 13) % n] + sh[n] * 1000;
+          if (t.flat_tid % 11 == 5) {
+            out[flat] = v;
+            return;
+          }
+          t.block->sync_threads(t);
+          out[flat] = v ^ (id << 1) ^ identity(t);
+        };
+      },
+      "inline_early_exit", {3, 2}, {8, 12},
+      {0x69eeefdfdbd244dfull,
+       LaunchStats{.blocks = 6, .threads = 576, .block_barriers = 12,
+                   .atomics = 468},
+       0x1.a79fec99f1ae3p-10, 78});
+}
+
+TEST(SchedulerInline, WarpCollectiveInOneWarpOnly) {
+  // Only warp 1 shuffles and votes; warps 0, 2 and 3 never block, and
+  // warp 3 is partial.
+  expect_inline_golden(
+      [](std::uint64_t* out) -> KernelFn {
+        return [out] {
+          auto& t = this_thread();
+          const std::uint64_t flat = global_flat(t);
+          if (t.warp_id != 1) {
+            out[flat] = identity(t);
+            return;
+          }
+          std::uint64_t v = flat + 1;
+          for (std::uint64_t d = 1; d < 32; d <<= 1)
+            v += t.warp->collective(t, WarpOp::kShflXor, v, d, ~0ull);
+          const std::uint64_t ballot = t.warp->collective(
+              t, WarpOp::kBallot, t.lane % 3 == 0, 0, ~0ull);
+          out[flat] = v ^ ballot ^ identity(t);
+        };
+      },
+      "inline_one_warp", {5}, {110},
+      {0x7a60aaed66d1fb9cull,
+       LaunchStats{.blocks = 5, .threads = 550, .warp_collectives = 30},
+       0x1.a7348ccf86bb7p-11, 33});
+}
+
+TEST(SchedulerInline, SparseBarrierWaitersOnA3DBlock) {
+  // Only every 10th thread reaches the barrier; the others exit, and
+  // the barrier releases when the last of them does. Each waiter parks
+  // mid-block, so the threads after it start on a context carried from
+  // the waiter's.
+  expect_inline_golden(
+      [](std::uint64_t* out) -> KernelFn {
+        return [out] {
+          auto& t = this_thread();
+          const std::uint64_t flat = global_flat(t);
+          auto* sh = static_cast<std::uint64_t*>(
+              t.block->shared_alloc(t, sizeof(std::uint64_t), 8));
+          const std::uint64_t id = identity(t);
+          if (t.flat_tid % 10 != 9) {
+            *sh += 1;
+            out[flat] = id;
+            return;
+          }
+          t.block->sync_threads(t);
+          out[flat] = id * 31 + *sh + identity(t);
+        };
+      },
+      "inline_sparse_3d", {2, 1, 2}, {4, 5, 6},
+      {0x8e49aa0fe6290e83ull,
+       LaunchStats{.blocks = 4, .threads = 480, .block_barriers = 4},
+       0x1.acde19fc2a887p-11, 12});
+}
+
+TEST(SchedulerInline, ThrowFromAnInlineThreadAfterAnotherParked) {
+  // Thread 3 parks at the barrier; threads 4-8 then run and finish,
+  // and thread 9 throws. The exception reaches the launch, no kernel
+  // context is left on the launching thread, and what ran before the
+  // throw is what the golden recorded.
+  Device dev = make_dev(1);
+  std::vector<std::uint64_t> out(64, 0);
+  std::uint64_t* data = out.data();
+  LaunchParams p;
+  p.grid = {1};
+  p.block = {64};
+  p.name = "inline_throw";
+  try {
+    dev.launch_sync(p, [data] {
+      auto& t = this_thread();
+      data[t.flat_tid] = identity(t) + 1;
+      if (t.flat_tid == 9) throw std::runtime_error("thread 9 failed");
+      if (t.flat_tid == 3) t.block->sync_threads(t);
+    });
+    FAIL() << "expected the kernel's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "thread 9 failed");
+  }
+  EXPECT_EQ(hash_out(out), 0xa3b3d3fd8f57c52cull);
+  EXPECT_FALSE(in_kernel());
+  std::uint64_t host_counter = 5;
+  EXPECT_EQ(atomic_add(&host_counter, std::uint64_t{2}), 5u);
+  EXPECT_EQ(host_counter, 7u);
+  // The device runs the next launch as usual.
+  const LaunchRecord rec = dev.launch_sync(p, [data] {
+    auto& t = this_thread();
+    t.block->sync_threads(t);
+    data[t.flat_tid] = t.flat_tid;
+  });
+  EXPECT_EQ(rec.stats.block_barriers, 1u);
+  EXPECT_EQ(out[63], 63u);
+}
+
 /// Sets the process-wide exec policy for a scope and restores the
 /// previous one on exit, also when the launch inside throws.
 struct ScopedPolicy {
@@ -198,14 +393,6 @@ RunResult run_exec(ExecPolicy policy, unsigned workers, const KernelMaker& mk,
   p.name = name;
   r.rec = dev.launch_sync(p, mk(r.out.data()));
   return r;
-}
-
-/// `s` without the counters that describe how the host ran the launch
-/// (fibers, lane loops, deflations, steals), which differ by design.
-LaunchStats modeled_counts(LaunchStats s) {
-  s.fibers_created = s.fiber_reuses = s.sched_steals = 0;
-  s.sched_lane_loops = s.sched_deflations = 0;
-  return s;
 }
 
 /// Runs hinted `mk` on fibers (OMPX_EXEC=fiber) and routed direct

@@ -205,8 +205,13 @@ TEST(BlockPool, HelperExceptionPropagatesEveryTime) {
                  std::runtime_error)
         << "launch " << i;
   }
+  // Under another name: a launch that returns records its block cost,
+  // and a cheap record for "pool_helper_throw" would keep the next
+  // repetition's 16 blocks on the launching thread, where they wait
+  // for a helper that never comes.
   std::atomic<int> n{0};
   lp.grid = {64};
+  lp.name = "pool_after_helper_throw";
   dev.launch_sync(lp, [&] { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 64);
 }
