@@ -153,8 +153,10 @@ void BlockState::reset_for_replay() {
 template <bool kOnFiber>
 void BlockState::lane_loop(ThreadCtx& ctx) {
   const NextLane next = next_lane();
+  const bool probed = probe != nullptr;
   t_ctx = &ctx;
   while (next_thread_ < next.nthreads) {
+    if (probed) probe_step();
     next_thread_++;
     kernel_();
     if constexpr (kOnFiber) on_thread_exit(ctx);
@@ -311,7 +313,9 @@ void BlockState::run_cooperative() {
   // A kernel's exception reaches here through resume(): the launching
   // thread must not stay "inside" this block once it unwinds.
   CtxRestore restore{nullptr};
+  const bool probed = probe != nullptr;
   while (live_ > 0) {
+    if (probed) probe_step();
     Fiber* f;
     if (next_thread_ < nthreads_) {
       f = acquire_fiber();

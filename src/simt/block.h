@@ -121,6 +121,11 @@ class BlockState {
   /// This block's event counts (blocks/threads and the runtime-mode
   /// flags stay zero; the launch header carries them).
   [[nodiscard]] const LaunchStats& counters() const { return counters_; }
+  /// While set, the block's scheduling loops call probe(probe_arg) at
+  /// their 32nd, 64th, 128th, ... step (a thread start or a fiber
+  /// resume): the launcher's fan-out check (BlockJob::run, device.cpp).
+  void (*probe)(void*) = nullptr;
+  void* probe_arg = nullptr;
   [[nodiscard]] std::size_t shared_high_water() const {
     return arena_.high_water();
   }
@@ -230,6 +235,12 @@ class BlockState {
   // nest).
   bool direct_released_ = false;
   bool in_run_lanes_ = false;
+  // Scheduling steps taken while `probe` is set.
+  std::uint32_t probe_steps_ = 0;
+  void probe_step() {
+    if (++probe_steps_ >= 32 && (probe_steps_ & (probe_steps_ - 1)) == 0)
+      probe(probe_arg);
+  }
 
   // Shared-allocation funnel. first_tid remembers who established the
   // variable so a mismatch diagnostic can name both threads.

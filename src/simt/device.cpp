@@ -1,7 +1,6 @@
 #include "simt/device.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -46,6 +45,14 @@ FiberPool& thread_fiber_pool() {
 
 // --- the host thread pool -------------------------------------------------
 
+/// Host ns below which a grid runs faster on its launching thread alone
+/// than fanned out: block helpers wake tens of µs after the post, so
+/// they only take blocks off a grid that keeps the launcher busy that
+/// long. On the 4-core dev box, 16 blocks at workers 4 vs 1 took
+/// 11.3 vs 4.5 µs per launch when empty, 31 vs 22 µs at 1 µs per block
+/// and 37 vs 39 µs at 2 µs per block (the break-even).
+constexpr double kFanOutNs = 30'000;
+
 /// One launch's blocks, shared by its participants: each pulls chunks
 /// off `next`, then folds in its counters and error (a helper under the
 /// pool lock, the launcher after every helper has left).
@@ -64,23 +71,53 @@ struct BlockJob {
   std::condition_variable drained{};
   std::atomic<std::uint64_t> next{0};
 
-  /// Runs chunks until none are left, counting its blocks in `ran`. A
-  /// throwing block drains the queue (fail fast); the exception is
-  /// returned, not thrown.
-  std::exception_ptr run(LaunchStats& acc, std::uint64_t& ran) {
+  /// Runs blocks until none are left. A launcher with helpers to wake
+  /// (`probing`) first pulls one block at a time and calls `wake` once
+  /// the blocks it ran say the blocks left take at least kFanOutNs,
+  /// checked after each block and, through BlockState::probe, during
+  /// block 0; from then on, and on helpers, it pulls chunks. A throwing
+  /// block drains the queue (fail fast); the exception is returned, not
+  /// thrown.
+  template <typename Wake>
+  std::exception_ptr run(LaunchStats& acc, bool probing, Wake&& wake) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t end = 0;
+    // Until the post, this thread alone pulls: `end` blocks are run or
+    // running and `nblocks - end` are left. A running block counts as
+    // run: its cost so far is a lower bound on its whole cost, so a
+    // check that passes during it would pass after it too.
+    auto check = [&] {
+      if (!probing) return;
+      const double ns = std::chrono::duration<double, std::nano>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      if (ns / static_cast<double>(end) * static_cast<double>(nblocks - end) >=
+          kFanOutNs) {
+        probing = false;
+        wake();
+      }
+    };
     try {
-      for (bool first = true;; first = false) {
+      for (std::uint64_t chunks = 0;;) {
+        const std::uint64_t step = probing ? 1 : chunk;
         const std::uint64_t b0 =
-            next.fetch_add(chunk, std::memory_order_relaxed);
+            next.fetch_add(step, std::memory_order_relaxed);
         if (b0 >= nblocks) return nullptr;
-        if (!first) acc.sched_steals++;
-        for (std::uint64_t b = b0; b < std::min(nblocks, b0 + chunk); ++b) {
+        if (!probing && chunks++ > 0) acc.sched_steals++;
+        end = std::min(nblocks, b0 + step);
+        for (std::uint64_t b = b0; b < end; ++b) {
           BlockState block(dev, params, block_id(params, b), kernel,
                            thread_fiber_pool());
+          if (probing && b == 0) {  // the block every launch starts with
+            block.probe = [](void* c) {
+              (*static_cast<decltype(check)*>(c))();
+            };
+            block.probe_arg = &check;
+          }
           block.run();
           acc += block.counters();
-          ++ran;
         }
+        check();
       }
     } catch (...) {
       next.store(nblocks, std::memory_order_relaxed);
@@ -95,9 +132,10 @@ struct BlockJob {
 };
 
 /// The process's one host thread pool. A multi-block launch posts its
-/// job to the block helpers and runs chunks too; once they run out it
-/// closes the job and waits only for helpers that already joined, which
-/// run nothing but this job's blocks, so concurrent and nested launches
+/// job to the block helpers once its own first blocks show the grid is
+/// worth it, and keeps running chunks; once they run out it closes the
+/// job and waits only for helpers that already joined, which run
+/// nothing but this job's blocks, so concurrent and nested launches
 /// cannot deadlock. One-off tasks (stream drains, serve drains, watchdog
 /// monitors) run on task helpers and never queue: the warmest idle one
 /// takes a task, else a new one. Block helpers are spawned up to the
@@ -110,26 +148,23 @@ class HostPool {
     return *pool;                          // whose work runs on it
   }
 
-  /// Runs `job` on the calling thread and up to `helpers` pool threads.
-  /// Returns the host ns per block of the blocks the calling thread ran
-  /// itself, or 0 if it ran none.
-  std::uint64_t run(BlockJob& job, unsigned helpers) {
-    if (helpers > 0) post(job, helpers);
+  /// Runs `job` on the calling thread, which wakes up to `helpers` pool
+  /// threads for it once its own first blocks show the grid is worth
+  /// it (BlockJob::run).
+  void run(BlockJob& job, unsigned helpers) {
+    bool posted = false;
     LaunchStats acc;
-    std::uint64_t ran = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    std::exception_ptr err = job.run(acc, ran);
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    if (helpers > 0) {
+    std::exception_ptr err = job.run(acc, helpers > 0, [&] {
+      post(job, helpers);
+      posted = true;
+    });
+    if (posted) {
       std::unique_lock lock(mu_);
       if (job.open > 0) std::erase(jobs_, &job);
       job.drained.wait(lock, [&] { return job.running == 0; });
     }
     job.fold(acc, std::move(err));  // every helper has folded and left
     if (job.error) std::rethrow_exception(job.error);
-    return ran == 0 ? 0 : static_cast<std::uint64_t>(ns) / ran;
   }
 
   void post(std::function<void()> task) {
@@ -238,8 +273,7 @@ class HostPool {
       ++job->running;
       lock.unlock();
       LaunchStats acc;
-      std::uint64_t blocks = 0;
-      std::exception_ptr err = job->run(acc, blocks);
+      std::exception_ptr err = job->run(acc, false, [] {});
       lock.lock();
       ran = true;
       job->fold(acc, std::move(err));
@@ -257,41 +291,6 @@ class HostPool {
   std::vector<Helper*> idle_tasks_;  ///< task helpers; back = ran last
   std::vector<BlockJob*> jobs_;      ///< open jobs, oldest first
 };
-
-/// Host ns below which a grid runs faster on its launching thread alone
-/// than fanned out: block helpers wake tens of µs after the post, so
-/// they only take blocks off a grid that keeps the launcher busy that
-/// long. On the 4-core dev box, 16 blocks at workers 4 vs 1 took
-/// 11.3 vs 4.5 µs per launch when empty, 31 vs 22 µs at 1 µs per block
-/// and 37 vs 39 µs at 2 µs per block (the break-even).
-constexpr double kFanOutNs = 30'000;
-
-/// One kernel's host ns per block on the thread that launched it, as
-/// its last launch that did not throw measured.
-struct BlockCost {
-  std::atomic<const char*> name{nullptr};
-  std::atomic<std::uint64_t> ns_per_block{0};
-};
-
-/// The block-cost table: 64 direct-mapped slots of relaxed atomics,
-/// keyed by the params.name pointer (compared, never read), so names
-/// sharing a slot evict each other. It is process-wide, not per Device:
-/// the cost belongs to the kernel and the host, not to the simulated
-/// device, and it stays off the heap. A stale entry (a concurrent
-/// launch pairing one name with another's cost, a new name at a freed
-/// one's address) misplaces one launch's blocks on OS threads, nothing
-/// else.
-constinit std::array<BlockCost, 64> g_block_costs{};
-
-/// `name`'s slot (Fibonacci hashing of the pointer: the high bits of
-/// the product mix every bit of the address, and string literals sit a
-/// few bytes apart).
-BlockCost& block_cost(const char* name) {
-  const std::uint64_t h =
-      std::uint64_t{reinterpret_cast<std::uintptr_t>(name)} *
-      0x9E3779B97F4A7C15ull;
-  return g_block_costs[(h >> 32) % g_block_costs.size()];
-}
 
 // --- lane-execution policy + per-kernel hint registry --------------------
 
@@ -539,37 +538,19 @@ LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
 LaunchStats Device::run_blocks(const LaunchParams& params,
                                const KernelFn& kernel) {
   const std::uint64_t nblocks = params.grid.count();
-  // A grid its kernel's last launch says the calling thread finishes
-  // in less time than one fan-out costs runs on the calling thread
-  // alone. A kernel the table does not know fans out.
-  BlockCost& cost = block_cost(params.name);
-  const bool small =
-      cost.name.load(std::memory_order_relaxed) == params.name &&
-      static_cast<double>(nblocks) *
-              static_cast<double>(
-                  cost.ns_per_block.load(std::memory_order_relaxed)) <
-          kFanOutNs;
   // Blocks are independent (CUDA semantics: no inter-block ordering),
   // so participants pull chunks from a shared atomic queue instead of a
   // static partition: an irregular block (XSBench/RSBench lookups)
   // delays only its own chunk while the others keep stealing the rest.
-  // Results are identical for any worker count or chunk size.
+  // Whether helpers join at all is decided by this launch's own first
+  // blocks (BlockJob::run). Results are identical for any worker count
+  // or chunk size.
   const unsigned n =
-      small ? 1
-            : static_cast<unsigned>(
-                  std::min<std::uint64_t>(opts_.workers, nblocks));
+      static_cast<unsigned>(std::min<std::uint64_t>(opts_.workers, nblocks));
   const std::uint64_t chunk =
-      n == 1 ? nblocks
-      : opts_.steal_chunk_blocks != 0
-          ? opts_.steal_chunk_blocks
-          : std::max<std::uint64_t>(1, nblocks / (8ull * n));
+      n == 1 ? nblocks : std::max<std::uint64_t>(1, nblocks / (8ull * n));
   BlockJob job{*this, params, kernel, nblocks, chunk, launch_header(params)};
-  // A launch that throws leaves the table as it was.
-  const std::uint64_t ns_per_block = HostPool::instance().run(job, n - 1);
-  if (ns_per_block != 0) {
-    cost.ns_per_block.store(ns_per_block, std::memory_order_relaxed);
-    cost.name.store(params.name, std::memory_order_relaxed);
-  }
+  HostPool::instance().run(job, n - 1);
   return job.stats;
 }
 

@@ -108,13 +108,10 @@ struct EngineOptions {
   /// for. 0 means the host's hardware concurrency (>= 1), resolved once
   /// when the Device is built, so Device::options().workers is never 0.
   /// 1 runs every block on the launching thread, and so does a launch
-  /// whose blocks last ran too briefly to pay for waking helpers (see
-  /// Device::run_blocks). Simulation results are identical for any
-  /// value; only host wall time changes.
+  /// whose own first blocks say the rest finish before a helper could
+  /// wake (see Device::run_blocks). Simulation results are identical
+  /// for any value; only host wall time changes.
   unsigned workers = 0;
-  /// Blocks grabbed per atomic fetch of the work-stealing launch queue
-  /// (0 = auto: ~8 chunks per worker, at least 1 block).
-  std::uint64_t steal_chunk_blocks = 0;
 };
 
 /// One completed kernel launch: measured stats + modeled time.
@@ -293,9 +290,9 @@ class Device {
                       const BlockCache* cached, LaunchRecord* rec);
   /// The block-execution core: the grid's blocks, in work-stealing
   /// chunks, on the calling thread and the host pool's block helpers,
-  /// with every participant's counters folded in. A grid that its
-  /// kernel's last launch says the calling thread runs faster than a
-  /// fan-out costs stays on the calling thread.
+  /// with every participant's counters folded in. Helpers are woken
+  /// only once the calling thread's own first blocks say the rest take
+  /// longer than a fan-out costs.
   [[nodiscard]] LaunchStats run_blocks(const LaunchParams& params,
                                        const KernelFn& kernel);
 

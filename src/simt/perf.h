@@ -91,7 +91,10 @@ struct LaunchStats {
   std::uint64_t fiber_reuses = 0;    ///< fibers re-armed, not constructed
                                      ///< (fibers acquired: created + reuses)
   std::uint64_t sched_steals = 0;    ///< block chunks grabbed beyond each
-                                     ///< worker's first (dynamic rebalance)
+                                     ///< worker's first (dynamic rebalance);
+                                     ///< the launcher's one-block pulls
+                                     ///< before it wakes helpers are not
+                                     ///< chunks
   std::uint64_t sched_lane_loops = 0;  ///< threads run as plain calls
                                        ///< (ExecMode::kDirect), fiber-free
   std::uint64_t sched_deflations = 0;  ///< always 0: kept for readers of

@@ -732,36 +732,4 @@ TEST(SchedulerDeadlock, CensusMessageShapeIdenticalAcrossSchedulers) {
   }
 }
 
-TEST(SchedulerOptions, ExplicitStealChunkProducesSameResults) {
-  // steal_chunk_blocks only changes how blocks are batched onto
-  // workers, never what they compute.
-  const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
-    return [out] {
-      auto& t = this_thread();
-      const std::uint64_t flat =
-          t.grid_dim.linear(t.block_idx) * t.block_dim.count() + t.flat_tid;
-      t.block->sync_threads(t);
-      out[flat] = flat * 13 + 5;
-    };
-  };
-  const RunResult ref = run_one(1, mk, "chunk");
-  for (const std::uint64_t chunk : {1ull, 2ull, 64ull}) {
-    DeviceConfig c = make_sim_a100_config();
-    c.name = "sched-test";
-    EngineOptions o;
-    o.workers = 3;
-    o.steal_chunk_blocks = chunk;
-    Device dev(c, o);
-    std::vector<std::uint64_t> out(kBlocks * kThreads, 0);
-    LaunchParams p;
-    p.grid = {kBlocks};
-    p.block = {kThreads};
-    p.name = "chunk";
-    const LaunchRecord rec = dev.launch_sync(p, mk(out.data()));
-    EXPECT_EQ(out, ref.out) << "chunk=" << chunk;
-    EXPECT_EQ(rec.stats.block_barriers, ref.rec.stats.block_barriers);
-    EXPECT_EQ(rec.time.total_ms, ref.rec.time.total_ms);
-  }
-}
-
 }  // namespace

@@ -5,7 +5,7 @@
 // keeps its threads' fiber caches warm across launches. The same pool is
 // the process's only host thread pool: stream executors, serve
 // schedulers and the watchdog monitor post their work to it instead of
-// owning threads. A grid whose blocks its kernel's last launch ran
+// owning threads. A grid whose own first blocks say the rest finish
 // quickly stays on the launching thread instead of waking helpers.
 #include <gtest/gtest.h>
 
@@ -118,6 +118,20 @@ void spin_until(Pred done) {
     std::this_thread::yield();
 }
 
+/// Spins the calling OS thread for `ns` of wall time.
+void spin_for(std::chrono::nanoseconds ns) {
+  const auto until = std::chrono::steady_clock::now() + ns;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// A block this long on the launching thread makes it wake helpers for
+/// the blocks after it: well past the 30 µs a fan-out costs (kFanOutNs
+/// in device.cpp) even with one block left. Before that, no helper is
+/// awake, so a test whose blocks wait for other OS threads runs the
+/// launcher's first block (always block 0) this long instead.
+constexpr std::chrono::microseconds kWakesHelpers{200};
+
 TEST(BlockPool, ProcessThreadCountStaysBounded) {
   // Launches on a 2-worker and a 6-worker device share one pool of at
   // most 6 - 1 helpers; nothing is spawned per launch.
@@ -191,8 +205,8 @@ TEST(BlockPool, HelperExceptionPropagatesEveryTime) {
   lp.mode = ExecMode::kDirect;
   lp.name = "pool_helper_throw";
   for (int i = 0; i < 100; ++i) {
-    // Blocks on the launching thread wait until a helper has thrown,
-    // so every launch fails on a pool thread.
+    // The launcher's later blocks wait until a helper has thrown, so
+    // every launch fails on a pool thread.
     std::atomic<bool> thrown{false};
     EXPECT_THROW(dev.launch_sync(lp,
                                  [&] {
@@ -200,20 +214,14 @@ TEST(BlockPool, HelperExceptionPropagatesEveryTime) {
                                      thrown.store(true);
                                      throw std::runtime_error("helper");
                                    }
-                                   spin_until([&] { return thrown.load(); });
+                                   if (this_thread().block_idx.x == 0)
+                                     spin_for(kWakesHelpers);
+                                   else
+                                     spin_until([&] { return thrown.load(); });
                                  }),
                  std::runtime_error)
         << "launch " << i;
   }
-  // Under another name: a launch that returns records its block cost,
-  // and a cheap record for "pool_helper_throw" would keep the next
-  // repetition's 16 blocks on the launching thread, where they wait
-  // for a helper that never comes.
-  std::atomic<int> n{0};
-  lp.grid = {64};
-  lp.name = "pool_after_helper_throw";
-  dev.launch_sync(lp, [&] { n.fetch_add(1); });
-  EXPECT_EQ(n.load(), 64);
 }
 
 TEST(BlockPool, OneWorkerRunsEveryBlockOnTheCaller) {
@@ -254,7 +262,10 @@ TEST(BlockPool, SecondFiberLaunchCreatesNoFibers) {
         std::lock_guard lock(mu);
         ran.insert(std::this_thread::get_id());
       }
-      spin_until([&] { return distinct() >= 4; });
+      if (t.block_idx.x == 0)
+        spin_for(kWakesHelpers);
+      else
+        spin_until([&] { return distinct() >= 4; });
     }
     t.block->sync_threads(t);
   };
@@ -284,13 +295,6 @@ TEST(BlockPool, SecondFiberLaunchCreatesNoFibers) {
 #endif
 #endif
 
-/// Spins the calling OS thread for `ns` of wall time.
-void spin_for(std::chrono::nanoseconds ns) {
-  const auto until = std::chrono::steady_clock::now() + ns;
-  while (std::chrono::steady_clock::now() < until) {
-  }
-}
-
 /// Distinct OS threads that ran a launch's blocks (lane 0 of each block
 /// records its thread).
 struct ThreadSet {
@@ -301,6 +305,10 @@ struct ThreadSet {
     if (this_thread().flat_tid != 0) return;
     std::lock_guard lock(mu);
     ids.insert(std::this_thread::get_id());
+  }
+  std::size_t size() {
+    std::lock_guard lock(mu);
+    return ids.size();
   }
   std::set<std::thread::id> take() {
     std::lock_guard lock(mu);
@@ -317,30 +325,31 @@ TEST(FanOut, DefaultWorkersIsTheHardwareConcurrency) {
 }
 
 TEST(FanOut, TinyGridStaysOnTheLaunchingThread) {
-  // The first launch of a name fans out (no launch of it was timed
-  // yet); every later one runs its 16 blocks on the launching thread,
-  // which finishes them long before a helper could wake.
+  // 16 one-lane blocks: the launching thread finishes them long before
+  // a helper could wake, so no launch wakes one, a name's first launch
+  // included.
   Device dev = make_dev(4);
   const std::thread::id caller = std::this_thread::get_id();
   LaunchParams lp;
   lp.grid = {16};
   lp.block = {1};
   lp.mode = ExecMode::kDirect;
-  lp.name = "fanout_tiny";
   ThreadSet threads;
   const KernelFn kernel = [&] { threads.note(); };
-  (void)dev.launch_sync(lp, kernel);
-  (void)threads.take();
-  // A launching thread descheduled while it times its blocks (a loaded
-  // host) makes the next launch fan out once; a window of 20 launches
-  // may be retried for that, at most twice.
+  // A launching thread descheduled while it runs its blocks (a loaded
+  // host) fans that launch out; a window of 20 launches, the first of
+  // its own name, may be retried for that, at most twice.
+  const std::string names[] = {"fanout_tiny_0", "fanout_tiny_1",
+                               "fanout_tiny_2"};
   bool stayed = false;
-  for (int window = 0; window < 3 && !stayed; ++window) {
+  for (const std::string& name : names) {
+    lp.name = name.c_str();
     stayed = true;
     for (int i = 0; i < 20; ++i) {
       (void)dev.launch_sync(lp, kernel);
       stayed = stayed && threads.take() == std::set{caller};
     }
+    if (stayed) break;
   }
 #ifdef OMPX_TEST_SLOW_BLOCKS
   GTEST_SKIP() << "blocks are not tiny under a sanitizer";
@@ -368,61 +377,110 @@ TEST(FanOut, ExpensiveBlocksRunOnEveryWorker) {
   }
 }
 
-TEST(FanOut, NamesSharingATableSlotKeepOutputsAndStats) {
-  // 65 names and 64 table slots: at least two names share a slot. In
-  // round r, name i's blocks are expensive iff bit r of i is set, so
-  // every pair of names differs in some round, where one fans out and
-  // the other stays on the caller, evicting each other. Every launch
-  // must match the same launch on a one-worker device.
+TEST(FanOut, EachLaunchDecidesFromItsOwnBlocks) {
+  // One name alternates cheap 16-block launches with ones whose blocks
+  // cost ~200 µs each. No launch inherits the last one's decision:
+  // every expensive launch wakes helpers, every cheap one stays on the
+  // caller, and every launch matches the same launch on a one-worker
+  // device.
   Device fanned = make_dev(4);
   Device alone = make_dev(1);
-  std::vector<std::string> names;
-  for (int i = 0; i < 65; ++i)
-    names.push_back("fanout_slot_" + std::to_string(i));
+  const std::thread::id caller = std::this_thread::get_id();
   constexpr std::uint32_t kBlocks = 16, kThreads = 8;
-  bool saw_fan_out = false, saw_caller_only = false;
+  LaunchParams lp;
+  lp.grid = {kBlocks};
+  lp.block = {kThreads};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "fanout_each_launch";
   ThreadSet threads;
-  for (std::uint64_t round = 0; round < 7; ++round) {
-    for (std::uint64_t i = 0; i < names.size(); ++i) {
-      const bool expensive = (i >> round) & 1;
-      LaunchParams lp;
-      lp.grid = {kBlocks};
-      lp.block = {kThreads};
-      lp.mode = ExecMode::kDirect;
-      lp.name = names[i].c_str();
-      lp.cost.flops_per_thread = static_cast<double>(i);
-      const auto run = [&](Device& dev, std::vector<std::uint64_t>& out,
-                           std::uint64_t& sum) {
-        return dev.launch_sync(lp, [&] {
-          auto& t = this_thread();
-          const std::uint64_t flat =
-              t.grid_dim.linear(t.block_idx) * t.block_dim.count() +
-              t.flat_tid;
-          if (&dev == &fanned) threads.note();
-          if (expensive && t.flat_tid == 0)
-            spin_for(std::chrono::microseconds(10));
-          out[flat] = flat * (i + 1) + round;
-          atomic_add(&sum, flat);
-        });
-      };
-      std::vector<std::uint64_t> out(kBlocks * kThreads), ref(out.size());
-      std::uint64_t sum = 0, ref_sum = 0;
-      LaunchRecord rec = run(fanned, out, sum);
-      LaunchRecord want = run(alone, ref, ref_sum);
-      const std::size_t nthreads = threads.take().size();
-      saw_fan_out = saw_fan_out || nthreads > 1;
-      saw_caller_only = saw_caller_only || nthreads == 1;
-      EXPECT_EQ(out, ref) << names[i] << " round " << round;
-      EXPECT_EQ(sum, ref_sum);
-      rec.stats.sched_steals = want.stats.sched_steals = 0;
-      EXPECT_EQ(rec.stats, want.stats) << names[i] << " round " << round;
-      EXPECT_EQ(rec.time.total_ms, want.time.total_ms);
+  for (std::uint64_t launch = 0; launch < 8; ++launch) {
+    const bool expensive = launch % 2 == 1;
+    lp.cost.flops_per_thread = static_cast<double>(launch);
+    const auto run = [&](Device& dev, std::vector<std::uint64_t>& out,
+                         std::uint64_t& sum) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      return dev.launch_sync(lp, [&] {
+        auto& t = this_thread();
+        const std::uint64_t flat =
+            t.grid_dim.linear(t.block_idx) * t.block_dim.count() + t.flat_tid;
+        if (&dev == &fanned) threads.note();
+        if (expensive && t.flat_tid == 0) {
+          spin_for(std::chrono::microseconds(200));
+          // Past the launcher's first block, hold until a second OS
+          // thread has run a block, so a helper the host wakes late
+          // still shows.
+          while (&dev == &fanned && t.block_idx.x != 0 &&
+                 threads.size() < 2 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        }
+        out[flat] = flat * (launch + 1);
+        atomic_add(&sum, flat);
+      });
+    };
+    std::vector<std::uint64_t> out(kBlocks * kThreads), ref(out.size());
+    std::uint64_t sum = 0, ref_sum = 0;
+    // A cheap launch whose thread is descheduled mid-launch (a loaded
+    // host) fans out; it may be retried for that, at most twice.
+    LaunchRecord rec;
+    std::set<std::thread::id> ran;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      sum = 0;
+      rec = run(fanned, out, sum);
+      ran = threads.take();
+      if (expensive || ran == std::set{caller}) break;
     }
-  }
-  EXPECT_TRUE(saw_fan_out);
+    LaunchRecord want = run(alone, ref, ref_sum);
+    if (expensive) {
+      EXPECT_GT(ran.size(), 1u) << "launch " << launch;
+    } else {
 #ifndef OMPX_TEST_SLOW_BLOCKS
-  EXPECT_TRUE(saw_caller_only);
+      EXPECT_EQ(ran, std::set{caller}) << "launch " << launch;
 #endif
+    }
+    EXPECT_EQ(out, ref) << "launch " << launch;
+    EXPECT_EQ(sum, ref_sum);
+    rec.stats.sched_steals = want.stats.sched_steals = 0;
+    EXPECT_EQ(rec.stats, want.stats) << "launch " << launch;
+    EXPECT_EQ(rec.time.total_ms, want.time.total_ms);
+  }
+}
+
+TEST(FanOut, LongFirstBlockWakesHelpersBeforeItEnds) {
+  // Block 0's 64 threads spin 20 µs each: the launcher's check inside
+  // the block wakes helpers long before the block ends, so its last
+  // thread sees a block run on another OS thread (it waits up to 2 s
+  // for one). A cheap launch of the same name goes first: no launch
+  // inherits another's decision.
+  Device dev = make_dev(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const ExecMode mode : {ExecMode::kDirect, ExecMode::kCooperative}) {
+    LaunchParams lp;
+    lp.grid = {16};
+    lp.block = {64};
+    lp.mode = mode;
+    lp.name = "fanout_long_first_block";
+    (void)dev.launch_sync(lp, [] {});
+    std::atomic<bool> elsewhere{false};
+    bool seen = false;
+    (void)dev.launch_sync(lp, [&] {
+      const auto& t = this_thread();
+      if (std::this_thread::get_id() != caller) {
+        elsewhere.store(true);
+        return;
+      }
+      if (t.block_idx.x != 0) return;
+      spin_for(std::chrono::microseconds(20));
+      if (t.flat_tid != 63) return;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (!elsewhere.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+      seen = elsewhere.load();
+    });
+    EXPECT_TRUE(seen) << exec_mode_name(mode);
+  }
 }
 
 // --- one host thread pool -------------------------------------------------
@@ -533,6 +591,10 @@ TEST(HostPool, StreamKernelFansOutOverTheFullWorkerCount) {
     {
       std::lock_guard lock(mu);
       ran.insert(std::this_thread::get_id());
+    }
+    if (this_thread().block_idx.x == 0) {
+      spin_for(kWakesHelpers);
+      return;
     }
     while (distinct() < 4 && std::chrono::steady_clock::now() < deadline)
       std::this_thread::yield();
