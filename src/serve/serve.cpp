@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "simt/capi.h"
 #include "simt/fault.h"
 #include "simt/stream.h"
 #include "simt/watchdog.h"
@@ -14,8 +13,9 @@
 namespace serve {
 
 /// One client launch making its way through the scheduler. The chunking
-/// fields are touched only by the owning device's drain; the completion
-/// fields are guarded by Server::mu_.
+/// fields are touched only by the client's slot holder (one quantum of a
+/// client is in flight at a time); the completion fields are guarded by
+/// Server::mu_.
 struct Request {
   Request(ClientContext* c, const simt::LaunchParams& p, simt::KernelFn b)
       : client(c), params(p), body(std::move(b)),
@@ -26,7 +26,7 @@ struct Request {
   simt::KernelFn body;
   std::uint64_t id = 0;
 
-  // Chunk progress (the device's drain only).
+  // Chunk progress (the client's slot holder only).
   bool started = false;
   std::uint32_t total = 0;            ///< extent along the split axis
   std::uint32_t next = 0;             ///< next chunk's begin along the axis
@@ -100,11 +100,10 @@ void ClientContext::free(void* ptr) {
 
 // Only the shape is validated at submit time (an empty grid would break
 // the chunking arithmetic). Device-level validation — launch limits,
-// lost-device state, injected faults — happens when the scheduler runs
-// the request, where the failure is classified against the client's
-// stats and a lost device is reset without the submitting thread racing
-// the drain. That matches CUDA: most launch errors surface
-// asynchronously.
+// lost-device state, injected faults — happens when a slot runs the
+// request, where the failure is classified against the client's stats
+// and a lost device is reset. That matches CUDA: most launch errors
+// surface asynchronously.
 static void check_shape(const simt::LaunchParams& p) {
   if (p.grid.count() == 0 || p.block.count() == 0)
     throw std::invalid_argument(std::string("launch '") + p.name +
@@ -117,6 +116,7 @@ std::uint64_t ClientContext::submit(simt::LaunchParams params,
   auto r = std::make_shared<Request>(this, params, std::move(body));
   std::lock_guard lock(server_.mu_);
   server_.submit_locked(*this, r);
+  server_.post_locked(server_.sched_for(dev_));
   return r->id;
 }
 
@@ -126,7 +126,7 @@ simt::LaunchRecord ClientContext::launch(simt::LaunchParams params,
   auto r = std::make_shared<Request>(this, params, std::move(body));
   std::unique_lock lock(server_.mu_);
   server_.submit_locked(*this, r);
-  server_.cv_done_.wait(lock, [&] { return r->done; });
+  server_.wait_locked(lock, *this, r.get());
   if (r->error) {
     // The blocking caller consumes this failure; don't surface it a
     // second time from a later synchronize().
@@ -138,7 +138,7 @@ simt::LaunchRecord ClientContext::launch(simt::LaunchParams params,
 
 void ClientContext::synchronize() {
   std::unique_lock lock(server_.mu_);
-  server_.cv_done_.wait(lock, [&] { return pending_.empty(); });
+  server_.wait_locked(lock, *this, nullptr);
   if (first_error_) {
     std::exception_ptr e = first_error_;
     first_error_ = nullptr;
@@ -181,10 +181,10 @@ Server::~Server() {
       client->pending_.clear();
     }
     cv_done_.notify_all();
-    // A drain mid-quantum finds nothing left to pick and returns.
+    // A slot mid-quantum finds nothing left to pick and returns.
     cv_done_.wait(lock, [&] {
       return std::none_of(scheds_.begin(), scheds_.end(),
-                          [](const auto& s) { return s->draining; });
+                          [](const auto& s) { return s->busy > 0; });
     });
   }
   // Destroy surviving clients (leaked handles): release their device
@@ -204,6 +204,7 @@ Server::DeviceSched& Server::sched_for(simt::Device& dev) {
     if (s->dev == &dev) return *s;
   scheds_.push_back(std::make_unique<DeviceSched>());
   scheds_.back()->dev = &dev;
+  scheds_.back()->slots = dev.options().workers;
   return *scheds_.back();
 }
 
@@ -245,10 +246,12 @@ void Server::destroy_client(ClientContext* client) {
   if (it == clients_.end())
     throw std::invalid_argument(
         "serve: not a live client handle (already destroyed?)");
-  // Teardown ordering: drain the queue first (the scheduler may be
-  // mid-quantum on this client's request), then unhook from the
-  // rotation, then release memory.
-  cv_done_.wait(lock, [&] { return client->pending_.empty(); });
+  // Teardown ordering: drain the queue first (a slot may be mid-quantum
+  // on this client's request), then unhook from the rotation, then
+  // release memory.
+  cv_done_.wait(lock, [&] {
+    return client->pending_.empty() && !client->running_;
+  });
   for (auto& s : scheds_) {
     auto pos = std::find(s->clients.begin(), s->clients.end(), client);
     if (pos != s->clients.end()) s->clients.erase(pos);
@@ -306,43 +309,97 @@ void Server::submit_locked(ClientContext& client,
         client.wrr_progress_ =
             std::max(client.wrr_progress_, c->wrr_progress_);
   client.pending_.push_back(r);
-  if (!sched.draining) {
-    sched.draining = true;
+}
+
+void Server::post_locked(DeviceSched& sched) {
+  std::uint32_t runnable = 0;
+  for (ClientContext* c : sched.clients)
+    if (!c->pending_.empty() && !c->running_) ++runnable;
+  while (sched.busy < sched.slots && sched.posted < runnable) {
+    sched.busy++;
+    sched.posted++;
     simt::run_on_host_pool([this, &sched] { drain(sched); });
   }
 }
 
-std::shared_ptr<Request> Server::pick_locked(DeviceSched& sched) {
+ClientContext* Server::pick_locked(DeviceSched& sched) {
   // Strict priority across classes; within the winning class, the
   // client with the least weighted progress runs next (weighted
   // round-robin that is deterministic and starvation-free).
   ClientContext* best = nullptr;
   for (ClientContext* c : sched.clients) {
-    if (c->pending_.empty()) continue;
+    if (c->pending_.empty() || c->running_) continue;
     if (best == nullptr || c->limits_.priority > best->limits_.priority ||
         (c->limits_.priority == best->limits_.priority &&
          c->wrr_progress_ < best->wrr_progress_))
       best = c;
   }
-  return best != nullptr ? best->pending_.front() : nullptr;
+  return best;
 }
 
 void Server::drain(DeviceSched& sched) {
   std::unique_lock lock(mu_);
-  while (std::shared_ptr<Request> r = pick_locked(sched)) {
-    lock.unlock();
-    run_quantum(sched, r);
-    lock.lock();
-  }
-  sched.draining = false;
-  cv_done_.notify_all();  // ~Server may be waiting for this drain
+  sched.posted--;
+  run_slot(lock, sched, nullptr, nullptr);
   simt::host_pool_task_done();
 }
 
-void Server::run_quantum(DeviceSched& sched,
-                         const std::shared_ptr<Request>& r) {
+void Server::wait_locked(std::unique_lock<std::mutex>& lock,
+                         ClientContext& client, const Request* until) {
+  DeviceSched& sched = sched_for(client.dev_);
+  // Inside a kernel or a stream op this thread is already running
+  // device work, so it leaves the quanta to a drain.
+  const bool may_run = !simt::in_kernel() && !simt::in_stream_op();
+  while (until != nullptr ? !until->done : !client.pending_.empty()) {
+    if (may_run && !client.running_ && sched.busy < sched.slots) {
+      sched.busy++;
+      // Handed back before its first quantum: the freed slot is some
+      // other client's turn, so wait instead of taking it again.
+      if (run_slot(lock, sched, &client, until)) continue;
+    }
+    post_locked(sched);
+    cv_done_.wait(lock);
+  }
+}
+
+bool Server::run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
+                      ClientContext* own, const Request* until) {
+  bool ran = false;
+  for (;;) {
+    ClientContext* next = pick_locked(sched);
+    if (own != nullptr) {
+      const bool done = until != nullptr ? until->done : own->pending_.empty();
+      // Hand the slot back under contention: none is free and the pick
+      // prefers another runnable client (own is runnable, so a pick
+      // other than own is another client).
+      if (done || own->running_ || own->pending_.empty() ||
+          (next != own && sched.busy >= sched.slots))
+        break;
+      next = own;
+    }
+    if (next == nullptr) break;
+    run_quantum(lock, sched, *next);
+    ran = true;
+  }
+  sched.busy--;
+  post_locked(sched);
+  cv_done_.notify_all();  // a waiting caller may take the slot; ~Server
+                          // may be waiting for it
+  return ran;
+}
+
+void Server::run_quantum(std::unique_lock<std::mutex>& lock,
+                         DeviceSched& sched, ClientContext& client) {
+  const std::shared_ptr<Request> r = client.pending_.front();
+  const std::uint32_t quantum = quantum_blocks_;
+  // Quanta side by side share the device's workers: each fanning out
+  // over all of them would put more threads than cores on blocks, and a
+  // launch then waits out the OS time slices of preempted helpers.
+  const unsigned workers = std::max(1u, sched.slots / sched.busy);
+  client.running_ = true;
+  post_locked(sched);  // a free slot may take another runnable client
+  lock.unlock();
   simt::Device& dev = *sched.dev;
-  ClientContext* client = r->client;
 
   if (!r->started) {
     r->total = simt::split_extent(r->params.grid);
@@ -353,11 +410,6 @@ void Server::run_quantum(DeviceSched& sched,
     r->started = true;
   }
 
-  std::uint32_t quantum;
-  {
-    std::lock_guard lock(mu_);
-    quantum = quantum_blocks_;
-  }
   const std::uint32_t remaining = r->total - r->next;
   const std::uint32_t chunk = std::min(
       remaining,
@@ -366,19 +418,24 @@ void Server::run_quantum(DeviceSched& sched,
   simt::LaunchRecord rec;
   std::exception_ptr err;
   bool lost = false;
+  bool rerun = false;      // found the device lost by another launch
   bool timed_out = false;  // single-chunk watchdog overruns included
+  simt::LaunchParams slice = simt::slice_grid(r->params, r->next, chunk);
+  slice.workers = workers;
   try {
-    dev.check_not_lost("serve launch");
-    rec = dev.launch_sync(simt::slice_grid(r->params, r->next, chunk), r->body);
+    rec = dev.launch_sync(slice, r->body);
+  } catch (const simt::DeviceLostError& e) {
+    lost = true;
+    rerun = e.already_lost();
+    if (!rerun) err = std::current_exception();
+  } catch (const simt::TimeoutError&) {
+    err = std::current_exception();
+    timed_out = true;
   } catch (...) {
     err = std::current_exception();
-    const char* what = nullptr;
-    const auto failure = simt::capi::classify_current_exception(&what);
-    lost = failure == simt::capi::Failure::kDeviceLost;
-    timed_out = failure == simt::capi::Failure::kTimeout;
   }
 
-  if (!err) {
+  if (!err && !rerun) {
     r->combined.add(rec);
     r->next += chunk;
     // The modeled watchdog is a per-launch budget: time-slicing must not
@@ -392,46 +449,50 @@ void Server::run_quantum(DeviceSched& sched,
     }
   }
 
-  {
-    std::lock_guard lock(mu_);
-    client->stats_.quanta++;
-    client->wrr_progress_ +=
-        1.0 / static_cast<double>(std::max(1u, client->limits_.weight));
-    if (!err) client->stats_.blocks_executed += rec.stats.blocks;
+  lock.lock();
+  client.running_ = false;
+  if (!rerun) {
+    client.stats_.quanta++;
+    client.wrr_progress_ +=
+        1.0 / static_cast<double>(std::max(1u, client.limits_.weight));
+    if (!err) client.stats_.blocks_executed += rec.stats.blocks;
+  }
 
-    // The request may have been failed under our feet by server
-    // shutdown; don't double-complete it.
-    const bool still_queued =
-        !client->pending_.empty() && client->pending_.front() == r && !r->done;
-    if (still_queued && (err || r->next >= r->total)) {
-      if (err) {
-        client->stats_.launches_failed++;
-        if (timed_out) client->stats_.timeouts++;
-        if (lost) client->stats_.device_losses++;
-        r->error = err;
-        if (!client->first_error_) client->first_error_ = err;
-      } else {
-        r->combined.finish(std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - r->t0)
-                               .count());
-        client->stats_.launches++;
-        // Logged before the waiter wakes: launch() returns with its
-        // record already in the device log.
-        dev.append_launch_record(r->combined.record());
-      }
-      r->done = true;
-      client->pending_.pop_front();
-      cv_done_.notify_all();
+  // The request may have been failed under our feet by server shutdown;
+  // don't double-complete it.
+  const bool still_queued =
+      !client.pending_.empty() && client.pending_.front() == r && !r->done;
+  if (still_queued && (err || r->next >= r->total)) {
+    if (err) {
+      client.stats_.launches_failed++;
+      if (timed_out) client.stats_.timeouts++;
+      if (lost) client.stats_.device_losses++;
+      r->error = err;
+      if (!client.first_error_) client.first_error_ = err;
+    } else {
+      r->combined.finish(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - r->t0)
+                             .count());
+      client.stats_.launches++;
+      // Logged before the waiter wakes: launch() returns with its record
+      // already in the device log.
+      dev.append_launch_record(r->combined.record());
     }
+    r->done = true;
+    client.pending_.pop_front();
+    cv_done_.notify_all();
   }
 
   if (lost) {
     // Graceful degradation: one tenant's poisoned chunk must not take
-    // the device away from its siblings.
+    // the device away from its siblings, and a sibling that found the
+    // device lost runs its chunk again once it is reset.
+    lock.unlock();
     try {
       dev.reset();
     } catch (...) {
     }
+    lock.lock();
   }
 }
 

@@ -9,18 +9,30 @@
 // among its clients at block granularity — every launch is executed as
 // a sequence of grid chunks through the sharding hooks (grid_offset /
 // logical_grid), with a scheduling decision between chunks, so one
-// tenant's huge grid cannot starve the rest. The chunks run in one
-// drain per busy device, a task on the host thread pool
-// (simt::run_on_host_pool); an idle device holds no thread.
+// tenant's huge grid cannot starve the rest.
 //
-// Scheduling is weighted round-robin within the highest non-empty
-// priority class (higher classes run first; equal-priority clients
-// converge to shares proportional to their weights). Admission control
-// rejects submits beyond a client's queue depth with AdmissionError
-// (OMPX_ERROR_ADMISSION) and allocations beyond its memory quota with
-// DeviceOOMError (OMPX_ERROR_OUT_OF_MEMORY). A watchdog timeout or
-// device-lost fault while one client's chunk runs fails only that
-// client's request; the device is reset and sibling clients continue.
+// A device runs up to `Device::options().workers` quanta at once, at
+// most one per client; each runs in a "slot". A blocking launch() or
+// synchronize() takes a free slot and runs its own client's quanta on
+// the calling thread, with no handoff (unless it is inside a kernel or
+// a stream op, where it waits instead). Whatever no caller runs, such
+// as async submits, goes to drains posted to the host thread pool
+// (simt::run_on_host_pool), one per slot in use; an idle device holds
+// no thread. Both run one slot loop.
+//
+// Scheduling decides who gets a slot under contention: weighted
+// round-robin within the highest non-empty priority class (higher
+// classes run first; equal-priority clients converge to shares
+// proportional to their weights). Between quanta, a caller hands its
+// slot back when no slot is free and that pick prefers another
+// runnable client, so a 1-worker device runs exactly the WRR schedule.
+// Admission control rejects submits beyond a client's queue depth with
+// AdmissionError (OMPX_ERROR_ADMISSION) and allocations beyond its
+// memory quota with DeviceOOMError (OMPX_ERROR_OUT_OF_MEMORY). A
+// watchdog timeout or device-lost fault while one client's chunk runs
+// fails only that client's request; the device is reset and sibling
+// clients continue (a sibling's chunk that found the device already
+// lost runs again after the reset, uncharged).
 #pragma once
 
 #include <cstddef>
@@ -118,9 +130,10 @@ class ClientContext {
   std::deque<std::shared_ptr<Request>> pending_;
   std::exception_ptr first_error_;
   double wrr_progress_ = 0.0;  ///< quanta / weight, for the WRR pick
+  bool running_ = false;       ///< a slot is running one of its quanta
 };
 
-/// The process-wide serving daemon: one drain per busy device,
+/// The process-wide serving daemon: up to `workers` slots per device,
 /// time-slicing runnable client requests in `quantum_blocks()` chunks.
 class Server {
  public:
@@ -146,28 +159,50 @@ class Server {
   [[nodiscard]] std::uint32_t quantum_blocks() const;
 
   Server();   // public for tests that want an isolated server
-  ~Server();  // fails queued requests, waits for running drains
+  ~Server();  // fails queued requests, waits for running slots
 
  private:
   friend class ClientContext;
   struct DeviceSched {
     simt::Device* dev = nullptr;
-    bool draining = false;                ///< a drain task is posted
+    std::uint32_t slots = 1;   ///< quanta run at once: dev->options().workers
+    std::uint32_t busy = 0;    ///< slots held by drains and blocking callers
+    std::uint32_t posted = 0;  ///< drains posted that have not started
     std::vector<ClientContext*> clients;  ///< rotation order
   };
 
-  /// A pool task: runs quanta on `sched`'s device until no client there
-  /// has pending work. submit_locked posts it when none is running.
+  /// A pool task holding one of `sched`'s slots (taken when posted).
   void drain(DeviceSched& sched);
-  std::shared_ptr<Request> pick_locked(DeviceSched& sched);
-  void run_quantum(DeviceSched& sched, const std::shared_ptr<Request>& r);
+  /// The one slot loop, entered holding a slot of `sched` and returning
+  /// it. A drain (`own` null) runs the WRR pick's quanta until no client
+  /// is runnable. A blocking caller runs `own`'s quanta until `until` is
+  /// done (null: until its queue is empty), and hands the slot back
+  /// early when no slot is free and the pick prefers another client.
+  /// Returns whether it ran a quantum.
+  bool run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
+                ClientContext* own, const Request* until);
+  /// A blocking caller's wait for `until` (null: `client`'s empty
+  /// queue): runs its client's quanta in a free slot when it may, and
+  /// sleeps otherwise.
+  void wait_locked(std::unique_lock<std::mutex>& lock, ClientContext& client,
+                   const Request* until);
+  /// Posts a drain, taking a slot for it, while a slot is free and a
+  /// runnable client has no drain on its way. Called wherever a client
+  /// may become runnable or a slot may free, so no work is stranded.
+  void post_locked(DeviceSched& sched);
+  /// The runnable client (queued work, no quantum in flight) that WRR
+  /// and priority prefer, or null.
+  ClientContext* pick_locked(DeviceSched& sched);
+  /// Runs `client`'s next quantum off the lock; returns with it held.
+  void run_quantum(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
+                   ClientContext& client);
   DeviceSched& sched_for(simt::Device& dev);
   void submit_locked(ClientContext& client,
                      const std::shared_ptr<Request>& r);
 
   mutable std::mutex mu_;
   std::condition_variable cv_done_;  ///< broadcast on request completion
-                                     ///< and when a drain returns
+                                     ///< and when a slot frees
   bool stopping_ = false;
   std::uint32_t quantum_blocks_ = 64;
   std::uint64_t next_client_id_ = 1;

@@ -14,8 +14,12 @@
 
 namespace simt {
 
+void detail::throw_outside_kernel() {
+  throw std::logic_error("simt::this_thread() called outside a kernel");
+}
+
 namespace {
-thread_local ThreadCtx* t_ctx = nullptr;
+using detail::t_ctx;
 
 /// Makes `ctx` current again when the scope ends, on return or unwind.
 struct CtxRestore {
@@ -51,14 +55,6 @@ const StackBounds& thread_stack() {
   return bounds;
 }
 }  // namespace
-
-ThreadCtx& this_thread() {
-  if (t_ctx == nullptr)
-    throw std::logic_error("simt::this_thread() called outside a kernel");
-  return *t_ctx;
-}
-
-bool in_kernel() { return t_ctx != nullptr; }
 
 BlockState::BlockState(Device& device, const LaunchParams& params,
                        Dim3 block_idx, const KernelFn& kernel,

@@ -418,7 +418,8 @@ void Device::check_not_lost(const char* who) const {
     reason = lost_reason_;
   }
   throw DeviceLostError(std::string(who) + ": device '" + cfg_.name +
-                        "' is lost (" + reason + ")");
+                            "' is lost (" + reason + ")",
+                        /*already_lost=*/true);
 }
 
 void Device::reset() {
@@ -445,9 +446,13 @@ void Device::reset() {
 void Device::validate(const LaunchParams& p) const {
   check_not_lost("kernel launch");
   if (fault_should_fire(FaultSite::kDeviceLost)) {
-    const_cast<Device*>(this)->mark_lost("fault injection at launch of '" +
-                                         std::string(p.name) + "'");
-    check_not_lost("kernel launch");
+    // Thrown here, not re-read through check_not_lost: the device may be
+    // reset by another thread in between, and this launch lost it.
+    const std::string reason =
+        "fault injection at launch of '" + std::string(p.name) + "'";
+    const_cast<Device*>(this)->mark_lost(reason);
+    throw DeviceLostError("kernel launch: device '" + cfg_.name +
+                          "' is lost (" + reason + ")");
   }
   if (p.grid.count() == 0 || p.block.count() == 0)
     throw std::invalid_argument(std::string("launch '") + p.name +
@@ -545,8 +550,11 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
   // Whether helpers join at all is decided by this launch's own first
   // blocks (BlockJob::run). Results are identical for any worker count
   // or chunk size.
+  const unsigned workers = params.workers == 0
+                               ? opts_.workers
+                               : std::min(params.workers, opts_.workers);
   const unsigned n =
-      static_cast<unsigned>(std::min<std::uint64_t>(opts_.workers, nblocks));
+      static_cast<unsigned>(std::min<std::uint64_t>(workers, nblocks));
   const std::uint64_t chunk =
       n == 1 ? nblocks : std::max<std::uint64_t>(1, nblocks / (8ull * n));
   BlockJob job{*this, params, kernel, nblocks, chunk, launch_header(params)};

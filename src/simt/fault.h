@@ -75,7 +75,15 @@ class DeviceOOMError : public std::bad_alloc {
 /// it reports OMPX_ERROR_DEVICE_LOST / klErrorDeviceLost until reset.
 class DeviceLostError : public std::runtime_error {
  public:
-  using std::runtime_error::runtime_error;
+  explicit DeviceLostError(const std::string& what, bool already_lost = false)
+      : std::runtime_error(what), already_lost_(already_lost) {}
+  /// True when the throwing call found the device lost by an earlier
+  /// call (Device::check_not_lost); false when the launch it reports
+  /// lost the device itself, so the loss can be charged to that launch.
+  [[nodiscard]] bool already_lost() const noexcept { return already_lost_; }
+
+ private:
+  bool already_lost_;
 };
 
 /// A launch exceeded the watchdog budget (modeled time) or a stream op

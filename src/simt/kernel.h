@@ -38,12 +38,25 @@ struct ThreadCtx {
   Fiber* fiber = nullptr;       ///< null in direct (non-cooperative) mode
 };
 
+namespace detail {
+/// The context of the GPU thread running on this OS thread; null in
+/// host code. Only the block runner (block.cpp) sets it. A block never
+/// moves between OS threads, so a fiber switch inside it keeps the
+/// pointer valid.
+inline constinit thread_local ThreadCtx* t_ctx = nullptr;
+[[noreturn, gnu::cold]] void throw_outside_kernel();
+}  // namespace detail
+
 /// The context of the GPU thread currently executing on this OS thread.
 /// Throws if called from host code (outside a kernel).
-ThreadCtx& this_thread();
+inline ThreadCtx& this_thread() {
+  if (detail::t_ctx == nullptr) [[unlikely]]
+    detail::throw_outside_kernel();
+  return *detail::t_ctx;
+}
 
 /// True when called from inside a kernel body.
-bool in_kernel();
+inline bool in_kernel() { return detail::t_ctx != nullptr; }
 
 using KernelFn = std::function<void()>;
 
@@ -96,6 +109,12 @@ struct LaunchParams {
   /// False suppresses the per-launch entry in Device::launch_log()
   /// (shards log one combined record on the primary device instead).
   bool log = true;
+  /// Most OS threads that run this launch's blocks, below the device's
+  /// EngineOptions::workers; 0 means the device's. The serve layer
+  /// lowers it while several of a device's quanta run side by side, so
+  /// they share the cores instead of each fanning out over all of them.
+  /// Simulation results are identical for any value.
+  unsigned workers = 0;
 };
 
 /// Block id of the launch's `b`-th block: row-major within `grid`,

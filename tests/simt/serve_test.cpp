@@ -4,12 +4,18 @@
 // admission control, quota enforcement, fault containment (a client
 // whose request times out or loses the device does not disturb its
 // siblings), and clean teardown — including destroy-with-pending-work
-// and the C-ABI / kl client handles. The multithreaded stress test is
-// the tier-1 gate for OMPX_SAN=race,mem,sync and TSan runs.
+// and the C-ABI / kl client handles. The concurrency tests pin the
+// slots: clients' quanta run side by side, a blocking launch runs its
+// own quanta on the calling thread, and it hands its slot back under
+// contention. The multithreaded stress tests are the tier-1 gate for
+// OMPX_SAN=race,mem,sync and TSan runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,6 +40,16 @@ simt::LaunchParams grid1d(std::uint32_t blocks, std::uint32_t threads,
   p.block = {threads, 1, 1};
   p.name = name;
   return p;
+}
+
+/// Spins until `ready()` or `seconds` pass; returns ready().
+template <typename Ready>
+bool spin_until(Ready ready, int seconds = 10) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  while (!ready() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  return ready();
 }
 
 // --- basic execution ------------------------------------------------------
@@ -282,11 +298,16 @@ TEST(ServeAdmission, QueueDepthLimitRejectsWithAdmissionError) {
 
 // --- scheduling: preemption, priority, weights ----------------------------
 
+// The arbitration tests run on one slot, so every quantum is a
+// scheduling decision between the two clients.
+simt::EngineOptions one_slot() { return {.workers = 1}; }
+
 TEST(ServeSched, SmallRequestCompletesWhileHugeOneIsStillRunning) {
+  simt::Device dev(simt::make_sim_a100_config(), one_slot());
   Server server;
   server.set_quantum_blocks(4);
-  ClientContext* huge = server.create_client(&simt::sim_a100());
-  ClientContext* tiny = server.create_client(&simt::sim_a100());
+  ClientContext* huge = server.create_client(&dev);
+  ClientContext* tiny = server.create_client(&dev);
 
   constexpr std::uint32_t kHugeBlocks = 256, kThreads = 32;
   // Hold the worker on a gate so both requests are queued before the
@@ -332,14 +353,15 @@ TEST(ServeSched, SmallRequestCompletesWhileHugeOneIsStillRunning) {
 }
 
 TEST(ServeSched, HigherPriorityClassRunsFirst) {
+  simt::Device dev(simt::make_sim_a100_config(), one_slot());
   Server server;
   server.set_quantum_blocks(2);
   ClientLimits lowlim;
   lowlim.priority = 0;
   ClientLimits highlim;
   highlim.priority = 5;
-  ClientContext* low = server.create_client(&simt::sim_a100(), lowlim);
-  ClientContext* high = server.create_client(&simt::sim_a100(), highlim);
+  ClientContext* low = server.create_client(&dev, lowlim);
+  ClientContext* high = server.create_client(&dev, highlim);
 
   std::mutex mu;
   std::vector<int> order;
@@ -376,14 +398,15 @@ TEST(ServeSched, HigherPriorityClassRunsFirst) {
 }
 
 TEST(ServeSched, WeightsBiasTheShareUnderContention) {
+  simt::Device dev(simt::make_sim_a100_config(), one_slot());
   Server server;
   server.set_quantum_blocks(2);
   ClientLimits heavy_lim;
   heavy_lim.weight = 3;
   ClientLimits light_lim;
   light_lim.weight = 1;
-  ClientContext* heavy = server.create_client(&simt::sim_a100(), heavy_lim);
-  ClientContext* light = server.create_client(&simt::sim_a100(), light_lim);
+  ClientContext* heavy = server.create_client(&dev, heavy_lim);
+  ClientContext* light = server.create_client(&dev, light_lim);
 
   std::mutex mu;
   std::vector<int> order;  // one entry per completed request
@@ -465,6 +488,101 @@ TEST(ServeFault, DeviceLossFailsOnlyTheFaultedClient) {
   EXPECT_EQ(sibling->stats().device_losses, 0u);
   server.destroy_client(victim);
   server.destroy_client(sibling);
+}
+
+TEST(ServeFault, DeviceLossUnderConcurrencyFailsOnlyTheVictim) {
+  // The sibling keeps launching on another slot while the victim's own
+  // launch loses the device. Only the victim fails; the sibling's chunk
+  // that finds the device lost runs again after the reset, uncharged,
+  // and every sibling launch sums exactly.
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 4});
+  Server server;
+  server.set_quantum_blocks(1);  // a device check before every block
+  ClientContext* victim = server.create_client(&dev);
+  ClientContext* sibling = server.create_client(&dev);
+  constexpr std::uint32_t kBlocks = 4, kThreads = 32;
+  constexpr std::uint64_t kN = kBlocks * kThreads;
+  constexpr int kReps = 50;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::atomic<bool> hold{true}, inside{false}, stop{false};
+    std::atomic<int> launched{0}, bad_sums{0}, failed{0};
+    std::thread sib([&] {
+      while (!stop.load()) {
+        std::atomic<std::uint64_t> sum{0};
+        try {
+          (void)sibling->launch(grid1d(kBlocks, kThreads, "serve_sib"), [&] {
+            const simt::ThreadCtx& t = simt::this_thread();
+            sum.fetch_add(t.block_idx.x * kThreads + t.flat_tid);
+            if (t.flat_tid != 0 || t.block_idx.x != 0) return;
+            // Block 0 holds its slot until the victim has lost the
+            // device, so the victim's launch is the only device check
+            // while the fault is armed, and block 1's check follows
+            // the loss closely.
+            inside.store(true);
+            spin_until([&] { return !hold.load() || dev.lost(); });
+          });
+          if (sum.load() != kN * (kN - 1) / 2) bad_sums.fetch_add(1);
+        } catch (...) {
+          failed.fetch_add(1);
+        }
+        launched.fetch_add(1);
+      }
+    });
+    ASSERT_TRUE(spin_until([&] { return inside.load(); })) << "rep " << rep;
+    {
+      ompx::FaultScope fault("device_lost:after=0");
+      EXPECT_THROW(victim->launch(grid1d(2, kThreads, "serve_victim"), [] {}),
+                   simt::DeviceLostError)
+          << "rep " << rep;
+    }
+    hold.store(false);
+    const int seen = launched.load();
+    EXPECT_TRUE(spin_until([&] { return launched.load() >= seen + 3; }))
+        << "rep " << rep;
+    stop.store(true);
+    sib.join();
+    EXPECT_EQ(failed.load(), 0) << "rep " << rep;
+    EXPECT_EQ(bad_sums.load(), 0) << "rep " << rep;
+  }
+  const ClientStats v = victim->stats();
+  const ClientStats s = sibling->stats();
+  EXPECT_EQ(v.device_losses, static_cast<std::uint64_t>(kReps));
+  EXPECT_EQ(v.launches_failed, static_cast<std::uint64_t>(kReps));
+  EXPECT_EQ(v.launches, 0u);
+  EXPECT_EQ(s.launches_failed, 0u);
+  EXPECT_EQ(s.device_losses, 0u);
+  EXPECT_EQ(s.blocks_executed, s.launches * kBlocks);
+  EXPECT_FALSE(dev.lost());
+  server.destroy_client(victim);
+  server.destroy_client(sibling);
+}
+
+TEST(ServeFault, ChunkThatFindsTheDeviceLostRunsAgainUncharged) {
+  // A launch outside the server loses the device. A client's chunk that
+  // then finds it lost was not the cause: its slot resets the device and
+  // runs the chunk again, and the client is charged nothing for it.
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 1});
+  Server server;
+  ClientContext* c = server.create_client(&dev);
+  {
+    ompx::FaultScope fault("device_lost:after=0");
+    EXPECT_THROW((void)dev.launch_sync(grid1d(1, 1, "plain_loses"), [] {}),
+                 simt::DeviceLostError);
+  }
+  ASSERT_TRUE(dev.lost());
+  std::atomic<std::uint64_t> sum{0};
+  (void)c->launch(grid1d(4, 32, "serve_after_loss"), [&] {
+    const simt::ThreadCtx& t = simt::this_thread();
+    sum.fetch_add(t.block_idx.x * 32 + t.flat_tid);
+  });
+  EXPECT_EQ(sum.load(), 128u * 127u / 2);
+  EXPECT_FALSE(dev.lost());
+  const ClientStats st = c->stats();
+  EXPECT_EQ(st.launches, 1u);
+  EXPECT_EQ(st.launches_failed, 0u);
+  EXPECT_EQ(st.device_losses, 0u);
+  EXPECT_EQ(st.quanta, 1u);
+  server.destroy_client(c);
 }
 
 TEST(ServeFault, WatchdogTimeoutIsChargedToTheClient) {
@@ -603,6 +721,176 @@ TEST(ServeStress, ConcurrentClientsKeepIsolatedAccounting) {
   }
   for (ClientContext* c : clients) server.destroy_client(c);
   EXPECT_EQ(server.client_count(), 0u);
+}
+
+// --- concurrency: slots side by side, caller-runs, hand-back -------------
+
+TEST(ServeConcurrency, TwoClientsQuantaOverlapInWallTime) {
+  // Each client's one-thread kernel waits for the other's to arrive:
+  // both can arrive only if their quanta run at the same time.
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 4});
+  Server server;
+  ClientContext* clients[] = {server.create_client(&dev),
+                              server.create_client(&dev)};
+  std::atomic<int> arrived{0};
+  std::atomic<bool> met[2] = {false, false};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i)
+    threads.emplace_back([&, i] {
+      (void)clients[i]->launch(grid1d(1, 1, "serve_rendezvous"), [&, i] {
+        arrived.fetch_add(1);
+        met[i].store(spin_until([&] { return arrived.load() == 2; }));
+      });
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(met[0].load());
+  EXPECT_TRUE(met[1].load());
+  for (ClientContext* c : clients) server.destroy_client(c);
+}
+
+TEST(ServeConcurrency, BlockingLaunchRunsOnTheCallingThread) {
+  // With a slot free, a blocking launch runs its own quanta where it
+  // waits: no drain, no wake-up. One block per quantum, so no block can
+  // go to a block helper either.
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 4});
+  Server server;
+  server.set_quantum_blocks(1);
+  ClientContext* c = server.create_client(&dev);
+  constexpr std::uint32_t kBlocks = 8;
+  std::vector<std::thread::id> ran_on(kBlocks);
+  for (int i = 0; i < 20; ++i) {
+    (void)c->launch(grid1d(kBlocks, 32, "serve_caller_runs"), [&] {
+      const simt::ThreadCtx& t = simt::this_thread();
+      if (t.flat_tid == 0) ran_on[t.block_idx.x] = std::this_thread::get_id();
+    });
+    for (std::uint32_t b = 0; b < kBlocks; ++b)
+      ASSERT_EQ(ran_on[b], std::this_thread::get_id())
+          << "launch " << i << " block " << b;
+  }
+  EXPECT_EQ(c->stats().quanta, 20u * kBlocks);
+  server.destroy_client(c);
+}
+
+TEST(ServeConcurrency, BlockingCallerHandsItsSlotBack) {
+  // One slot, held by a blocking caller running a 64-quantum request. A
+  // tiny request queued meanwhile runs at the caller's next quantum
+  // boundary that WRR gives it, not after the whole huge request.
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 1});
+  Server server;
+  server.set_quantum_blocks(4);
+  ClientContext* huge = server.create_client(&dev);
+  ClientContext* tiny = server.create_client(&dev);
+  constexpr std::uint32_t kHugeBlocks = 256;
+  std::mutex mu;
+  std::vector<char> order;  // one tag per block, in scheduling order
+  std::atomic<bool> started{false}, queued{false};
+  std::thread caller([&] {
+    (void)huge->launch(grid1d(kHugeBlocks, 8, "serve_huge_caller"), [&] {
+      const simt::ThreadCtx& t = simt::this_thread();
+      if (t.flat_tid != 0) return;
+      if (t.block_idx.x == 0) {
+        started.store(true);
+        spin_until([&] { return queued.load(); });
+      }
+      std::lock_guard lock(mu);
+      order.push_back('h');
+    });
+  });
+  ASSERT_TRUE(spin_until([&] { return started.load(); }));
+  (void)tiny->submit(grid1d(4, 8, "serve_tiny_queued"), [&] {
+    if (simt::this_thread().flat_tid != 0) return;
+    std::lock_guard lock(mu);
+    order.push_back('t');
+  });
+  queued.store(true);
+  tiny->synchronize();
+  caller.join();
+  ASSERT_EQ(order.size(), std::size_t{kHugeBlocks} + 4);
+  std::size_t last_tiny = 0, huge_before_tiny = 0;
+  for (std::size_t i = 0; i < order.size(); ++i)
+    if (order[i] == 't') last_tiny = i;
+  for (std::size_t i = 0; i < last_tiny; ++i)
+    if (order[i] == 'h') huge_before_tiny++;
+  EXPECT_LE(huge_before_tiny, 8u)
+      << "the caller kept its slot for " << huge_before_tiny << " blocks";
+  EXPECT_EQ(huge->stats().quanta, kHugeBlocks / 4);
+  server.destroy_client(huge);
+  server.destroy_client(tiny);
+}
+
+TEST(ServeConcurrency, FreedSlotReachesQueuedWork) {
+  // An async request queued while a blocking caller holds the only slot
+  // runs once the caller is done, though nobody waits for it: the freed
+  // slot goes to a drain.
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 1});
+  Server server;
+  ClientContext* holder = server.create_client(&dev);
+  ClientContext* queued = server.create_client(&dev);
+  std::atomic<bool> started{false}, submitted{false}, ran{false};
+  std::thread caller([&] {
+    (void)holder->launch(grid1d(1, 1, "serve_slot_holder"), [&] {
+      started.store(true);
+      spin_until([&] { return submitted.load(); });
+    });
+  });
+  ASSERT_TRUE(spin_until([&] { return started.load(); }));
+  (void)queued->submit(grid1d(1, 1, "serve_queued_async"),
+                       [&] { ran.store(true); });
+  submitted.store(true);
+  caller.join();
+  EXPECT_TRUE(spin_until([&] { return ran.load(); }))
+      << "the queued request never got the freed slot";
+  queued->synchronize();
+  server.destroy_client(holder);
+  server.destroy_client(queued);
+}
+
+TEST(ServeConcurrency, ManyBlockingClientsOnTwoSlotsFinish) {
+  // More blocking clients than slots, each request three quanta: slots
+  // change hands at every boundary, and a freed slot must always reach
+  // a waiting client (a lost wake-up hangs here at 0% CPU).
+#ifdef OMPX_TEST_TSAN
+  constexpr int kClients = 8, kIters = 10;
+#else
+  constexpr int kClients = 16, kIters = 100;
+#endif
+  constexpr std::uint32_t kBlocks = 6, kThreads = 32;
+  constexpr std::uint64_t kN = kBlocks * kThreads;
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 2});
+  Server server;
+  server.set_quantum_blocks(2);
+  std::vector<ClientContext*> clients;
+  for (int i = 0; i < kClients; ++i)
+    clients.push_back(server.create_client(&dev));
+  std::atomic<int> finished{0}, bad_sums{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClients; ++i)
+    threads.emplace_back([&, i] {
+      for (int it = 0; it < kIters; ++it) {
+        const std::uint64_t salt = std::uint64_t(i) * 1000 + it;
+        std::atomic<std::uint64_t> sum{0};
+        (void)clients[i]->launch(grid1d(kBlocks, kThreads, "serve_many"), [&] {
+          const simt::ThreadCtx& t = simt::this_thread();
+          sum.fetch_add(t.block_idx.x * kThreads + t.flat_tid + salt);
+        });
+        if (sum.load() != kN * (kN - 1) / 2 + kN * salt) bad_sums.fetch_add(1);
+      }
+      finished.fetch_add(1);
+    });
+  if (!spin_until([&] { return finished.load() == kClients; }, 60)) {
+    // The clients cannot be joined or abandoned: stop here.
+    std::fprintf(stderr, "ManyBlockingClientsOnTwoSlotsFinish: %d of %d "
+                 "clients finished within 60 s\n", finished.load(), kClients);
+    std::abort();
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad_sums.load(), 0);
+  for (ClientContext* c : clients) {
+    const ClientStats st = c->stats();
+    EXPECT_EQ(st.launches, static_cast<std::uint64_t>(kIters));
+    EXPECT_EQ(st.quanta, std::uint64_t{kIters} * 3);
+    server.destroy_client(c);
+  }
 }
 
 // --- C ABI / kl handles ---------------------------------------------------
