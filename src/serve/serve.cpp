@@ -372,8 +372,7 @@ bool Server::run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
       // Hand the slot back under contention: none is free and the pick
       // prefers another runnable client (own is runnable, so a pick
       // other than own is another client).
-      if (done || own->running_ || own->pending_.empty() ||
-          (next != own && sched.busy >= sched.slots))
+      if (done || own->running_ || (next != own && sched.busy >= sched.slots))
         break;
       next = own;
     }
@@ -392,10 +391,6 @@ void Server::run_quantum(std::unique_lock<std::mutex>& lock,
                          DeviceSched& sched, ClientContext& client) {
   const std::shared_ptr<Request> r = client.pending_.front();
   const std::uint32_t quantum = quantum_blocks_;
-  // Quanta side by side share the device's workers: each fanning out
-  // over all of them would put more threads than cores on blocks, and a
-  // launch then waits out the OS time slices of preempted helpers.
-  const unsigned workers = std::max(1u, sched.slots / sched.busy);
   client.running_ = true;
   post_locked(sched);  // a free slot may take another runnable client
   lock.unlock();
@@ -420,10 +415,8 @@ void Server::run_quantum(std::unique_lock<std::mutex>& lock,
   bool lost = false;
   bool rerun = false;      // found the device lost by another launch
   bool timed_out = false;  // single-chunk watchdog overruns included
-  simt::LaunchParams slice = simt::slice_grid(r->params, r->next, chunk);
-  slice.workers = workers;
   try {
-    rec = dev.launch_sync(slice, r->body);
+    rec = dev.launch_sync(simt::slice_grid(r->params, r->next, chunk), r->body);
   } catch (const simt::DeviceLostError& e) {
     lost = true;
     rerun = e.already_lost();

@@ -550,9 +550,18 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
   // Whether helpers join at all is decided by this launch's own first
   // blocks (BlockJob::run). Results are identical for any worker count
   // or chunk size.
-  const unsigned workers = params.workers == 0
-                               ? opts_.workers
-                               : std::min(params.workers, opts_.workers);
+  //
+  // Launches running side by side on this device (serve slots, kernels
+  // on several streams, host threads) split its workers instead of each
+  // fanning out over all of them: with more threads than cores on
+  // blocks, a launch waits out the OS time slices of preempted helpers.
+  const unsigned side_by_side =
+      launches_running_.fetch_add(1, std::memory_order_relaxed) + 1;
+  struct Leave {
+    std::atomic<unsigned>& running;
+    ~Leave() { running.fetch_sub(1, std::memory_order_relaxed); }
+  } leave{launches_running_};
+  const unsigned workers = std::max(1u, opts_.workers / side_by_side);
   const unsigned n =
       static_cast<unsigned>(std::min<std::uint64_t>(workers, nblocks));
   const std::uint64_t chunk =

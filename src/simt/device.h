@@ -109,8 +109,10 @@ struct EngineOptions {
   /// when the Device is built, so Device::options().workers is never 0.
   /// 1 runs every block on the launching thread, and so does a launch
   /// whose own first blocks say the rest finish before a helper could
-  /// wake (see Device::run_blocks). Simulation results are identical
-  /// for any value; only host wall time changes.
+  /// wake (see Device::run_blocks). Launches running on the device at
+  /// once split it: each gets `workers / k` (at least 1) for `k`
+  /// launches in flight. Simulation results are identical for any
+  /// value; only host wall time changes.
   unsigned workers = 0;
 };
 
@@ -315,6 +317,8 @@ class Device {
   std::atomic<bool> lost_{false};
   mutable std::mutex lost_mu_;
   std::string lost_reason_;
+
+  std::atomic<unsigned> launches_running_{0};  ///< run_blocks in flight
 };
 
 /// Returns the process-wide registry of simulated devices. Index 0 is

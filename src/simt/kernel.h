@@ -109,12 +109,6 @@ struct LaunchParams {
   /// False suppresses the per-launch entry in Device::launch_log()
   /// (shards log one combined record on the primary device instead).
   bool log = true;
-  /// Most OS threads that run this launch's blocks, below the device's
-  /// EngineOptions::workers; 0 means the device's. The serve layer
-  /// lowers it while several of a device's quanta run side by side, so
-  /// they share the cores instead of each fanning out over all of them.
-  /// Simulation results are identical for any value.
-  unsigned workers = 0;
 };
 
 /// Block id of the launch's `b`-th block: row-major within `grid`,

@@ -298,12 +298,11 @@ TEST(ServeAdmission, QueueDepthLimitRejectsWithAdmissionError) {
 
 // --- scheduling: preemption, priority, weights ----------------------------
 
-// The arbitration tests run on one slot, so every quantum is a
-// scheduling decision between the two clients.
-simt::EngineOptions one_slot() { return {.workers = 1}; }
+// The arbitration tests run on one slot ({.workers = 1}), so every
+// quantum is a scheduling decision between the two clients.
 
 TEST(ServeSched, SmallRequestCompletesWhileHugeOneIsStillRunning) {
-  simt::Device dev(simt::make_sim_a100_config(), one_slot());
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 1});
   Server server;
   server.set_quantum_blocks(4);
   ClientContext* huge = server.create_client(&dev);
@@ -353,7 +352,7 @@ TEST(ServeSched, SmallRequestCompletesWhileHugeOneIsStillRunning) {
 }
 
 TEST(ServeSched, HigherPriorityClassRunsFirst) {
-  simt::Device dev(simt::make_sim_a100_config(), one_slot());
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 1});
   Server server;
   server.set_quantum_blocks(2);
   ClientLimits lowlim;
@@ -398,7 +397,7 @@ TEST(ServeSched, HigherPriorityClassRunsFirst) {
 }
 
 TEST(ServeSched, WeightsBiasTheShareUnderContention) {
-  simt::Device dev(simt::make_sim_a100_config(), one_slot());
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 1});
   Server server;
   server.set_quantum_blocks(2);
   ClientLimits heavy_lim;

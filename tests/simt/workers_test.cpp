@@ -377,6 +377,38 @@ TEST(FanOut, ExpensiveBlocksRunOnEveryWorker) {
   }
 }
 
+TEST(FanOut, LaunchesSideBySideSplitTheWorkers) {
+  // The grid of ExpensiveBlocksRunOnEveryWorker, launched while another
+  // thread's launch is still running on the device: the two split its
+  // four workers, so this one runs on two OS threads, not four.
+  Device dev = make_dev(4);
+  std::atomic<bool> inside{false}, release{false};
+  std::thread other([&] {
+    LaunchParams lp;
+    lp.grid = {1};
+    lp.block = {1};
+    lp.name = "fanout_side_hold";
+    (void)dev.launch_sync(lp, [&] {
+      inside.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!inside.load()) std::this_thread::yield();
+  LaunchParams lp;
+  lp.grid = {256};
+  lp.block = {1};
+  lp.mode = ExecMode::kDirect;
+  lp.name = "fanout_side_spin";
+  ThreadSet threads;
+  (void)dev.launch_sync(lp, [&] {
+    threads.note();
+    spin_for(std::chrono::microseconds(200));
+  });
+  release.store(true);
+  other.join();
+  EXPECT_EQ(threads.size(), 2u);
+}
+
 TEST(FanOut, EachLaunchDecidesFromItsOwnBlocks) {
   // One name alternates cheap 16-block launches with ones whose blocks
   // cost ~200 µs each. No launch inherits the last one's decision:
