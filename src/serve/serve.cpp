@@ -110,6 +110,15 @@ static void check_shape(const simt::LaunchParams& p) {
                                 "': empty grid or block");
 }
 
+// A reset that fails leaves the device lost: the next launch on it
+// reports the loss.
+static void reset_device(simt::Device& dev) {
+  try {
+    dev.reset();
+  } catch (...) {
+  }
+}
+
 std::uint64_t ClientContext::submit(simt::LaunchParams params,
                                     simt::KernelFn body) {
   check_shape(params);
@@ -351,20 +360,22 @@ void Server::wait_locked(std::unique_lock<std::mutex>& lock,
   // device work, so it leaves the quanta to a drain.
   const bool may_run = !simt::in_kernel() && !simt::in_stream_op();
   while (until != nullptr ? !until->done : !client.pending_.empty()) {
-    if (may_run && !client.running_ && sched.busy < sched.slots) {
+    // The last free slot goes to the caller only when the pick prefers
+    // its client; otherwise it is another client's turn, for a drain.
+    if (may_run && !client.running_ &&
+        (sched.busy + 1 < sched.slots ||
+         (sched.busy < sched.slots && pick_locked(sched) == &client))) {
       sched.busy++;
-      // Handed back before its first quantum: the freed slot is some
-      // other client's turn, so wait instead of taking it again.
-      if (run_slot(lock, sched, &client, until)) continue;
+      run_slot(lock, sched, &client, until);
+      continue;
     }
     post_locked(sched);
     cv_done_.wait(lock);
   }
 }
 
-bool Server::run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
+void Server::run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
                       ClientContext* own, const Request* until) {
-  bool ran = false;
   for (;;) {
     ClientContext* next = pick_locked(sched);
     if (own != nullptr) {
@@ -378,13 +389,11 @@ bool Server::run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
     }
     if (next == nullptr) break;
     run_quantum(lock, sched, *next);
-    ran = true;
   }
   sched.busy--;
   post_locked(sched);
   cv_done_.notify_all();  // a waiting caller may take the slot; ~Server
                           // may be waiting for it
-  return ran;
 }
 
 void Server::run_quantum(std::unique_lock<std::mutex>& lock,
@@ -413,22 +422,31 @@ void Server::run_quantum(std::unique_lock<std::mutex>& lock,
   simt::LaunchRecord rec;
   std::exception_ptr err;
   bool lost = false;
-  bool rerun = false;      // found the device lost by another launch
   bool timed_out = false;  // single-chunk watchdog overruns included
-  try {
-    rec = dev.launch_sync(simt::slice_grid(r->params, r->next, chunk), r->body);
-  } catch (const simt::DeviceLostError& e) {
-    lost = true;
-    rerun = e.already_lost();
-    if (!rerun) err = std::current_exception();
-  } catch (const simt::TimeoutError&) {
-    err = std::current_exception();
-    timed_out = true;
-  } catch (...) {
-    err = std::current_exception();
+  const simt::LaunchParams slice = simt::slice_grid(r->params, r->next, chunk);
+  for (bool rerun = false;; rerun = true) {
+    try {
+      rec = dev.launch_sync(slice, r->body);
+    } catch (const simt::DeviceLostError& e) {
+      // A chunk whose launch found the device lost by another launch
+      // ran no block: reset the device and run it again, once, and
+      // charge only a failure after that.
+      if (e.already_lost() && !rerun) {
+        reset_device(dev);
+        continue;
+      }
+      err = std::current_exception();
+      lost = true;
+    } catch (const simt::TimeoutError&) {
+      err = std::current_exception();
+      timed_out = true;
+    } catch (...) {
+      err = std::current_exception();
+    }
+    break;
   }
 
-  if (!err && !rerun) {
+  if (!err) {
     r->combined.add(rec);
     r->next += chunk;
     // The modeled watchdog is a per-launch budget: time-slicing must not
@@ -444,12 +462,10 @@ void Server::run_quantum(std::unique_lock<std::mutex>& lock,
 
   lock.lock();
   client.running_ = false;
-  if (!rerun) {
-    client.stats_.quanta++;
-    client.wrr_progress_ +=
-        1.0 / static_cast<double>(std::max(1u, client.limits_.weight));
-    if (!err) client.stats_.blocks_executed += rec.stats.blocks;
-  }
+  client.stats_.quanta++;
+  client.wrr_progress_ +=
+      1.0 / static_cast<double>(std::max(1u, client.limits_.weight));
+  if (!err) client.stats_.blocks_executed += rec.stats.blocks;
 
   // The request may have been failed under our feet by server shutdown;
   // don't double-complete it.
@@ -478,13 +494,9 @@ void Server::run_quantum(std::unique_lock<std::mutex>& lock,
 
   if (lost) {
     // Graceful degradation: one tenant's poisoned chunk must not take
-    // the device away from its siblings, and a sibling that found the
-    // device lost runs its chunk again once it is reset.
+    // the device away from its siblings.
     lock.unlock();
-    try {
-      dev.reset();
-    } catch (...) {
-    }
+    reset_device(dev);
     lock.lock();
   }
 }

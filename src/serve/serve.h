@@ -31,8 +31,9 @@
 // memory quota with DeviceOOMError (OMPX_ERROR_OUT_OF_MEMORY). A
 // watchdog timeout or device-lost fault while one client's chunk runs
 // fails only that client's request; the device is reset and sibling
-// clients continue (a sibling's chunk that found the device already
-// lost runs again after the reset, uncharged).
+// clients continue (a sibling's chunk whose launch found the device
+// already lost ran no block, so it runs once more after a reset,
+// uncharged; a second failure is charged).
 #pragma once
 
 #include <cstddef>
@@ -178,12 +179,11 @@ class Server {
   /// is runnable. A blocking caller runs `own`'s quanta until `until` is
   /// done (null: until its queue is empty), and hands the slot back
   /// early when no slot is free and the pick prefers another client.
-  /// Returns whether it ran a quantum.
-  bool run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
+  void run_slot(std::unique_lock<std::mutex>& lock, DeviceSched& sched,
                 ClientContext* own, const Request* until);
   /// A blocking caller's wait for `until` (null: `client`'s empty
-  /// queue): runs its client's quanta in a free slot when it may, and
-  /// sleeps otherwise.
+  /// queue): runs its client's quanta in a free slot when it may and
+  /// the slot is not another client's turn, and sleeps otherwise.
   void wait_locked(std::unique_lock<std::mutex>& lock, ClientContext& client,
                    const Request* until);
   /// Posts a drain, taking a slot for it, while a slot is free and a

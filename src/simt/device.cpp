@@ -148,13 +148,16 @@ class HostPool {
     return *pool;                          // whose work runs on it
   }
 
-  /// Runs `job` on the calling thread, which wakes up to `helpers` pool
-  /// threads for it once its own first blocks show the grid is worth
-  /// it (BlockJob::run).
-  void run(BlockJob& job, unsigned helpers) {
+  /// Runs `job` on the calling thread. Once its own first blocks show
+  /// the grid is worth it (BlockJob::run), it wakes `claim(helpers)`
+  /// pool threads for it: up to `helpers`, as many as `claim` grants.
+  template <typename Claim>
+  void run(BlockJob& job, unsigned helpers, Claim&& claim) {
     bool posted = false;
     LaunchStats acc;
     std::exception_ptr err = job.run(acc, helpers > 0, [&] {
+      helpers = claim(helpers);
+      if (helpers == 0) return;
       post(job, helpers);
       posted = true;
     });
@@ -410,7 +413,7 @@ void Device::mark_lost(const std::string& reason) {
   lost_.store(true, std::memory_order_release);
 }
 
-void Device::check_not_lost(const char* who) const {
+void Device::check_not_lost(const char* who, bool already_lost) const {
   if (!lost_.load(std::memory_order_acquire)) return;
   std::string reason;
   {
@@ -419,7 +422,7 @@ void Device::check_not_lost(const char* who) const {
   }
   throw DeviceLostError(std::string(who) + ": device '" + cfg_.name +
                             "' is lost (" + reason + ")",
-                        /*already_lost=*/true);
+                        already_lost);
 }
 
 void Device::reset() {
@@ -444,7 +447,10 @@ void Device::reset() {
 }
 
 void Device::validate(const LaunchParams& p) const {
-  check_not_lost("kernel launch");
+  // A launch from host code that finds the device lost here has run no
+  // block yet; one from a kernel body or a stream op is part of other
+  // work, which may have run blocks already.
+  check_not_lost("kernel launch", !in_kernel() && !in_stream_op());
   if (fault_should_fire(FaultSite::kDeviceLost)) {
     // Thrown here, not re-read through check_not_lost: the device may be
     // reset by another thread in between, and this launch lost it.
@@ -552,22 +558,33 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
   // or chunk size.
   //
   // Launches running side by side on this device (serve slots, kernels
-  // on several streams, host threads) split its workers instead of each
-  // fanning out over all of them: with more threads than cores on
-  // blocks, a launch waits out the OS time slices of preempted helpers.
-  const unsigned side_by_side =
-      launches_running_.fetch_add(1, std::memory_order_relaxed) + 1;
-  struct Leave {
-    std::atomic<unsigned>& running;
-    ~Leave() { running.fetch_sub(1, std::memory_order_relaxed); }
-  } leave{launches_running_};
-  const unsigned workers = std::max(1u, opts_.workers / side_by_side);
+  // on several streams, host threads) share its workers: each thread on
+  // its blocks, a launcher or a helper one posted, holds one, and a
+  // launch posts helpers only for workers no other launch holds. With
+  // more threads than cores on blocks, a launch waits out the OS time
+  // slices of preempted helpers.
+  on_blocks_.fetch_add(1, std::memory_order_relaxed);
+  struct Held {
+    std::atomic<unsigned>& on_blocks;
+    unsigned mine = 1;
+    ~Held() { on_blocks.fetch_sub(mine, std::memory_order_relaxed); }
+  } held{on_blocks_};
+  const auto claim = [&](unsigned want) {
+    unsigned cur = on_blocks_.load(std::memory_order_relaxed);
+    unsigned give = 0;
+    do {
+      give = std::min(want, opts_.workers - std::min(opts_.workers, cur));
+    } while (give > 0 && !on_blocks_.compare_exchange_weak(
+                             cur, cur + give, std::memory_order_relaxed));
+    held.mine += give;
+    return give;
+  };
   const unsigned n =
-      static_cast<unsigned>(std::min<std::uint64_t>(workers, nblocks));
+      static_cast<unsigned>(std::min<std::uint64_t>(opts_.workers, nblocks));
   const std::uint64_t chunk =
       n == 1 ? nblocks : std::max<std::uint64_t>(1, nblocks / (8ull * n));
   BlockJob job{*this, params, kernel, nblocks, chunk, launch_header(params)};
-  HostPool::instance().run(job, n - 1);
+  HostPool::instance().run(job, n - 1, claim);
   return job.stats;
 }
 

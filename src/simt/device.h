@@ -110,9 +110,9 @@ struct EngineOptions {
   /// 1 runs every block on the launching thread, and so does a launch
   /// whose own first blocks say the rest finish before a helper could
   /// wake (see Device::run_blocks). Launches running on the device at
-  /// once split it: each gets `workers / k` (at least 1) for `k`
-  /// launches in flight. Simulation results are identical for any
-  /// value; only host wall time changes.
+  /// once share it: a launch posts helpers only for workers that no
+  /// other launch's launcher or helpers hold. Simulation results are
+  /// identical for any value; only host wall time changes.
   unsigned workers = 0;
 };
 
@@ -228,8 +228,9 @@ class Device {
   [[nodiscard]] bool lost() const {
     return lost_.load(std::memory_order_acquire);
   }
-  /// Throws DeviceLostError naming `who` when the device is lost.
-  void check_not_lost(const char* who) const;
+  /// Throws DeviceLostError naming `who` when the device is lost;
+  /// `already_lost` is passed on to it (DeviceLostError::already_lost).
+  void check_not_lost(const char* who, bool already_lost = false) const;
   /// cudaDeviceReset-shaped recovery: clears the lost poison, drains
   /// every stream, and discards any pending asynchronous error so the
   /// device is usable again. Streams the watchdog timed out stay dead
@@ -318,7 +319,9 @@ class Device {
   mutable std::mutex lost_mu_;
   std::string lost_reason_;
 
-  std::atomic<unsigned> launches_running_{0};  ///< run_blocks in flight
+  /// Threads running this device's blocks in run_blocks: launchers and
+  /// the helpers they posted.
+  std::atomic<unsigned> on_blocks_{0};
 };
 
 /// Returns the process-wide registry of simulated devices. Index 0 is

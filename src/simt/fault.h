@@ -77,9 +77,11 @@ class DeviceLostError : public std::runtime_error {
  public:
   explicit DeviceLostError(const std::string& what, bool already_lost = false)
       : std::runtime_error(what), already_lost_(already_lost) {}
-  /// True when the throwing call found the device lost by an earlier
-  /// call (Device::check_not_lost); false when the launch it reports
-  /// lost the device itself, so the loss can be charged to that launch.
+  /// True only when a kernel launch made from host code (not from a
+  /// kernel body or a stream op) found the device lost by an earlier
+  /// call at its entry check, before any of its blocks ran. False for
+  /// the launch that lost the device itself, so the loss can be charged
+  /// to that launch, and for every other call that finds it lost.
   [[nodiscard]] bool already_lost() const noexcept { return already_lost_; }
 
  private:

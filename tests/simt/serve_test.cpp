@@ -584,6 +584,52 @@ TEST(ServeFault, ChunkThatFindsTheDeviceLostRunsAgainUncharged) {
   server.destroy_client(c);
 }
 
+TEST(ServeFault, KernelThatTouchesAnotherLostDeviceFailsOnce) {
+  // The kernel itself launches on a second, lost device after some of
+  // its blocks ran. That loss is the request's own failure: it is
+  // charged once, not run again (which would rerun the blocks and never
+  // clear, since the slot resets only its own device).
+  simt::Device dev(simt::make_sim_a100_config(), {.workers = 1});
+  simt::Device other(simt::make_sim_a100_config(), {.workers = 1});
+  other.mark_lost("test");
+  Server server;
+  server.set_quantum_blocks(4);  // the whole grid is one chunk
+  ClientContext* c = server.create_client(&dev);
+  std::atomic<int> ran{0};
+  std::atomic<bool> threw_lost{false}, finished{false};
+  std::thread caller([&] {
+    try {
+      (void)c->launch(grid1d(4, 32, "serve_touches_lost"), [&] {
+        const simt::ThreadCtx& t = simt::this_thread();
+        if (t.flat_tid != 0) return;
+        ran.fetch_add(1);
+        if (t.block_idx.x == 3)
+          (void)other.launch_sync(grid1d(1, 1, "on_lost_device"), [] {});
+      });
+    } catch (const simt::DeviceLostError&) {
+      threw_lost.store(true);
+    } catch (...) {
+    }
+    finished.store(true);
+  });
+  if (!spin_until([&] { return finished.load(); }, 60)) {
+    std::fprintf(stderr, "KernelThatTouchesAnotherLostDeviceFailsOnce: the "
+                 "launch did not return within 60 s\n");
+    std::abort();
+  }
+  caller.join();
+  EXPECT_TRUE(threw_lost.load());
+  EXPECT_EQ(ran.load(), 4);  // every block ran once
+  const ClientStats st = c->stats();
+  EXPECT_EQ(st.launches, 0u);
+  EXPECT_EQ(st.launches_failed, 1u);
+  EXPECT_EQ(st.device_losses, 1u);
+  EXPECT_EQ(st.quanta, 1u);
+  EXPECT_FALSE(dev.lost());
+  EXPECT_TRUE(other.lost());
+  server.destroy_client(c);
+}
+
 TEST(ServeFault, WatchdogTimeoutIsChargedToTheClient) {
   Server server;
   server.set_quantum_blocks(4);

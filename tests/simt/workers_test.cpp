@@ -377,10 +377,11 @@ TEST(FanOut, ExpensiveBlocksRunOnEveryWorker) {
   }
 }
 
-TEST(FanOut, LaunchesSideBySideSplitTheWorkers) {
+TEST(FanOut, LaunchesSideBySideShareTheWorkers) {
   // The grid of ExpensiveBlocksRunOnEveryWorker, launched while another
-  // thread's launch is still running on the device: the two split its
-  // four workers, so this one runs on two OS threads, not four.
+  // thread's one-block launch is still running on the device: that
+  // launch holds one of the four workers (its launcher), so this one
+  // runs on the other three OS threads, not four.
   Device dev = make_dev(4);
   std::atomic<bool> inside{false}, release{false};
   std::thread other([&] {
@@ -406,7 +407,7 @@ TEST(FanOut, LaunchesSideBySideSplitTheWorkers) {
   });
   release.store(true);
   other.join();
-  EXPECT_EQ(threads.size(), 2u);
+  EXPECT_EQ(threads.size(), 3u);
 }
 
 TEST(FanOut, EachLaunchDecidesFromItsOwnBlocks) {
