@@ -563,7 +563,8 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
   // launch posts helpers only for workers no other launch holds. With
   // more threads than cores on blocks, a launch waits out the OS time
   // slices of preempted helpers.
-  on_blocks_.fetch_add(1, std::memory_order_relaxed);
+  const unsigned held_before =
+      on_blocks_.fetch_add(1, std::memory_order_relaxed);
   struct Held {
     std::atomic<unsigned>& on_blocks;
     unsigned mine = 1;
@@ -579,8 +580,9 @@ LaunchStats Device::run_blocks(const LaunchParams& params,
     held.mine += give;
     return give;
   };
-  const unsigned n =
-      static_cast<unsigned>(std::min<std::uint64_t>(opts_.workers, nblocks));
+  // A launch that finds every worker held runs alone and does not probe.
+  const unsigned n = static_cast<unsigned>(std::min<std::uint64_t>(
+      opts_.workers - std::min(opts_.workers - 1, held_before), nblocks));
   const std::uint64_t chunk =
       n == 1 ? nblocks : std::max<std::uint64_t>(1, nblocks / (8ull * n));
   BlockJob job{*this, params, kernel, nblocks, chunk, launch_header(params)};
