@@ -232,9 +232,8 @@ ompx_result_t ompx_stream_end_capture(ompx_stream_t stream,
                                       ompx_graph_t* graph);
 /// 1 while `stream` is capturing, 0 otherwise (including null/invalid).
 int ompx_stream_is_capturing(ompx_stream_t stream);
-/// Validates and bakes the graph (lane-exec resolution, cached blocks) so
-/// replays skip per-launch setup. Optional: the first launch
-/// instantiates on demand.
+/// Validates and bakes the graph (lane-exec resolution) so replays skip
+/// per-launch setup. Optional: the first launch instantiates on demand.
 ompx_result_t ompx_graph_instantiate(ompx_graph_t graph);
 /// Enqueues one replay of the whole captured sequence on `stream`.
 ompx_result_t ompx_graph_launch(ompx_graph_t graph, ompx_stream_t stream);

@@ -69,7 +69,6 @@ BlockState::BlockState(Device& device, const LaunchParams& params,
   warps_.reserve(nwarps);
   for (std::uint32_t w = 0; w < nwarps; ++w)
     warps_.emplace_back(*this, w, std::min(ws, nthreads_ - w * ws));
-  shared_alloc_ordinal_.assign(nthreads_, 0);
 }
 
 ThreadCtx BlockState::first_ctx() {
@@ -118,20 +117,6 @@ void BlockState::run() {
   } else {
     run_direct();
   }
-}
-
-void BlockState::reset_for_replay() {
-  if (params_.mode != ExecMode::kDirect)
-    throw std::logic_error(
-        "BlockState::reset_for_replay: direct-mode blocks only");
-  counters_.reset();
-  arena_.reset();
-  shared_vars_.clear();
-  std::fill(shared_alloc_ordinal_.begin(), shared_alloc_ordinal_.end(), 0);
-  san_shadow_.clear();
-  next_thread_ = 0;
-  direct_released_ = false;
-  barrier_arrived_ = 0;
 }
 
 // pocl's work-item loop, the one both executors run: thread
@@ -463,6 +448,8 @@ void BlockState::park(ThreadCtx& ctx) {
 
 void* BlockState::shared_alloc(ThreadCtx& ctx, std::size_t bytes,
                                std::size_t align) {
+  if (shared_alloc_ordinal_.empty())
+    shared_alloc_ordinal_.assign(nthreads_, 0);
   const std::uint32_t k = shared_alloc_ordinal_[ctx.flat_tid]++;
   if (k < shared_vars_.size()) {
     const SharedVar& v = shared_vars_[k];

@@ -59,15 +59,6 @@ class BlockState {
   /// Runs every thread of the block to completion.
   void run();
 
-  /// Rewinds per-run state (counters, shared arena, shared
-  /// variable funnel, direct-mode barrier cursor) so run() can execute
-  /// again over the same construction. Graph replay caches direct-mode
-  /// BlockStates across replays because construction — warps, ordinal
-  /// vectors — dominates the per-launch cost of a launch-bound graph.
-  /// Only valid for ExecMode::kDirect: cooperative runs retire fiber
-  /// and scheduler state that a reset does not restore.
-  void reset_for_replay();
-
   // --- device-side primitives, called from kernel code via ThreadCtx ---
 
   /// Block-wide barrier (__syncthreads / ompx_sync_thread_block).
@@ -251,7 +242,8 @@ class BlockState {
     std::uint32_t first_tid;
   };
   std::vector<SharedVar> shared_vars_;
-  std::vector<std::uint32_t> shared_alloc_ordinal_;  // per thread
+  // Per thread; sized at the block's first shared_alloc.
+  std::vector<std::uint32_t> shared_alloc_ordinal_;
 
   // ompxsan racecheck shadow: one cell per shared-arena byte, allocated
   // lazily on the first instrumented access. The block runs single-OS-

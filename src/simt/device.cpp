@@ -80,7 +80,8 @@ struct BlockJob {
   /// thrown.
   template <typename Wake>
   std::exception_ptr run(LaunchStats& acc, bool probing, Wake&& wake) {
-    const auto t0 = std::chrono::steady_clock::now();
+    std::chrono::steady_clock::time_point t0;
+    if (probing) t0 = std::chrono::steady_clock::now();
     std::uint64_t end = 0;
     // Until the post, this thread alone pulls: `end` blocks are run or
     // running and `nblocks - end` are left. A running block counts as
@@ -487,23 +488,10 @@ void Device::resolve_launch(LaunchParams& params) const {
 }
 
 double Device::run_resolved(const LaunchParams& params, const KernelFn& kernel,
-                            const BlockCache* cached, LaunchRecord* rec) {
+                            LaunchRecord* rec) {
   std::chrono::steady_clock::time_point t0;
   if (rec != nullptr) t0 = std::chrono::steady_clock::now();
-  LaunchStats stats;
-  if (cached != nullptr && !cached->empty() && !san_enabled(kSanAll)) {
-    // Graph replay of a small direct grid: reset and rerun the blocks
-    // built at instantiate. Instrumented runs take run_blocks instead,
-    // whose fresh blocks carry fresh sanitizer shadow state.
-    stats = launch_header(params);
-    for (const auto& block : *cached) {
-      block->reset_for_replay();
-      block->run();
-      stats += block->counters();
-    }
-  } else {
-    stats = run_blocks(params, kernel);
-  }
+  const LaunchStats stats = run_blocks(params, kernel);
   const ModeledTime time =
       model_time(cfg_, params.profile, params.cost, stats,
                  static_cast<std::uint32_t>(params.block.count()),
@@ -537,7 +525,7 @@ LaunchRecord Device::launch_sync(const LaunchParams& caller_params,
   LaunchParams params = caller_params;
   resolve_launch(params);
   LaunchRecord rec;
-  run_resolved(params, kernel, nullptr, &rec);
+  run_resolved(params, kernel, &rec);
   // Stream kernels are spanned by the executor (it knows the stream
   // track and modeled start); only direct host-synchronous launches
   // record here, on the device's sync track.

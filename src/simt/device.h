@@ -283,14 +283,13 @@ class Device {
   void resolve_launch(LaunchParams& params) const;
   /// The one run -> model -> watchdog -> record path for a resolved
   /// launch (launch_sync, stream kernels, graph replay). Runs the
-  /// blocks — the prebuilt `cached` ones when given and non-empty, else
-  /// through run_blocks — models the launch, and throws TimeoutError
-  /// when the modeled time exceeds the watchdog budget. Only when `rec`
-  /// is given (something reads the record) does it time the launch on
-  /// the host, fill `*rec`, and append it to the launch log if
-  /// params.log. Returns the modeled duration.
+  /// blocks through run_blocks, models the launch, and throws
+  /// TimeoutError when the modeled time exceeds the watchdog budget.
+  /// Only when `rec` is given (something reads the record) does it time
+  /// the launch on the host, fill `*rec`, and append it to the launch
+  /// log if params.log. Returns the modeled duration.
   double run_resolved(const LaunchParams& params, const KernelFn& kernel,
-                      const BlockCache* cached, LaunchRecord* rec);
+                      LaunchRecord* rec);
   /// The block-execution core: the grid's blocks, in work-stealing
   /// chunks, on the calling thread and the host pool's block helpers,
   /// with every participant's counters folded in. Helpers are woken

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "simt/block.h"
 #include "simt/capi.h"
 #include "simt/device.h"
 #include "simt/fault.h"
@@ -13,23 +12,6 @@
 namespace simt {
 
 namespace {
-
-/// Grid-size ceiling for the cached-BlockState replay path. Cached
-/// blocks run serially under the graph's replay lock, so the cache is
-/// reserved for grids small enough that block *construction*, not
-/// block compute, dominates — larger grids keep the work-stealing
-/// parallelism of Device::run_blocks.
-constexpr std::uint64_t kMaxCachedBlocks = 8;
-
-/// Cached direct-mode blocks never suspend, so the FiberPool reference
-/// the BlockState constructor requires is never dereferenced; a
-/// graph-local pool satisfies it without tying cached blocks to the
-/// thread-local pool of whichever thread ran instantiate().
-FiberPool& replay_fiber_pool() {
-  static FiberStackPool stacks(FiberStackPool::kDefaultStackSize);
-  static FiberPool pool(stacks);
-  return pool;
-}
 
 std::atomic<std::uint64_t> g_graph_uid{1};
 
@@ -101,31 +83,14 @@ void Graph::instantiate_locked() {
     throw std::runtime_error(
         "fault injection: graph instantiate failed (" +
         std::to_string(nodes_.size()) + " node(s) discarded)");
-  cached_blocks_.clear();
-  cached_blocks_.resize(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    StreamOp& n = nodes_[i];
+  for (StreamOp& n : nodes_) {
     if (n.kind == StreamOp::Kind::kKernel) {
       // Bake what a live launch re-derives on every submission: the
       // configuration check and the resolved lane-execution mode.
       // Replays do not append to the launch log.
       dev_.resolve_launch(n.params);
       n.params.log = false;
-      n.replay_blocks = &cached_blocks_[i];
-      // Pre-build the node's BlockStates when the grid is small and
-      // sync-free: replay then pays a reset instead of reconstructing
-      // warp states and thread contexts per launch. The references
-      // the blocks capture (n.params, n.kernel) stay valid — nodes_
-      // does not change after capture.
-      if (n.params.mode == ExecMode::kDirect &&
-          n.params.grid.count() <= kMaxCachedBlocks) {
-        BlockCache& cache = cached_blocks_[i];
-        cache.reserve(n.params.grid.count());
-        for (std::uint64_t b = 0; b < n.params.grid.count(); ++b)
-          cache.push_back(std::make_unique<BlockState>(
-              dev_, n.params, block_id(n.params, b), n.kernel,
-              replay_fiber_pool()));
-      }
+      n.resolved = true;
     } else if ((n.kind == StreamOp::Kind::kEventRecord ||
                 n.kind == StreamOp::Kind::kEventWait) &&
                !dev_.exec_->event_alive(n.event)) {

@@ -6,16 +6,16 @@
 // Stream::begin_capture() and Stream::end_capture(). instantiate()
 // bakes the per-launch setup that a live launch pays every time
 // (configuration validation and lane-exec resolution, via
-// Device::resolve_launch) and pre-builds the blocks of small direct
-// grids; replay (Stream::launch_graph) then re-issues the whole
-// sequence as a single stream op that runs each node through the
-// executor's one op step (StreamExecutor::run_op) — the same modeled
-// cost, span, watchdog and completion code a live op gets — minus the
-// per-launch setup: no validation, no exec-policy lookup, no
-// launch-log push, and a record assembled only when something reads
-// it. That is what makes replay of a launch-bound iteration (Adam,
-// Stencil-1D) several times cheaper than re-submitting the launches
-// individually.
+// Device::resolve_launch); replay (Stream::launch_graph) then re-issues
+// the whole sequence as a single stream op that runs each node through
+// the executor's one op step (StreamExecutor::run_op) — the same
+// blocks (Device::run_blocks), modeled cost, span, watchdog and
+// completion code a live op gets — minus the per-launch setup and the
+// per-op submission: no validation, no exec-policy lookup, no
+// launch-log push, no queueing or drain wakeup per node, and a record
+// assembled only when something reads it. That is what makes replay
+// of a launch-bound iteration (Adam, Stencil-1D) several times cheaper
+// than re-submitting the launches individually.
 //
 // Semantics (deliberately CUDA-faithful):
 //  - malloc_async during capture allocates immediately; the graph owns
@@ -64,11 +64,11 @@ class Graph {
   [[nodiscard]] std::vector<NodeInfo> nodes() const;
 
   /// Bakes per-node setup: validates every kernel configuration,
-  /// resolves and pins each kernel's lane-execution mode, pre-builds
-  /// the blocks of small direct grids, and checks that captured event
-  /// references are still alive. Idempotent; replay calls it automatically if the caller
-  /// has not. Throws std::invalid_argument on a node that can no
-  /// longer execute (e.g. a destroyed event).
+  /// resolves and pins each kernel's lane-execution mode, and checks
+  /// that captured event references are still alive. Idempotent;
+  /// replay calls it automatically if the caller has not. Throws
+  /// std::invalid_argument on a node that can no longer execute (e.g.
+  /// a destroyed event).
   void instantiate();
   [[nodiscard]] bool instantiated() const;
 
@@ -96,15 +96,6 @@ class Graph {
   Device& dev_;
   std::uint64_t uid_;
   std::vector<StreamOp> nodes_;
-  // Direct-mode kernel nodes with small grids keep their BlockStates
-  // across replays: block construction (warp states, thread contexts,
-  // ordinal vectors) is the dominant per-launch cost of a launch-bound
-  // graph, and a reset is ~free. Indexed like nodes_, each kernel node
-  // points at its entry (StreamOp::replay_blocks); an empty entry means
-  // the node replays through Device::run_blocks. The cached BlockStates
-  // hold references into nodes_ (params/kernel), which is stable after
-  // capture ends.
-  std::vector<BlockCache> cached_blocks_;
   std::vector<void*> owned_allocs_;
   mutable std::mutex run_mu_;  // serializes replays and instantiation
   bool instantiated_ = false;

@@ -8,8 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "simt/dim.h"
 #include "simt/perf.h"
@@ -59,10 +57,6 @@ inline ThreadCtx& this_thread() {
 inline bool in_kernel() { return detail::t_ctx != nullptr; }
 
 using KernelFn = std::function<void()>;
-
-/// The BlockStates a graph kernel node builds once, at instantiate, and
-/// resets on every replay instead of reconstructing them.
-using BlockCache = std::vector<std::unique_ptr<BlockState>>;
 
 /// Execution mode for a launch.
 ///

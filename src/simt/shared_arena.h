@@ -1,12 +1,18 @@
 // Per-block shared-memory arena.
 //
 // Models __shared__ / LDS storage: a bump allocator over a fixed-size
-// buffer that lives exactly as long as one thread block. Static shared
+// buffer that one thread block holds for its lifetime. Static shared
 // variables and the dynamic shared segment both come from here; the
 // high-water mark is reported to the occupancy model.
+//
+// Each OS thread keeps one zeroed buffer between blocks: a block takes
+// it at its first shared-memory use and, when it ends, zeroes the bytes
+// it used and hands it back, so a block pays for its tile, not for the
+// device's whole capacity. A block never moves between OS threads, so
+// the spare needs no lock; a block that finds none (a launch nested
+// in a kernel, whose outer block holds it) allocates its own.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -19,6 +25,9 @@ class SharedArena {
   /// `dynamic_bytes` is the launch's dynamic segment, reserved up front
   /// at the base of the arena (CUDA's extern __shared__ convention).
   SharedArena(std::size_t capacity, std::size_t dynamic_bytes);
+  /// Keeps the buffer as its OS thread's spare, with [0, high_water())
+  /// zeroed, if that thread has none.
+  ~SharedArena();
 
   SharedArena(const SharedArena&) = delete;
   SharedArena& operator=(const SharedArena&) = delete;
@@ -36,17 +45,6 @@ class SharedArena {
     return buf_.data();
   }
   [[nodiscard]] std::size_t dynamic_size() const { return dynamic_bytes_; }
-
-  /// Rewinds the allocation cursor to the start of the static segment
-  /// for another run over the same block (graph replay reuses
-  /// BlockStates instead of rebuilding them). The backing store, if
-  /// already materialized, is kept, and the bytes the last run used are
-  /// zeroed, so the next run starts from what a fresh arena holds.
-  void reset() {
-    if (!buf_.empty()) std::fill_n(buf_.begin(), high_water_, 0);
-    offset_ = dynamic_bytes_;
-    high_water_ = dynamic_bytes_;
-  }
 
   [[nodiscard]] std::size_t used() const { return offset_; }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
@@ -71,8 +69,10 @@ class SharedArena {
   /// pays nothing for the arena. contains() on an untouched arena is
   /// correctly false — no pointer into it can exist yet.
   void ensure_backing() {
-    if (buf_.empty() && cap_ != 0) buf_.resize(cap_);
+    if (buf_.empty() && cap_ != 0) take_backing();
   }
+  /// Takes the OS thread's spare (or a new buffer), sized to cap_.
+  void take_backing();
 
   std::size_t cap_;
   std::vector<std::uint8_t> buf_;

@@ -694,9 +694,9 @@ void StreamExecutor::run_op(Stream& s, Op& op) {
       try {
         // Live launches pay the per-launch setup here; graph nodes paid
         // it once, at instantiate.
-        if (op.replay_blocks == nullptr) dev_.resolve_launch(op.params);
+        if (!op.resolved) dev_.resolve_launch(op.params);
         const bool needs_record = prof || op.on_complete || op.params.log;
-        end += dev_.run_resolved(op.params, op.kernel, op.replay_blocks,
+        end += dev_.run_resolved(op.params, op.kernel,
                                  needs_record ? &rec : nullptr);
       } catch (...) {
         // A failed kernel never gets its record; release any ticket

@@ -87,10 +87,9 @@ struct StreamOp {
   KernelFn kernel{};
   std::function<void(const LaunchRecord&)> on_complete{};
   /// Set on graph kernel nodes by Graph::instantiate, which resolved
-  /// `params` once and may have prebuilt the node's blocks (the cache
-  /// is then non-empty). Null on live ops, which the op step resolves
-  /// per launch.
-  const BlockCache* replay_blocks = nullptr;
+  /// `params` once. False on live ops, which the op step resolves per
+  /// launch.
+  bool resolved = false;
   // memcpy / memset / alloc / free (alloc & free carry the block in
   // `dst` and its size in `bytes`; the memory work happened at enqueue
   // time — executing the op only advances the modeled timeline)

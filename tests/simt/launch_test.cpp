@@ -388,9 +388,10 @@ TEST(Launch, DirectBarrier3DBlock) {
                   (3 - x) + 10 * (2 - y) + 100 * (4 - z));
 }
 
-TEST(Launch, DirectBarrierGraphReplayResetsCachedBlocks) {
-  // A <= 8-block direct grid replays through BlockStates cached at
-  // instantiate: each replay must rewind the barrier cursor and flag.
+TEST(Launch, DirectBarrierGraphReplaysEachRunTheBarrierAfresh) {
+  // Every replay of a direct grid with a barrier starts from a lane
+  // cursor, release flag and arrival count at zero, and reads only the
+  // tile its own lanes wrote before the barrier.
   Device dev(tiny_config());
   LaunchParams p = direct_block({32}, "replayed_barrier");
   p.grid = {4};
@@ -421,8 +422,8 @@ TEST(Launch, DirectBarrierGraphReplayResetsCachedBlocks) {
 
 TEST(Launch, GraphReplayStartsFromZeroedSharedMemory) {
   // Each lane reads its shared slot before writing it. A live launch
-  // reads a fresh arena's zeroes, and so must every replay of a graph
-  // that caches the block, not the bytes the previous replay left.
+  // reads a fresh arena's zeroes, and so must every replay, not the
+  // bytes the previous pass left in the buffer its OS thread reuses.
   Device dev(tiny_config());
   std::vector<int> reads(3 * 32, -1);
   int pass = 0;
@@ -446,6 +447,102 @@ TEST(Launch, GraphReplayStartsFromZeroedSharedMemory) {
   }
   for (int i = 0; i < 3 * 32; ++i)
     EXPECT_EQ(reads[i], 0) << "pass " << i / 32 << " lane " << i % 32;
+}
+
+// The shared-memory buffer a block ends with is its OS thread's spare
+// for the next block. On a one-worker device every block of a launch
+// from this thread runs here, so consecutive launches share the buffer.
+
+TEST(Launch, SharedBufferOfAThrowingBlockIsZeroedForTheNextLaunch) {
+  Device dev(tiny_config(), {.workers = 1});
+  constexpr std::uint32_t kInts = 1024;
+  for (const ExecMode mode : {ExecMode::kCooperative, ExecMode::kDirect}) {
+    LaunchParams p = direct_block({64}, "tile_then_throw");
+    p.mode = mode;
+    const void* thrown_tile = nullptr;
+    const auto tile_then_throw = [&thrown_tile] {
+      auto& t = this_thread();
+      auto* tile = static_cast<int*>(
+          t.block->shared_alloc(t, kInts * sizeof(int), 4));
+      thrown_tile = tile;
+      for (std::uint32_t i = t.flat_tid; i < kInts; i += 64) tile[i] = -1;
+      if (t.flat_tid == 63) throw std::runtime_error("after tile");
+    };
+    EXPECT_THROW(dev.launch_sync(p, tile_then_throw), std::runtime_error);
+    const void* read_tile = nullptr;
+    std::vector<int> nonzero(64, 0);
+    p.name = "read_tile";
+    dev.launch_sync(p, [&] {
+      auto& t = this_thread();
+      const auto* tile = static_cast<const int*>(
+          t.block->shared_alloc(t, kInts * sizeof(int), 4));
+      read_tile = tile;
+      for (std::uint32_t i = t.flat_tid; i < kInts; i += 64)
+        nonzero[t.flat_tid] += tile[i] != 0;
+    });
+    EXPECT_EQ(read_tile, thrown_tile) << "the buffer was not reused";
+    EXPECT_EQ(nonzero, std::vector<int>(64, 0));
+  }
+}
+
+TEST(Launch, SharedBufferServesDevicesOfEitherCapacity) {
+  // A100 (48 KiB) and MI250 (64 KiB) blocks alternate on this thread,
+  // so the one buffer shrinks and grows. Each block finds its whole
+  // capacity zeroed, and racecheck names a seeded race by its offset
+  // in the resized buffer.
+  Device a100(make_sim_a100_config(), {.workers = 1});
+  Device mi250(make_sim_mi250_config(), {.workers = 1});
+  struct RestoreSan {
+    std::uint32_t checks = San::instance().checks();
+    ~RestoreSan() {
+      San::instance().disable();
+      San::instance().enable(checks);
+      San::instance().reset();
+    }
+  } restore;
+  for (Device* dev : {&a100, &mi250, &a100, &mi250}) {
+    const std::size_t cap = dev->config().smem_per_block_max;
+    const std::string name = dev->config().name;
+    LaunchParams p;
+    p.grid = {1};
+    p.block = {64};
+    p.name = "fill_capacity";
+    std::vector<std::size_t> nonzero(64, 0);
+    dev->launch_sync(p, [&] {
+      auto& t = this_thread();
+      auto* bytes =
+          static_cast<std::uint8_t*>(t.block->shared_alloc(t, cap, 1));
+      const std::size_t slice = cap / 64;
+      for (std::size_t i = t.flat_tid * slice; i < (t.flat_tid + 1) * slice;
+           ++i) {
+        nonzero[t.flat_tid] += bytes[i] != 0;
+        bytes[i] = 0xAB;
+      }
+    });
+    EXPECT_EQ(nonzero, std::vector<std::size_t>(64, 0)) << name;
+
+    San::instance().reset();
+    San::instance().enable(kSanRace);
+    p.name = "seeded_race";
+    dev->launch_sync(p, [] {
+      auto& t = this_thread();
+      t.block->shared_alloc(t, 100, 4);  // the race lands at shared+104
+      auto* tile = static_cast<int*>(t.block->shared_alloc(t, 64 * 4, 4));
+      if (t.flat_tid == 0)  // thread 0 writes thread 1's slot...
+        t.block->san_shared_access(t, &tile[1], sizeof(int), true, false);
+      // ...and thread 1 reads it with no barrier between.
+      t.block->san_shared_access(t, &tile[t.flat_tid], sizeof(int), false,
+                                 false);
+    });
+    std::vector<SanDiag> races;
+    for (const SanDiag& d : San::instance().diagnostics())
+      if (d.kind == SanKind::kSharedRace) races.push_back(d);
+    ASSERT_EQ(races.size(), 1u) << name << ": " << San::instance().report();
+    EXPECT_NE(races[0].message.find("shared+104 "), std::string::npos)
+        << name << ": " << races[0].message;
+    EXPECT_EQ(races[0].tid_a, 1u);
+    EXPECT_EQ(races[0].tid_b, 0u);
+  }
 }
 
 TEST(Launch, DirectBarrierLaneExceptionPropagates) {

@@ -609,9 +609,9 @@ TEST(ExecPolicy, LaunchesNeverRewriteTheHintRegistry) {
 }
 
 TEST(ExecModeDifferential, GraphReplayOfAHintedKernelMatchesItsLiveLaunch) {
-  // Graph instantiate resolves the hinted node to kDirect once and
-  // caches its blocks; each replay must compute what a live launch
-  // computes, with the same counts and modeled time.
+  // Graph instantiate resolves the hinted node to kDirect once; each
+  // replay must compute what a live launch computes, with the same
+  // counts and modeled time.
   const ScopedPolicy scoped(ExecPolicy::kAuto);
   set_exec_hint("exec_graph", {true, false});
   const KernelMaker mk = [](std::uint64_t* out) -> KernelFn {
